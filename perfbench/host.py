@@ -2,8 +2,12 @@
 
 One process per run, started by ``run.py``: it imports the program,
 boots the front end, runs one untimed warm-up op and prints ``READY``.
-It then waits for one line on stdin: ``EXIT`` ends it there (a set-up
-measurement), ``GO`` runs the timed ops and writes them to ``--out``.
+It then waits for one line on stdin, times the reference kernel
+(``calibrate.py``) and prints ``CALIBRATED <slowness>`` for the set-up
+measurement.  ``EXIT`` ends it there; ``GO`` reads the timed apps of
+the corpus, runs the timed ops and writes them to ``--out``.  Before
+``READY`` it reads only the warm-up app, so set-up time holds no
+load-generator work.
 
 * ``plain-server``: an in-process ``RevealServer(workers=1)`` with no
   store, index or cluster; one job outstanding at a time.  The server
@@ -13,8 +17,9 @@ measurement), ``GO`` runs the timed ops and writes them to ``--out``.
 * ``force-library``: ``reveal_apk`` with force execution under a fixed
   replay budget, one call at a time.
 
-Each op's APK is hydrated from bytes just before the op, and checked
-against the corpus oracle just after it, both outside its timing.
+Each op's APK is hydrated from bytes and one slowness sample is taken
+just before the op, and its output is checked against the corpus oracle
+just after it, all outside its timing.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import resource
 import sys
 import time
 
+import calibrate
 import corpus
 
 
@@ -91,7 +97,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(FRONTS), required=True)
     parser.add_argument("--corpus", required=True)
-    parser.add_argument("--passes", type=int, required=True)
+    parser.add_argument("--ops", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--trace", action="store_true")
@@ -107,8 +113,7 @@ def main() -> int:
     from repro.runtime.apk import Apk
 
     front = FRONTS[args.workload]()
-    data = corpus.read(args.corpus)
-    warm = data["warmup"]
+    warm, = corpus.read(args.corpus, "warmup")
     handle, result = front.reveal(warm["app_id"], Apk.from_bytes(warm["apk"]))
     dex, error, _wait = front.settle(handle, result)
     error = error or corpus.check(dex, warm)
@@ -116,16 +121,19 @@ def main() -> int:
         print(f"host: warm-up op failed: {error}", file=sys.stderr)
         return 1
     print("READY", flush=True)
-    if sys.stdin.readline().strip() != "GO":
+    command = sys.stdin.readline().strip()
+    print(f"CALIBRATED {calibrate.median_sample()!r}", flush=True)
+    if command != "GO":
         front.close()
         return 0
 
-    apps = data["apps"]
+    apps = corpus.read(args.corpus, "apps")
     ops = []
-    for op, index in enumerate(corpus.schedule(len(apps), args.passes,
+    for op, index in enumerate(corpus.schedule(len(apps), args.ops,
                                                args.seed)):
         entry = apps[index]
         apk = Apk.from_bytes(entry["apk"])
+        slowness = calibrate.sample()
         if tracer is not None:
             tracer.op = op
             root = tracer.open(front.root)
@@ -148,7 +156,7 @@ def main() -> int:
             error = error or corpus.check(dex, entry)
         ops.append({"app": entry["app_id"], "latency_s": latency,
                     "cpu_s": cpu, "queue_wait_s": queue_wait,
-                    "error": error})
+                    "slowness": slowness, "error": error})
         del apk, handle, result
     front.close()
     report = {

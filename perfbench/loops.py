@@ -6,6 +6,12 @@ the set-up times of every boot that preceded it.  Set-up is process
 start to ready -- imports, server / gateway / worker boot and one
 untimed warm-up op -- and is measured ``boots`` times, each in fresh
 processes; the last boot runs the timed phase.
+
+Every time in a :class:`Measured` is divided by the slowness the
+process that did the work measured around it (``calibrate.py``): a
+boot's by the samples it took once ready, an op's by the samples of the
+ops at most ``calibrate.WINDOW`` away, and a whole phase's wall and CPU
+time by the median of all of them.
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
+import calibrate
 import corpus
 from procs import (
     HERE,
@@ -55,6 +63,10 @@ class Measured:
     #: User + system CPU of the system under test during the phase.
     cpu_s: float
     peak_rss_mb: float
+    #: Median slowness over the timed phase, and the set-up times
+    #: before scaling (both for people).
+    slowness: float = 1.0
+    raw_setup_s: list = field(default_factory=list)
     trace: dict | None = None
     #: Per-layer inputs only the load generator sees (queue waits,
     #: client-side HTTP timings), per op.
@@ -67,16 +79,16 @@ class Measured:
         return self.attempted - len(self.failures)
 
 
-def closed_loop(workload: str, corpus_path: str, passes: int, seed: int,
+def closed_loop(workload: str, corpus_stem: str, ops: int, seed: int,
                 boots: int, trace: bool, deadline: float) -> Measured:
     """``boots`` host processes; the last runs the timed ops."""
-    setups = []
+    setups, raw_setups = [], []
     os.makedirs(WORK, exist_ok=True)
     out = os.path.join(WORK, f"host-{os.getpid()}.json")
     for boot in range(boots):
         last = boot == boots - 1
         args = [os.path.join(HERE, "host.py"), "--workload", workload,
-                "--corpus", corpus_path, "--passes", str(passes),
+                "--corpus", corpus_stem, "--ops", str(ops),
                 "--seed", str(seed), "--out", out]
         began = time.perf_counter()
         proc = start(args + (["--trace"] if trace else []),
@@ -85,9 +97,14 @@ def closed_loop(workload: str, corpus_path: str, passes: int, seed: int,
         try:
             if read_line(proc, deadline - time.monotonic()) != "READY":
                 raise BenchError("host did not report ready")
-            setups.append(time.perf_counter() - began)
+            raw_setups.append(time.perf_counter() - began)
             proc.stdin.write("GO\n" if last else "EXIT\n")
             proc.stdin.flush()
+            word, slowness = read_line(
+                proc, deadline - time.monotonic()).split()
+            if word != "CALIBRATED":
+                raise BenchError(f"host printed {word!r}")
+            setups.append(raw_setups[-1] / float(slowness))
             proc.wait(timeout=max(1.0, deadline - time.monotonic()))
         finally:
             code = stop(proc)
@@ -97,14 +114,18 @@ def closed_loop(workload: str, corpus_path: str, passes: int, seed: int,
         report = json.load(fh)
     os.unlink(out)
     ops = report["ops"]
+    slowness = calibrate.smooth([op["slowness"] for op in ops])
+    latencies = [op["latency_s"] / s for op, s in zip(ops, slowness)]
     return Measured(
         setup_s=setups,
-        latencies=[op["latency_s"] for op in ops],
+        latencies=latencies,
         attempted=len(ops),
         failures=[f"{op['app']}: {op['error']}" for op in ops if op["error"]],
-        wall_s=sum(op["latency_s"] for op in ops),
-        cpu_s=sum(op["cpu_s"] for op in ops),
+        wall_s=sum(latencies),
+        cpu_s=sum(op["cpu_s"] / s for op, s in zip(ops, slowness)),
         peak_rss_mb=report["peak_rss_mb"],
+        slowness=statistics.median(slowness),
+        raw_setup_s=raw_setups,
         trace=report["trace"],
         extra={"server.queue_wait_s": sum(op["queue_wait_s"] for op in ops)
                / max(1, len(ops))},
@@ -121,6 +142,13 @@ class Fleet:
         self.dir = tempfile.mkdtemp(prefix="fleet-", dir=WORK)
         self.trace_out = trace_out
         self.gateway = self.worker = None
+        #: The worker's slowness samples by job id, the warm-up job's
+        #: id, and ``(finished_at, job id, latency)`` of every drained
+        #: job that finished.
+        self.calibration = os.path.join(self.dir, "calibration.jsonl")
+        self.samples: dict = {}
+        self.warm_id = ""
+        self.done: list = []
         #: ``GET /v1/jobs/<id>`` calls made so far, and their time.
         self.status_calls = 0
         self.status_s = 0.0
@@ -137,7 +165,8 @@ class Fleet:
         self.gateway = start(["-m", "repro.service", "gateway",
                               "--store", store, "--port", "0", "--json"],
                              stdout=subprocess.PIPE)
-        launcher = [os.path.join(HERE, "worker_launcher.py")]
+        launcher = [os.path.join(HERE, "worker_launcher.py"),
+                    "--calibration-out", self.calibration]
         if self.trace_out:
             launcher += ["--trace-out", self.trace_out]
         self.worker = start(launcher + [
@@ -150,11 +179,34 @@ class Fleet:
                                    deadline - time.monotonic()))["url"]
         self.client = GatewayClient(url)
         job = RevealJob(warmup["app_id"], Apk.from_bytes(warmup["apk"]))
-        record = self._await(self.client.submit(job).job_id, deadline)
+        self.warm_id = self.client.submit(job).job_id
+        record = self._await(self.warm_id, deadline)
         if record["status"] != "ok":
             raise BenchError(f"warm-up job ended {record['state']}: "
                              f"{record['error']}")
+        # The worker samples its slowness once the warm-up job is done;
+        # let it finish before anything else reaches the fleet.
+        self.read_samples()
+        while self.warm_id not in self.samples:
+            if time.monotonic() > deadline:
+                raise BenchError("the worker took no slowness sample")
+            time.sleep(0.01)
+            self.read_samples()
         return record["finished_at"] - began
+
+    def read_samples(self) -> None:
+        """Load the worker's slowness samples so far."""
+        try:
+            with open(self.calibration, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except FileNotFoundError:
+            lines = []
+        for line in lines:
+            try:
+                row = json.loads(line)
+            except ValueError:  # a line the worker is still writing
+                continue
+            self.samples[row["job"]] = row["slowness"]
 
     def _await(self, job_id: str, deadline: float) -> dict:
         while True:
@@ -211,7 +263,7 @@ class Fleet:
         cpu = sum(cpu_seconds(pid) for pid in pids) - cpu0
         rss = peak_rss_mb(self.worker.pid)
 
-        latencies, failures, waits = [], [], []
+        failures, waits = [], []
         first = min(began for _, began, _ in submitted)
         last = first
         for entry, (job_id, began, error) in zip(entries, submitted):
@@ -219,7 +271,8 @@ class Fleet:
             if record is None:
                 failures.append(f"{entry['app_id']}: {error}")
                 continue
-            latencies.append(record["finished_at"] - began)
+            self.done.append((record["finished_at"], job_id,
+                              record["finished_at"] - began))
             last = max(last, record["finished_at"])
             waits.append(record["started_at"] - record["submitted_at"])
             # The oracle runs after the timed phase, on the revealed DEX
@@ -237,7 +290,7 @@ class Fleet:
         wall = last - first
         return Measured(
             setup_s=[],
-            latencies=latencies,
+            latencies=[],
             attempted=len(entries),
             failures=failures,
             wall_s=wall,
@@ -255,28 +308,51 @@ class Fleet:
             op_ids=[job_id for job_id, _, _ in submitted if job_id],
         )
 
+    def scale(self, measured: Measured) -> None:
+        """Divide the drain's times by the worker's slowness: each
+        latency by the samples of the jobs that finished around it, the
+        wall and CPU time by their median.  A job whose sample the stop
+        cut short takes that median."""
+        self.done.sort()
+        found = [self.samples.get(job_id) for _, job_id, _ in self.done]
+        known = [s for s in found if s is not None]
+        if not known:
+            raise BenchError("the worker took no slowness samples")
+        typical = statistics.median(known)
+        slowness = calibrate.smooth([typical if s is None else s
+                                     for s in found])
+        measured.latencies = [latency / s for (_, _, latency), s
+                              in zip(self.done, slowness)]
+        measured.wall_s /= typical
+        measured.cpu_s /= typical
+        measured.slowness = typical
+
     def stop(self) -> None:
         for proc in (self.worker, self.gateway):
             if proc is not None:
                 stop(proc)
+        self.read_samples()
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
-def fleet_drain(data: dict, boots: int, trace: bool,
+def fleet_drain(data: dict, jobs: int, boots: int, trace: bool,
                 deadline: float) -> Measured:
-    """``boots`` fleets; the last drains the corpus."""
-    setups = []
+    """``boots`` fleets; the last drains the first ``jobs`` apps."""
+    setups, raw_setups = [], []
     trace_out = os.path.join(WORK, f"worker-spans-{os.getpid()}.json")
     for boot in range(boots):
         last = boot == boots - 1
         fleet = Fleet(trace_out if trace and last else None)
         try:
-            setups.append(fleet.boot(data["warmup"], deadline))
+            raw_setups.append(fleet.boot(data["warmup"], deadline))
             if last:
-                measured = fleet.drain(data["apps"], deadline)
+                measured = fleet.drain(data["apps"][:jobs], deadline)
         finally:
             fleet.stop()
+        setups.append(raw_setups[-1] / fleet.samples[fleet.warm_id])
+    fleet.scale(measured)
     measured.setup_s = setups
+    measured.raw_setup_s = raw_setups
     if trace:
         with open(trace_out, encoding="utf-8") as fh:
             measured.trace = json.load(fh)

@@ -13,13 +13,15 @@ Workloads (``perfbench/README.md`` says why each exists):
   fleet until all have run.
 
 ``--trace 0`` prints the end-to-end metrics of an untraced run.
-``--trace 1`` runs the workload untraced and then traced, and prints
-the per-layer ledger (self time per op at each layer boundary, counts
-per op, tracing overhead and unattributed time).  The last line of
-stdout is the JSON result; the lines before it are for people.
+``--trace 1`` runs the first half of that work untraced and then the
+same half traced, and prints the per-layer ledger (self time per op at
+each layer boundary, counts per op, tracing overhead and unattributed
+time).  The last line of stdout is the JSON result; the lines before
+it are for people.
 
 Work is sized from ``--seconds`` alone (whole corpus passes, or a job
 count), never from measured speed, so two commits run the same ops.
+Times are scaled to the reference machine speed (``calibrate.py``).
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from procs import WORK, BenchError  # noqa: E402
 from stats import tail  # noqa: E402
 
-#: Nominal ops per second each run's work is sized by, and set-up
-#: boots per untraced run (their median is ``setup_s``).
-RATES = {"plain-server": 2.4, "force-library": 1.5, "fleet-drain": 1.4}
-SETUP_BOOTS = 3
+#: Ops per second of ``--seconds`` each run's work is sized by (rounded
+#: to whole corpus passes, so at ``--seconds 20`` ``plain-server`` runs
+#: 64 ops in ~25 s, ``force-library`` 48 in ~16 s and ``fleet-drain``
+#: 26 jobs in ~14 s), and set-up boots per untraced run (their median
+#: is ``setup_s``).
+RATES = {"plain-server": 3.2, "force-library": 2.4, "fleet-drain": 1.3}
+SETUP_BOOTS = 5
 #: Every run must end within 180 s; leave room for teardown.
 RUN_DEADLINE_S = 170.0
 
@@ -96,20 +101,34 @@ def ratio(part: float, whole: float) -> float:
 
 
 def end_to_end(m) -> tuple[dict, list[str]]:
-    """The six user-facing metrics of one untraced run."""
-    tail_value, pct, n = tail(m.latencies)
+    """The six user-facing metrics of one untraced run.
+
+    Latencies exist only for ops that produced a result.  When so many
+    failed that fewer than eleven remain, the tail (and, with none left,
+    the median) is ``None``: the run still reports its failure count,
+    and ``correct`` is already false."""
+    found = tail(m.latencies)
     metrics = {
         "apps_per_s": (ratio(m.ok, m.wall_s), "1/s"),
-        "latency_p50_s": (statistics.median(m.latencies), "s"),
-        "latency_tail_s": (tail_value, "s"),
+        "latency_p50_s": (statistics.median(m.latencies)
+                          if m.latencies else None, "s"),
+        "latency_tail_s": (found[0] if found else None, "s"),
         "cpu_s_per_app": (ratio(m.cpu_s, m.attempted), "s"),
         "peak_rss_mb": (m.peak_rss_mb, "MB"),
         "setup_s": (statistics.median(m.setup_s), "s"),
     }
-    notes = [f"latency_tail_s is p{pct:.1f} of {n} samples "
-             f"({n - round(n * pct / 100)} beyond it)",
-             "setup_s is the median of " + ", ".join(
-                 f"{s:.3f}" for s in m.setup_s) + " s"]
+    notes = ["setup_s is the median of " + ", ".join(
+        f"{s:.3f}" for s in m.setup_s) + " s (unscaled " + ", ".join(
+        f"{s:.3f}" for s in m.raw_setup_s) + " s)",
+        f"times are scaled to the reference speed; the timed phase ran "
+        f"at slowness {m.slowness:.3f}"]
+    if found:
+        _value, pct, n = found
+        notes.insert(0, f"latency_tail_s is p{pct:.1f} of {n} samples "
+                        f"({n - round(n * pct / 100)} beyond it)")
+    else:
+        notes.insert(0, f"latency_tail_s: only {len(m.latencies)} ops "
+                        f"have a latency, fewer than 11")
     return metrics, notes
 
 
@@ -176,15 +195,18 @@ def ledger(workload: str, untraced, traced) -> tuple[dict, list[str]]:
     return metrics, notes
 
 
-def measure(workload: str, data: dict, corpus_path: str, seed: int,
-            seconds: float, boots: int, trace: bool, deadline: float):
-    import corpus
+def fleet_jobs(seconds: float) -> int:
+    """At least 16 jobs, so the tail percentile exists."""
+    return max(16, round(seconds * RATES["fleet-drain"]))
+
+
+def measure(workload: str, data: dict, corpus_stem: str, seed: int,
+            ops: int, boots: int, trace: bool, deadline: float):
     import loops
 
     if workload == "fleet-drain":
-        return loops.fleet_drain(data, boots, trace, deadline)
-    passes = corpus.passes_for(seconds, RATES[workload], len(data["apps"]))
-    return loops.closed_loop(workload, corpus_path, passes, seed, boots,
+        return loops.fleet_drain(data, ops, boots, trace, deadline)
+    return loops.closed_loop(workload, corpus_stem, ops, seed, boots,
                              trace, deadline)
 
 
@@ -197,26 +219,29 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     deadline = time.monotonic() + RUN_DEADLINE_S
     try:
-        import corpus
+        import repro  # noqa: F401
     except ImportError as exc:
         print(f"run.py: cannot import the program under test: {exc}",
               file=sys.stderr)
         return 2
+    import corpus
 
-    # At least 16 jobs, so the tail percentile exists.
-    apps = max(16, round(args.seconds * RATES["fleet-drain"])) \
-        if args.workload == "fleet-drain" else 0
-    data, path = corpus.load(args.workload, args.seed, apps, WORK)
+    apps = fleet_jobs(args.seconds) if args.workload == "fleet-drain" else 0
+    data, stem = corpus.load(args.workload, args.seed, apps, WORK)
     print(f"corpus {args.workload} seed {args.seed}: {len(data['apps'])} "
           f"apps, sha256 {corpus.digest(data)}")
+    ops = len(data["apps"]) if args.workload == "fleet-drain" else \
+        corpus.ops_for(args.seconds, RATES[args.workload], len(data["apps"]))
+    if args.trace:
+        # A traced run measures the first half of the work twice.
+        ops //= 2
     try:
-        untraced = measure(args.workload, data, path, args.seed,
-                           args.seconds, 1 if args.trace else SETUP_BOOTS,
-                           False, deadline)
+        untraced = measure(args.workload, data, stem, args.seed, ops,
+                           1 if args.trace else SETUP_BOOTS, False, deadline)
         runs = [untraced]
         if args.trace:
-            traced = measure(args.workload, data, path, args.seed,
-                             args.seconds, 1, True, deadline)
+            traced = measure(args.workload, data, stem, args.seed, ops,
+                             1, True, deadline)
             runs.append(traced)
             metrics, notes = ledger(args.workload, untraced, traced)
         else:
@@ -229,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     for failure in failures[:20]:
         print(f"FAILED {failure}")
     for name, (value, unit) in metrics.items():
-        print(f"{name:28s} {value:14.6f} {unit}")
+        shown = "-" if value is None else f"{value:.6f}"
+        print(f"{name:28s} {shown:>14s} {unit}")
     for note in notes:
         print(note)
     print(json.dumps({

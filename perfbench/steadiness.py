@@ -1,17 +1,18 @@
 """Steadiness report: do two sets of runs of one commit agree?
 
-    python3 perfbench/steadiness.py --runs 10 --sets 2
+    python3 perfbench/steadiness.py
     python3 perfbench/steadiness.py --load .perfbench-work/steadiness-*.jsonl
 
-Runs ``run.py --trace 0`` ``--runs`` times per workload and set, each
-run on its own seed, and appends every result to a JSONL file under
-``.perfbench-work``.  Then, per workload and end-to-end metric, it
-prints each set's median and quartiles, its spread (quartile distance
-as a share of the median), and the relative gap between the set
-medians in the metric's worse direction.  It names every pair that
-breaks its ``BENCHMARK.json`` bound: a spread wider than the bound
-(``setup_s`` excepted) or a second median worse than the first by more
-than the bound.  Exit status is 1 when any pair breaks its bound.
+Runs ``run.py --trace 0`` ten times per workload of ``BENCHMARK.json``
+in each of two sets, every run on its own seed (1, 2, ...), and appends
+every result to a JSONL file under ``.perfbench-work``.  Then, per
+workload and end-to-end metric, it prints each set's median and
+quartiles, its spread (quartile distance as a share of the median),
+and the gap between the two set medians.  The gap is measured both
+ways -- the larger median over the smaller -- because the two sets run
+the same code, so either one may stand for the parent.  It names every
+pair that breaks its bound: a spread or a gap wider than the metric's
+``bound``.  Exit status is 1 when any pair breaks its bound.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ import time
 from procs import ROOT, WORK
 from stats import quartiles, spread
 
+RUNS = 10
+SETS = 2
+
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
@@ -38,6 +42,13 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
         raise RuntimeError(f"{workload} seed {seed} exited "
                            f"{proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def gap(first: float, second: float) -> float:
+    """How much worse the better of two medians of one commit would
+    read against the other: the larger over the smaller, minus one."""
+    low, high = sorted((first, second))
+    return high / low - 1 if low else float("inf")
 
 
 def report(rows: list[dict], spec: dict) -> list[str]:
@@ -57,20 +68,19 @@ def report(rows: list[dict], spec: dict) -> list[str]:
                 q1, q2, q3 = quartiles(values)
                 medians.append(q2)
                 width = spread(values)
-                gap = ""
+                shown = ""
                 if len(medians) == 2:
-                    worse = (medians[1] - medians[0]) / medians[0]
-                    if metric["better"] == "higher":
-                        worse = -worse
-                    gap = f"{100 * worse:+6.1f}%"
-                    if worse > bound:
-                        broken.append(f"{workload}/{name}: set {s} median "
-                                      f"{100 * worse:.1f}% worse")
-                if name != "setup_s" and width > bound:
+                    between = gap(*medians)
+                    shown = f"{100 * between:6.1f}%"
+                    if between > bound:
+                        broken.append(f"{workload}/{name}: set medians "
+                                      f"{medians[0]:.4f} and {medians[1]:.4f} "
+                                      f"differ by {100 * between:.1f}%")
+                if width > bound:
                     broken.append(f"{workload}/{name}: set {s} spread "
                                   f"{100 * width:.1f}% > {100 * bound:.0f}%")
                 print(f"  {name:16s} {s:3d} {q2:10.4f} {q1:10.4f} {q3:10.4f} "
-                      f"{100 * width:6.1f}% {gap:>7s} {100 * bound:5.0f}%")
+                      f"{100 * width:6.1f}% {shown:>7s} {100 * bound:5.0f}%")
         failed = sum(r["result"]["failed"] for r in rows
                      if r["workload"] == workload)
         attempted = sum(r["result"]["attempted"] for r in rows
@@ -81,21 +91,11 @@ def report(rows: list[dict], spec: dict) -> list[str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=2)
-    parser.add_argument("--workloads", default="",
-                        help="comma-separated subset (default: all)")
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--load", nargs="*", default=None,
                         help="report on saved JSONL results instead")
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = args.workloads.split(",")
-        spec["workloads"] = [w for w in spec["workloads"]
-                             if w["name"] in names]
 
     rows = []
     if args.load is not None:
@@ -105,11 +105,11 @@ def main() -> int:
     else:
         os.makedirs(WORK, exist_ok=True)
         path = os.path.join(WORK, f"steadiness-{int(time.time())}.jsonl")
-        seed = args.first_seed
+        seed = 1
         with open(path, "a", encoding="utf-8") as out:
-            for s in range(1, args.sets + 1):
-                for _ in range(args.runs):
-                    for workload in names:
+            for s in range(1, SETS + 1):
+                for _ in range(RUNS):
+                    for workload in [w["name"] for w in spec["workloads"]]:
                         row = {"workload": workload, "set": s, "seed": seed,
                                "result": run_once(workload, seed,
                                                   spec["run_seconds"])}

@@ -1,5 +1,5 @@
-"""Self-time arithmetic over nested spans and the tail-percentile rule,
-on hand-built inputs."""
+"""Self-time arithmetic over nested spans, the tail-percentile rule,
+the slowness window and the report arithmetic, on hand-built inputs."""
 
 from __future__ import annotations
 
@@ -95,9 +95,53 @@ def test_tail_leaves_exactly_ten_samples_beyond():
     assert n - math.ceil((pct + 1e-9) * n / 100) == 9
 
 
+def test_too_few_latencies_still_report_the_failures():
+    from loops import Measured
+    from run import end_to_end
+
+    m = Measured(setup_s=[1.0, 2.0, 3.0], latencies=[0.5, 0.7],
+                 attempted=20, failures=["x"] * 18, wall_s=4.0, cpu_s=2.0,
+                 peak_rss_mb=40.0)
+    metrics, notes = end_to_end(m)
+    assert metrics["latency_tail_s"] == (None, "s")
+    assert metrics["latency_p50_s"] == (0.6, "s")
+    assert metrics["apps_per_s"] == (0.5, "1/s")
+    assert "fewer than 11" in notes[0]
+    m.latencies = []
+    assert end_to_end(m)[0]["latency_p50_s"] == (None, "s")
+
+
+def test_set_gap_is_the_same_whichever_set_comes_first():
+    from steadiness import gap
+
+    assert gap(1.0, 1.3) == pytest.approx(0.3)
+    assert gap(1.3, 1.0) == pytest.approx(0.3)
+    assert gap(2.0, 2.0) == 0.0
+
+
 def test_quartiles_and_spread():
     assert quartiles([5.0]) == (5.0, 5.0, 5.0)
     q1, q2, q3 = quartiles([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     assert q2 == 5.5
     assert spread([1, 2, 3, 4, 5, 6, 7, 8, 9, 10]) == pytest.approx(
         (q3 - q1) / q2)
+
+
+def test_slowness_window_ignores_a_stray_sample():
+    from calibrate import smooth
+
+    assert smooth([1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0], window=1) == [1.0] * 7
+    # A spell of slowness moves the ops inside it, clipped at the ends.
+    assert smooth([1.0, 1.0, 2.0, 2.0, 2.0], window=1) == [
+        1.0, 1.0, 2.0, 2.0, 2.0]
+    assert smooth([3.0], window=5) == [3.0]
+
+
+def test_schedule_is_seeded_whole_shuffles_cut_to_the_op_count():
+    from corpus import schedule
+
+    order = schedule(4, 6, seed=9)
+    assert order == schedule(4, 6, seed=9)
+    assert sorted(order[:4]) == [0, 1, 2, 3]
+    assert len(order) == 6 and len(set(order[4:])) == 2
+    assert schedule(4, 8, seed=9)[:6] == order
