@@ -29,7 +29,7 @@ help:
 	@echo "make bench-cluster - LSH nearest vs linear scan (>=10x @ recall >=0.95) + reveal-and-label throughput"
 	@echo "make bench-smoke - every benchmark once in quick mode (--benchmark-disable); timing JSON to $(BENCH_TIMINGS)"
 	@echo "make bench-check - gate $(BENCH_TIMINGS) against the committed $(BENCH_BASELINE) (>25% total regression fails)"
-	@echo "make serve-smoke - boot the reveal server, submit two jobs, assert clean shutdown"
+	@echo "make serve-smoke - submit two jobs, drain them with serve, assert clean shutdown and the journal"
 	@echo "make gateway-smoke - gateway + 2 fleet workers: HTTP submit, fetch artifact, diff vs in-process"
 	@echo "make profile     - cProfile one reveal, print top-20 cumulative (tools/profile_reveal.py)"
 	@echo "make lint        - byte-compile everything (syntax floor; uses pyflakes when present)"
@@ -94,9 +94,10 @@ bench-check:
 profile:
 	$(PYTHONPATH_SRC) $(PYTHON) tools/profile_reveal.py
 
-# End-to-end server smoke: journal two jobs into a fresh store, boot a
-# server against it, drain, and assert both jobs reached `done` with a
-# clean shutdown.  Mirrors the CI bench-smoke job's serve step.
+# End-to-end server smoke: journal two jobs into a fresh store, drain
+# it with a two-worker serve, and assert both jobs reached `done` with
+# a clean shutdown and journalled the full event sequence.  Mirrors the
+# CI bench-smoke job's serve step.
 serve-smoke:
 	rm -rf $(SERVE_SMOKE_STORE)
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.service submit --store $(SERVE_SMOKE_STORE) --corpus fdroid --limit 2
@@ -105,6 +106,12 @@ serve-smoke:
 		$(PYTHON) -c "import json,sys; payload = json.load(sys.stdin); \
 		assert payload['counts'] == {'done': 2}, payload['counts']; \
 		print('serve-smoke: 2 job(s) done, clean shutdown')"
+	$(PYTHON) -c "import json; kinds = {}; \
+		events = [json.loads(line) for line in open('$(SERVE_SMOKE_STORE)/events.jsonl')]; \
+		[kinds.setdefault(e['job_id'], []).append(e['kind']) for e in events]; \
+		want = ['submitted', 'started'] + ['stage'] * 4 + ['done']; \
+		assert len(kinds) == 2 and all(k == want for k in kinds.values()), kinds; \
+		print('serve-smoke: journal holds', ', '.join(want), 'per job')"
 	rm -rf $(SERVE_SMOKE_STORE)
 
 # End-to-end fleet smoke: boot the HTTP gateway on an ephemeral port,

@@ -123,7 +123,9 @@ class ClusterStore:
                     f"(missing {_META_FILE})"
                 )
             os.makedirs(self.segments_dir, exist_ok=True)
-            tmp = meta_path + ".tmp"
+            # Per-writer tmp name: two processes creating the same
+            # fresh store must not move each other's tmp file away.
+            tmp = f"{meta_path}.{self._writer_id}.tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump({"version": CLUSTER_FORMAT_VERSION}, fh)
             os.replace(tmp, meta_path)

@@ -50,6 +50,59 @@ PipelineObserver = Callable[[StageEvent], None]
 
 
 @dataclass
+class OptionalStores:
+    """The optional stores a reveal may use, and the ones it cannot.
+
+    ``index`` is a :class:`~repro.index.corpus.CorpusIndex` and
+    ``cluster`` a :class:`~repro.cluster.store.ClusterStore` (``None``
+    when not configured or not openable); ``degraded`` maps each store
+    that failed to open to the reason.  Both stores are thread-safe, so
+    one instance can serve every pipeline of a service.
+    """
+
+    index: object = None
+    cluster: object = None
+    degraded: dict[str, str] = field(default_factory=dict)
+
+
+def _note_degraded(degraded: dict[str, str], subsystem: str, reason) -> None:
+    if isinstance(reason, Exception):
+        reason = f"{type(reason).__name__}: {reason}"
+    degraded[subsystem] = reason
+    logger.warning("%s unavailable (%s); revealing without it",
+                   subsystem, reason)
+
+
+def open_optional_stores(config: RevealConfig) -> OptionalStores:
+    """Open ``config.index_dir`` and ``config.cluster_dir``: the one
+    place that decides whether an optional store degrades.
+
+    A corrupt or foreign-version directory degrades to revealing
+    without that store, with one warning — dedup and labeling are
+    optimisations, never prerequisites for a reveal.
+    """
+    stores = OptionalStores()
+    if config.index_dir is not None:
+        # Lazy imports keep repro.core free of module-level
+        # dependencies on repro.index and repro.cluster (which import
+        # back into core).
+        from repro.index.corpus import CorpusIndex
+
+        try:
+            stores.index = CorpusIndex(config.index_dir)
+        except (OSError, ValueError) as exc:
+            _note_degraded(stores.degraded, "index", exc)
+    if config.cluster_dir is not None:
+        from repro.cluster.store import ClusterStore
+
+        try:
+            stores.cluster = ClusterStore(config.cluster_dir)
+        except (OSError, ValueError) as exc:
+            _note_degraded(stores.degraded, "cluster", exc)
+    return stores
+
+
+@dataclass
 class RevealResult:
     """Everything DexLego produced for one application.
 
@@ -100,56 +153,36 @@ class RevealResult:
 
 
 class Pipeline:
-    """Stage conductor: one config, four stages, timed and observable."""
+    """Stage conductor: one config, four stages, timed and observable.
+
+    ``stores`` are the optional corpus index and cluster store (see
+    :func:`open_optional_stores`); a pipeline handed none opens its
+    own from the config.
+    """
 
     def __init__(
         self,
         config: RevealConfig | None = None,
         observer: PipelineObserver | None = None,
         wave_observer=None,
-        index=None,
-        cluster=None,
+        stores: OptionalStores | None = None,
     ) -> None:
         self.config = config or RevealConfig()
         self.observer = observer
+        if stores is None:
+            stores = open_optional_stores(self.config)
+        self.index = stores.index
+        self.cluster = stores.cluster
         #: Optional subsystems this pipeline had to bypass (name ->
-        #: reason).  A corrupt or foreign-version index/cluster
-        #: directory degrades to running without that store — dedup and
-        #: labeling are optimisations, never prerequisites for a reveal.
-        self.degraded: dict[str, str] = {}
-        if index is None and self.config.index_dir is not None:
-            # Lazy import keeps repro.core free of a module-level
-            # dependency on repro.index (which imports back into core).
-            from repro.index.corpus import CorpusIndex
-
-            try:
-                index = CorpusIndex(self.config.index_dir)
-            except (OSError, ValueError) as exc:
-                self._note_degraded("index", exc)
-        self.index = index
-        if cluster is None and self.config.cluster_dir is not None:
-            # Same lazy, one-way rule for repro.cluster.
-            from repro.cluster.store import ClusterStore
-
-            try:
-                cluster = ClusterStore(self.config.cluster_dir)
-            except (OSError, ValueError) as exc:
-                self._note_degraded("cluster", exc)
-        self.cluster = cluster
+        #: reason): stores that failed to open, and a foreign predecode
+        #: index dropped by a non-strict archive load.
+        self.degraded: dict[str, str] = dict(stores.degraded)
         self.collect_stage = CollectStage(self.config,
                                           wave_observer=wave_observer,
-                                          index=index)
-        self.reassemble_stage = ReassembleStage(index=index)
+                                          index=self.index)
+        self.reassemble_stage = ReassembleStage(index=self.index)
         self.verify_stage = VerifyStage()
         self.repack_stage = RepackStage()
-
-    def _note_degraded(self, subsystem: str, reason) -> None:
-        if isinstance(reason, Exception):
-            reason = f"{type(reason).__name__}: {reason}"
-        self.degraded[subsystem] = reason
-        logger.warning(
-            "%s unavailable (%s); revealing without it",
-            subsystem, reason)
 
     def _load_archive(self, directory: str,
                       strict: bool) -> CollectionArchive:
@@ -162,8 +195,8 @@ class Pipeline:
             predecode_path = os.path.join(directory, PREDECODE_INDEX_FILE)
             if os.path.exists(predecode_path) \
                     and archive.predecode_index() is None:
-                self._note_degraded(
-                    "predecode",
+                _note_degraded(
+                    self.degraded, "predecode",
                     f"foreign predecode index at {predecode_path} dropped")
         return archive
 
@@ -369,8 +402,7 @@ class DexLego:
         config: RevealConfig | None = None,
         observer: PipelineObserver | None = None,
         wave_observer=None,
-        index=None,
-        cluster=None,
+        stores: OptionalStores | None = None,
     ) -> None:
         config = resolve_config(
             config,
@@ -384,31 +416,7 @@ class DexLego:
         )
         self.config = config
         self.pipeline = Pipeline(config, observer=observer,
-                                 wave_observer=wave_observer, index=index,
-                                 cluster=cluster)
-
-    # Attribute views kept for callers that read the old constructor
-    # fields off the instance.
-
-    @property
-    def device(self) -> DeviceProfile:
-        return self.config.device
-
-    @property
-    def use_force_execution(self) -> bool:
-        return self.config.use_force_execution
-
-    @property
-    def run_budget(self) -> int:
-        return self.config.run_budget
-
-    @property
-    def archive_dir(self) -> str | None:
-        return self.config.archive_dir
-
-    @property
-    def force_iterations(self) -> int:
-        return self.config.force_iterations
+                                 wave_observer=wave_observer, stores=stores)
 
     # -- collection -----------------------------------------------------------
 

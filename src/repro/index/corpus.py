@@ -116,7 +116,9 @@ class CorpusIndex:
                 )
             os.makedirs(self.segments_dir, exist_ok=True)
             os.makedirs(self.bodies_dir, exist_ok=True)
-            tmp = meta_path + ".tmp"
+            # Per-writer tmp name: two processes creating the same
+            # fresh store must not move each other's tmp file away.
+            tmp = f"{meta_path}.{self._writer_id}.tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump({"version": INDEX_FORMAT_VERSION}, fh)
             os.replace(tmp, meta_path)
@@ -260,9 +262,13 @@ class CorpusIndex:
         path = self._body_path(digest)
         if os.path.exists(path):
             return  # first writer won; contents are digest-determined
+        # Threads share this instance (and its writer id), so the tmp
+        # name is per thread too: two jobs writing one digest at once
+        # must not move each other's tmp file away.
         faults.atomic_write_json(
             path, {"version": BODY_OPS_VERSION, "ops": ops},
-            site="index.body.write", tmp=f"{path}.{self._writer_id}.tmp")
+            site="index.body.write",
+            tmp=f"{path}.{self._writer_id}.{threading.get_ident()}.tmp")
 
     # -- registration (pipeline integration) --------------------------------
 

@@ -4,15 +4,17 @@ Layer above :mod:`repro.core`: where the core pipeline reveals *one*
 application, this package reveals *corpora* — the consumer posture of
 the paper's evaluation (markets, app stores, analysis fleets):
 
+* :class:`~repro.service.batch.BatchRevealService` — per-app crash
+  isolation and the one job path, ``reveal_one``, that every front end
+  below calls; ``reveal_batch`` runs a corpus through a server
+  (thread / serial) or a process pool
 * :class:`~repro.service.server.RevealServer` — the job-oriented async
   front end: submit / poll / await / cancel, priority lanes,
-  backpressure, restart recovery via a :class:`~repro.service.jobs.JobStore`
+  backpressure, an in-memory queue
 * :class:`~repro.service.events.EventBus` /
   :class:`~repro.service.events.JobEvent` — the unified progress
-  stream (lifecycle + pipeline stages + exploration waves + cache hits)
-* :class:`~repro.service.batch.BatchRevealService` — worker-pool
-  execution (thread / process / serial) with per-app crash isolation;
-  ``reveal_batch`` is now a façade over the server
+  stream (lifecycle + pipeline stages + exploration waves + cache hits
+  + index / cluster / degraded verdicts)
 * :class:`~repro.service.cache.RevealCache` — content-addressed result
   cache keyed on DEX checksum × pipeline-config hash
 * :class:`~repro.service.outcomes.RevealOutcome` — uniform per-app
@@ -20,13 +22,16 @@ the paper's evaluation (markets, app stores, analysis fleets):
 * :class:`~repro.service.stats.BatchReport` — aggregate throughput
   (apps/sec, cache hit rate, p50/p95 latency and queue wait)
 * :class:`~repro.service.api.SubmitAPI` — the one submit/poll/await
-  protocol :class:`RevealServer`, :class:`BatchRevealService` and
-  :class:`~repro.service.http_client.GatewayClient` all implement
+  protocol :class:`RevealServer` and
+  :class:`~repro.service.http_client.GatewayClient` implement
+* :class:`~repro.service.jobs.JobStore` — the one durable queue:
+  queued records in, claim/lease protocol out
 * :class:`~repro.service.gateway.RevealGateway` /
   :class:`~repro.service.worker.RevealWorker` /
   :class:`~repro.service.artifacts.ArtifactStore` — the HTTP front
-  end, the lease-pulling worker fleet, and the content-addressed
-  artifact store they share
+  end, the lease-pulling workers that drain a store (fleet processes,
+  or the threads of ``serve``), and the content-addressed artifact
+  store they share
 * ``python -m repro.service`` — the batch + server CLI
   (``reveal-batch``, ``reassemble``, ``serve``, ``submit``, ``status``,
   ``watch``, ``gateway``, ``worker``)

@@ -1,10 +1,7 @@
 """SubmitAPI: the one submit/poll/await surface every front end shares.
 
-Before this module the service grew three slightly different ways to
-say "run these jobs and give me the outcomes": ``RevealServer`` had
-``submit_all``/``await_all``, ``BatchRevealService`` carried delegate
-copies of both with a different signature, and the HTTP gateway client
-would have added a third.  One protocol now defines the vocabulary:
+One protocol defines the vocabulary for "run these jobs and give me
+the outcomes":
 
 * :meth:`SubmitAPI.submit` — one job in, one
   :class:`~repro.service.jobs.JobHandle` out, immediately;
@@ -17,44 +14,28 @@ would have added a third.  One protocol now defines the vocabulary:
   verbs.
 
 Implementations: :class:`~repro.service.server.RevealServer` (in-process
-thread pool), :class:`~repro.service.batch.BatchRevealService` (the
-batch façade, backed by a lazily created server), and
-:class:`~repro.service.http_client.GatewayClient` (jobs run by a worker
-fleet behind a :class:`~repro.service.gateway.RevealGateway`).  Code
-written against this protocol moves between them by swapping the
-constructor.
-
-The pre-protocol names ``submit_all``/``await_all`` survive as thin
-shims that raise :class:`DeprecationWarning` and delegate; they are
-defined once, here.
+thread pool; ``BatchRevealService.server()`` builds one over a
+service) and :class:`~repro.service.http_client.GatewayClient` (jobs
+run by a worker fleet behind a
+:class:`~repro.service.gateway.RevealGateway`).  Code written against
+this protocol moves between them by swapping the constructor.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-import warnings
 
 from repro.service.jobs import PRIORITY_NORMAL, JobHandle
 from repro.service.outcomes import RevealOutcome
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """One consistent deprecation message for every legacy shim."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class SubmitAPI(abc.ABC):
     """Abstract submit/poll/await surface over reveal jobs.
 
     Subclasses provide the four primitives (``submit``, ``poll``,
-    ``cancel``, ``handles``); the corpus-level verbs and the deprecated
-    legacy names are derived here so their semantics cannot drift
-    between front ends again.
+    ``cancel``, ``handles``); the corpus-level verbs are derived here
+    so their semantics cannot drift between front ends.
     """
 
     # -- primitives (per implementation) ------------------------------------
@@ -104,18 +85,3 @@ class SubmitAPI(abc.ABC):
     def await_job(self, job_id: str,
                   timeout: float | None = None) -> RevealOutcome | None:
         return self.poll(job_id).wait(timeout)
-
-    # -- deprecated legacy names --------------------------------------------
-
-    def submit_all(self, jobs, *,
-                   priority: int | str = PRIORITY_NORMAL) -> list[JobHandle]:
-        """Deprecated alias of :meth:`submit_many`."""
-        warn_deprecated(f"{type(self).__name__}.submit_all",
-                        "submit_many")
-        return self.submit_many(jobs, priority=priority)
-
-    def await_all(self, handles: list[JobHandle] | None = None,
-                  timeout: float | None = None) -> list[RevealOutcome]:
-        """Deprecated alias of :meth:`await_many`."""
-        warn_deprecated(f"{type(self).__name__}.await_all", "await_many")
-        return self.await_many(handles, timeout=timeout)

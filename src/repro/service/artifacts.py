@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import threading
 
 from repro import faults
 
@@ -72,8 +73,11 @@ class ArtifactStore:
         if os.path.exists(path):
             return digest
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        faults.atomic_write_bytes(path, data, site="artifacts.put",
-                                  tmp=f"{path}.{os.getpid()}.tmp")
+        # Per process and thread: the worker threads of one ``serve``
+        # may put the same digest at once.
+        faults.atomic_write_bytes(
+            path, data, site="artifacts.put",
+            tmp=f"{path}.{os.getpid()}.{threading.get_ident()}.tmp")
         return digest
 
     # -- read ----------------------------------------------------------------

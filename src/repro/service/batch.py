@@ -6,10 +6,10 @@ run it over *corpora*.  This module is that production posture:
 
 * a :class:`RevealJob` names one application plus its per-app knobs
   (device profile, drive callable, collect-only mode),
-* :class:`BatchRevealService` fans jobs across a ``concurrent.futures``
-  pool — thread-backed by default, process-backed for CPU-bound fleets,
-  or serial for debugging — with every job isolated so one crashing APK
-  produces an ``error`` record instead of aborting the batch,
+* :class:`BatchRevealService` fans jobs across worker threads by
+  default, a process pool for CPU-bound fleets, or one thread for
+  debugging — with every job isolated so one crashing APK produces an
+  ``error`` record instead of aborting the batch,
 * results flow through the content-addressed
   :class:`~repro.service.cache.RevealCache`, so re-running a corpus only
   pays for apps whose bytes or pipeline configuration changed,
@@ -17,12 +17,14 @@ run it over *corpora*.  This module is that production posture:
   submission order and carries throughput aggregates (apps/sec, cache
   hit rate, p50/p95 latency and queue wait).
 
-Since the job-server redesign, ``reveal_batch`` is a façade:
-``thread``/``serial`` corpora run through an ephemeral
-:class:`~repro.service.server.RevealServer` (``submit_many`` +
-``await_many``), which is also where incremental submission, priorities,
-cancellation and the unified event stream live for callers that want
-more than call-and-wait.
+:meth:`BatchRevealService.reveal_one` is the one path that executes a
+job — cache lookup, pipeline run and the job's progress events — and
+every front end calls it: library callers directly,
+:class:`~repro.service.server.RevealServer` from its worker threads and
+the fleet's :class:`~repro.service.worker.RevealWorker` under a lease.
+``reveal_batch`` resolves cache hits once, then runs the misses
+through an ephemeral server (``thread``/``serial``) or a process pool
+(``process``).
 
 Backend notes
 -------------
@@ -39,23 +41,27 @@ remains the safe default everywhere.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 import traceback
-import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.core.config import RevealConfig, resolve_config
-from repro.core.pipeline import DexLego
+from repro.core.pipeline import DexLego, open_optional_stores
 from repro.errors import StageError, VerificationError
 from repro.runtime.apk import Apk
 from repro.runtime.device import DeviceProfile
-from repro.service.api import SubmitAPI, warn_deprecated
 from repro.service.cache import RevealCache, reveal_cache_key
-from repro.service.jobs import PRIORITY_NORMAL
+from repro.service.events import (
+    EVENT_CACHE_HIT,
+    EVENT_CLUSTER,
+    EVENT_DEGRADED,
+    EVENT_INDEX,
+    EVENT_STAGE,
+    EVENT_WAVE,
+)
 from repro.service.outcomes import (
     STATUS_ERROR,
     STATUS_VERIFY_FAILED,
@@ -66,7 +72,6 @@ from repro.service.stats import BatchReport
 
 BACKENDS = ("thread", "process", "serial")
 
-logger = logging.getLogger(__name__)
 
 #: Environment override consulted when a service (or experiment runner)
 #: does not pin a worker count; also settable via :func:`set_default_workers`.
@@ -123,15 +128,8 @@ class RevealJob:
         return self.drive is None or bool(self.cache_salt)
 
 
-class BatchRevealService(SubmitAPI):
-    """Parallel, cached collect→reassemble→verify over an APK corpus.
-
-    As a :class:`~repro.service.api.SubmitAPI` implementation, the
-    service also accepts incremental submissions directly: the first
-    :meth:`submit` lazily boots an internal
-    :class:`~repro.service.server.RevealServer` (shared config, shared
-    cache) that :meth:`close` shuts down.
-    """
+class BatchRevealService:
+    """Parallel, cached collect→reassemble→verify over an APK corpus."""
 
     def __init__(
         self,
@@ -175,46 +173,12 @@ class BatchRevealService(SubmitAPI):
             else default_worker_count()
         self.backend = backend
         self.cache = cache if cache is not None else RevealCache(cache_dir)
-        # One CorpusIndex shared by every in-process job (it is
-        # thread-safe), created lazily so index-less services never pay
-        # for it.  Process workers open their own instance from the
-        # ``index_dir`` travelling inside the config dict.
-        self._index = None
-        self._index_lock = threading.Lock()
-        # Same sharing story for the ClusterStore: thread-safe, lazily
-        # created, and process workers open their own from the config.
-        self._cluster = None
-        self._cluster_lock = threading.Lock()
-        # Graceful degradation: subsystem name -> reason, populated
-        # when an *optional* store (index, cluster) fails to open.  A
-        # failed open is remembered so each reveal does not retry (and
-        # re-warn about) a corrupt directory; reopening means building
-        # a new service.
-        self._degraded: dict[str, str] = {}
-        # Lazily booted by the first direct submit(); owned and closed
-        # by this service.  reveal_batch keeps its own ephemeral server
-        # so call-and-wait corpora never leave a pool lingering.
-        self._submit_server = None
-        self._submit_lock = threading.Lock()
-
-    # Attribute views kept for callers that read the old constructor
-    # fields off the instance.
-
-    @property
-    def device(self) -> DeviceProfile:
-        return self.config.device
-
-    @property
-    def use_force_execution(self) -> bool:
-        return self.config.use_force_execution
-
-    @property
-    def run_budget(self) -> int:
-        return self.config.run_budget
-
-    @property
-    def force_iterations(self) -> int:
-        return self.config.force_iterations
+        # One CorpusIndex and one ClusterStore, opened once and shared
+        # by every in-process job, so a batch dedups and labels against
+        # itself.  A store that fails to open warns once here and every
+        # reveal carries it in ``degraded``; process workers open their
+        # own from the directories inside the config dict.
+        self.stores = open_optional_stores(self.config)
 
     # -- pipeline construction ---------------------------------------------
 
@@ -226,12 +190,12 @@ class BatchRevealService(SubmitAPI):
 
     def pipeline_for(self, job: RevealJob, observer=None,
                      wave_observer=None) -> DexLego:
-        """A fresh, job-private pipeline (runtimes are never shared).
+        """A fresh, job-private pipeline over the service's stores
+        (runtimes are never shared).
 
         ``observer`` receives the pipeline's per-stage
         :class:`~repro.core.stages.StageEvent` records and
-        ``wave_observer`` the exploration scheduler's wave snapshots —
-        the two channels the reveal server unifies into its event bus.
+        ``wave_observer`` the exploration scheduler's wave snapshots.
         """
         config = self.config_for(job)
         if config.archive_dir is not None:
@@ -240,79 +204,13 @@ class BatchRevealService(SubmitAPI):
             # their save/load round-trips; scope it per job.
             config = config.replace(
                 archive_dir=os.path.join(config.archive_dir, job.app_id))
-        index = self.corpus_index()
-        cluster = self.cluster_store()
-        # Once the service has noted a degraded store, job pipelines
-        # must not re-attempt (and re-warn about) the corrupt open
-        # through their own lazy path.
-        degraded = self.degraded_subsystems()
-        if "index" in degraded:
-            config = config.replace(index_dir=None)
-        if "cluster" in degraded:
-            config = config.replace(cluster_dir=None)
         return DexLego(config=config, observer=observer,
-                       wave_observer=wave_observer,
-                       index=index, cluster=cluster)
-
-    def corpus_index(self):
-        """The service-wide :class:`~repro.index.corpus.CorpusIndex`
-        (``None`` without an ``index_dir``), shared across jobs so a
-        batch dedups against itself, not just against past runs.
-
-        A corrupt or foreign-version ``index_dir`` degrades to ``None``
-        (no dedup, one warning, ``degraded`` stamped on outcomes)
-        instead of failing every reveal in the batch — the index is an
-        optimisation, never a prerequisite.
-        """
-        if self.config.index_dir is None:
-            return None
-        with self._index_lock:
-            if self._index is None and "index" not in self._degraded:
-                from repro.index.corpus import CorpusIndex
-
-                try:
-                    self._index = CorpusIndex(self.config.index_dir)
-                except (OSError, ValueError) as exc:
-                    self._note_degraded("index", exc)
-            return self._index
-
-    def cluster_store(self):
-        """The service-wide :class:`~repro.cluster.store.ClusterStore`
-        (``None`` without a ``cluster_dir``), shared across jobs so a
-        batch labels against everything it has already revealed.
-
-        Degrades to ``None`` on a corrupt or foreign-version
-        ``cluster_dir``, exactly like :meth:`corpus_index` — reveals
-        proceed unlabeled rather than failing.
-        """
-        if self.config.cluster_dir is None:
-            return None
-        with self._cluster_lock:
-            if self._cluster is None and "cluster" not in self._degraded:
-                from repro.cluster.store import ClusterStore
-
-                try:
-                    self._cluster = ClusterStore(self.config.cluster_dir)
-                except (OSError, ValueError) as exc:
-                    self._note_degraded("cluster", exc)
-            return self._cluster
-
-    def _note_degraded(self, subsystem: str, exc: Exception) -> None:
-        """Record (and warn once about) one degraded subsystem."""
-        if subsystem in self._degraded:
-            return
-        self._degraded[subsystem] = f"{type(exc).__name__}: {exc}"
-        logger.warning(
-            "%s unavailable (%s); continuing without it — reveals will "
-            "carry degraded=[%r]", subsystem, self._degraded[subsystem],
-            subsystem)
+                       wave_observer=wave_observer, stores=self.stores)
 
     def degraded_subsystems(self) -> dict[str, str]:
-        """Subsystem name -> reason for everything this service has had
-        to bypass (empty when fully provisioned)."""
-        with self._index_lock:
-            with self._cluster_lock:
-                return dict(self._degraded)
+        """Subsystem name -> reason for every optional store this
+        service could not open (empty when fully provisioned)."""
+        return dict(self.stores.degraded)
 
     def job_cache_key(self, job: RevealJob) -> str:
         salt = job.cache_salt
@@ -322,21 +220,63 @@ class BatchRevealService(SubmitAPI):
 
     # -- single job ---------------------------------------------------------
 
-    def reveal_one(self, job: RevealJob | Apk) -> RevealOutcome:
+    def reveal_one(self, job: RevealJob | Apk, *, job_id: str | None = None,
+                   bus=None, cache_key: str | None = None) -> RevealOutcome:
         """Run (or fetch) one job; never raises for per-app failures.
 
         Routed through :meth:`RevealCache.get_or_compute`, so two
         threads revealing the same bytes under the same config run one
-        pipeline and share the admitted record.
+        pipeline and share the admitted record.  ``cache_key`` is a
+        precomputed key (``""`` meaning uncacheable), so a caller that
+        already hashed the APK does not pay for it twice.
+
+        With an :class:`~repro.service.events.EventBus`, the job's
+        progress is published under ``job_id``: one ``stage`` event per
+        pipeline stage and ``wave`` snapshots while it runs,
+        ``cache-hit`` when the cache served it, then the ``index``,
+        ``cluster`` and ``degraded`` verdicts.  The lifecycle events
+        around them (``submitted``, ``started``, the terminal one)
+        belong to the front end.
         """
         job = self._coerce(job)
-        if not job.cacheable:
-            return self._run_job(job, "")
-        key = self.job_cache_key(job)
+        if cache_key is None:
+            cache_key = self.job_cache_key(job) if job.cacheable else ""
+        observer = wave_observer = None
+        if bus is not None:
+            def observer(event) -> None:
+                bus.publish(EVENT_STAGE, job_id, job.app_id, payload={
+                    "stage": event.stage,
+                    "duration_s": event.duration_s,
+                    "ok": event.ok,
+                    "error": event.error,
+                })
+
+            def wave_observer(snapshot: dict) -> None:
+                bus.publish(EVENT_WAVE, job_id, job.app_id,
+                            payload=dict(snapshot))
+
         outcome, hit = self.cache.get_or_compute(
-            key, lambda: self._run_job(job, key))
+            cache_key,
+            lambda: self._run_job(job, cache_key, observer, wave_observer))
         if hit:
             outcome.app_id = job.app_id  # content-addressed, not name-addressed
+        if bus is None:
+            return outcome
+        if hit:
+            bus.publish(EVENT_CACHE_HIT, job_id, job.app_id,
+                        payload={"cache_key": cache_key})
+        # The verdicts ride the stream before the front end's terminal
+        # event, so dashboards never race the outcome: started → index
+        # → cluster → degraded → done.
+        if outcome.index_stats:
+            bus.publish(EVENT_INDEX, job_id, job.app_id,
+                        payload=dict(outcome.index_stats))
+        if outcome.cluster_stats:
+            bus.publish(EVENT_CLUSTER, job_id, job.app_id,
+                        payload=dict(outcome.cluster_stats))
+        if outcome.degraded:
+            bus.publish(EVENT_DEGRADED, job_id, job.app_id,
+                        payload={"subsystems": list(outcome.degraded)})
         return outcome
 
     # -- batch --------------------------------------------------------------
@@ -344,139 +284,53 @@ class BatchRevealService(SubmitAPI):
     def server(self, **kwargs) -> "RevealServer":
         """A :class:`~repro.service.server.RevealServer` owned by this
         service — shared config, shared cache.  Keyword arguments
-        (``max_pending=``, ``store=``, ``autostart=``...) pass through."""
+        (``max_pending=``, ``autostart=``...) pass through."""
         from repro.service.server import RevealServer
 
         kwargs.setdefault(
             "workers", 1 if self.backend == "serial" else self.workers)
         return RevealServer(service=self, **kwargs)
 
-    # -- SubmitAPI ----------------------------------------------------------
-
-    def _ensure_server(self):
-        with self._submit_lock:
-            if self._submit_server is None:
-                self._submit_server = self.server()
-            return self._submit_server
-
-    def submit(self, job: RevealJob | Apk, *, priority=PRIORITY_NORMAL,
-               **kwargs):
-        """Enqueue one job on the service's internal server."""
-        return self._ensure_server().submit(job, priority=priority,
-                                            **kwargs)
-
-    def poll(self, job_id: str):
-        return self._ensure_server().poll(job_id)
-
-    def cancel(self, job_id: str) -> bool:
-        return self._ensure_server().cancel(job_id)
-
-    def handles(self) -> list:
-        with self._submit_lock:
-            server = self._submit_server
-        return [] if server is None else server.handles()
-
-    def close(self, drain: bool = True) -> None:
-        """Shut down the internal submit server (no-op without one)."""
-        with self._submit_lock:
-            server, self._submit_server = self._submit_server, None
-        if server is not None:
-            server.close(drain=drain)
-
-    def __enter__(self) -> "BatchRevealService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    # -- deprecated legacy delegates ----------------------------------------
-
-    def submit_all(self, jobs: Iterable[RevealJob | Apk], server=None,
-                   priority=None) -> list:
-        """Deprecated: ``submit_many`` (on a server, or on the service
-        itself) is the surviving spelling.  The pre-protocol form took
-        the target server positionally; that shape still works."""
-        warn_deprecated("BatchRevealService.submit_all", "submit_many")
-        target = self if server is None else server
-        if priority is None:
-            return target.submit_many(jobs)
-        return target.submit_many(jobs, priority=priority)
-
-    def await_all(self, handles=None, timeout=None) -> list[RevealOutcome]:
-        """Deprecated alias of :meth:`await_many` (handles may come
-        from any server — only ``handle.wait`` is used)."""
-        warn_deprecated("BatchRevealService.await_all", "await_many")
-        return self.await_many(handles, timeout=timeout)
-
     def reveal_batch(self, jobs: Iterable[RevealJob | Apk]) -> BatchReport:
         """Run a corpus; outcomes come back in submission order.
 
-        A thin façade over the job server: cache hits resolve in the
-        calling thread (a warm corpus never pays for queueing), then
-        the misses run as ``submit`` + ``wait`` against an
-        ephemeral :class:`~repro.service.server.RevealServer`.  The
-        ``process`` backend keeps its dedicated pool — process workers
-        rebuild the pipeline from picklable primitives, which is not a
-        thread-pool concern — and the ``serial`` backend is a
-        one-worker server.
+        Cache hits resolve in the calling thread (a warm corpus never
+        pays for queueing).  The misses run as ``submit`` + ``wait``
+        against an ephemeral
+        :class:`~repro.service.server.RevealServer` (the ``serial``
+        backend is a one-worker server), or across a process pool for
+        the ``process`` backend.
         """
         job_list = [self._coerce(j) for j in jobs]
         started = time.perf_counter()
-        if self.backend == "process" and job_list:
-            outcomes = self._reveal_batch_pooled(job_list)
-        else:
-            slots: list[RevealOutcome | None] = [None] * len(job_list)
-            # The key hashes every DEX and asset — compute it once per
-            # job and hand it to the server with the submission.
-            pending: list[tuple[int, RevealJob, str]] = []
-            for index, job in enumerate(job_list):
-                key = self.job_cache_key(job) if job.cacheable else ""
-                cached = self._lookup(job, key)
-                if cached is not None:
-                    slots[index] = cached
-                else:
-                    pending.append((index, job, key))
-            if pending:
-                server = self.server()
-                try:
-                    handles = [server.submit(job, cache_key=key)
-                               for _, job, key in pending]
-                    for (index, _job, _key), handle in zip(pending, handles):
-                        slots[index] = handle.wait()
-                finally:
-                    server.close()
-            outcomes = [o for o in slots if o is not None]
-        return BatchReport(
-            outcomes=outcomes,
-            wall_time_s=time.perf_counter() - started,
-            workers=self.workers,
-            backend=self.backend,
-        )
-
-    def _reveal_batch_pooled(
-            self, job_list: list[RevealJob]) -> list[RevealOutcome]:
-        """The pre-server batch body, kept for the process backend."""
         outcomes: list[RevealOutcome | None] = [None] * len(job_list)
-
         # The key hashes every DEX and asset — compute it once per job.
         pending: list[tuple[int, RevealJob, str]] = []
         for index, job in enumerate(job_list):
             key = self.job_cache_key(job) if job.cacheable else ""
-            cached = self._lookup(job, key)
+            cached = self.cache.get(key) if key else None
             if cached is not None:
+                cached.app_id = job.app_id  # content-addressed, not name-addressed
                 outcomes[index] = cached
             else:
                 pending.append((index, job, key))
-
-        if pending:
-            if self.workers <= 1 or len(pending) == 1:
-                for index, job, key in pending:
-                    outcomes[index] = self._run_job(job, key)
-            else:
-                self._run_pool(pending, outcomes)
-            for index, job, _key in pending:
-                self._store(job, outcomes[index])
-        return [o for o in outcomes if o is not None]
+        if pending and self.backend == "process":
+            self._run_pool(pending, outcomes)
+        elif pending:
+            server = self.server()
+            try:
+                handles = [server.submit(job, cache_key=key)
+                           for _, job, key in pending]
+                for (index, _job, _key), handle in zip(pending, handles):
+                    outcomes[index] = handle.wait()
+            finally:
+                server.close()
+        return BatchReport(
+            outcomes=[o for o in outcomes if o is not None],
+            wall_time_s=time.perf_counter() - started,
+            workers=self.workers,
+            backend=self.backend,
+        )
 
     # -- internals ----------------------------------------------------------
 
@@ -486,86 +340,60 @@ class BatchRevealService(SubmitAPI):
             return job
         return RevealJob(app_id=job.package, apk=job)
 
-    def _lookup(self, job: RevealJob, key: str) -> RevealOutcome | None:
-        if not job.cacheable:
-            return None
-        cached = self.cache.get(key)
-        if cached is not None:
-            cached.app_id = job.app_id  # key is content-addressed, not name-addressed
-        return cached
-
-    def _store(self, job: RevealJob, outcome: RevealOutcome | None) -> None:
-        if outcome is not None and job.cacheable and not outcome.cache_hit:
-            self.cache.put(outcome.cache_key, outcome)
-
     def _run_pool(
         self,
-        pending: Sequence[tuple[int, RevealJob, str]],
+        pending: list[tuple[int, RevealJob, str]],
         outcomes: list[RevealOutcome | None],
     ) -> None:
-        shippable: list[tuple[int, RevealJob, str]] = []
-        local: list[tuple[int, RevealJob, str]] = []
-        if self.backend == "process":
-            for entry in pending:
-                target = shippable if self._process_safe(entry[1]) else local
-                target.append(entry)
+        """The process backend: jobs ship to a pool of worker processes
+        as picklable primitives.  A job with a ``drive`` callable
+        (closures do not pickle) runs in the parent while the pool
+        works; with one worker or one job, everything does."""
+        if self.workers <= 1 or len(pending) == 1:
+            shippable, local = [], pending
         else:
-            shippable = list(pending)
-
-        executor: Executor | None = None
-        if shippable:
-            max_workers = min(self.workers, len(shippable))
-            if self.backend == "process":
-                executor = ProcessPoolExecutor(max_workers=max_workers)
-            else:
-                executor = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="reveal"
-                )
+            shippable = [e for e in pending if e[1].drive is None]
+            local = [e for e in pending if e[1].drive is not None]
+        executor = (ProcessPoolExecutor(
+            max_workers=min(self.workers, len(shippable)))
+            if shippable else None)
         try:
-            futures = {}
-            for index, job, key in shippable:
-                if self.backend == "process":
-                    future = executor.submit(
-                        _process_reveal,
-                        job.app_id,
-                        job.apk.to_bytes(),
-                        self.config_for(job).to_dict(),
-                        job.collect_only,
-                        key,
-                    )
-                else:
-                    future = executor.submit(self._run_job, job, key)
-                futures[future] = (index, job, key)
-            # Jobs the process backend cannot pickle (custom drive,
-            # unregistered device) run in the parent while the pool works.
+            futures = [
+                (index, job, key, executor.submit(
+                    _process_reveal,
+                    job.app_id,
+                    job.apk.to_bytes(),
+                    self.config_for(job).to_dict(),
+                    job.collect_only,
+                    key,
+                ))
+                for index, job, key in shippable
+            ]
             for index, job, key in local:
-                outcomes[index] = self._run_job(job, key)
-            for future, (index, job, key) in futures.items():
+                outcomes[index] = self.reveal_one(job, cache_key=key)
+            for index, job, key, future in futures:
                 try:
-                    outcomes[index] = future.result()
+                    outcome = future.result()
                 except Exception as exc:  # worker death must not kill the batch
-                    outcomes[index] = RevealOutcome(
+                    outcome = RevealOutcome(
                         app_id=job.app_id,
                         status=STATUS_ERROR,
                         error=f"{type(exc).__name__}: {exc}",
                         cache_key=key,
                     )
+                if key:
+                    self.cache.put(key, outcome)
+                outcomes[index] = outcome
         finally:
             if executor is not None:
                 executor.shutdown()
 
-    def _process_safe(self, job: RevealJob) -> bool:
-        """Can this job ship to a process worker?  Only a ``drive``
-        callable blocks shipping (closures do not pickle); any device
-        profile travels whole inside ``RevealConfig.to_dict()``."""
-        return job.drive is None
-
-    def _degraded_for(self, lego, result=None) -> list:
-        """Sorted union of everything this reveal had to bypass:
-        service-level open failures, pipeline-level ones, and a
-        mid-reveal index write failure reported by the stages."""
-        names = set(self._degraded)
-        names.update(lego.pipeline.degraded)
+    @staticmethod
+    def _degraded_for(lego, result=None) -> list:
+        """Sorted union of everything this reveal had to bypass: stores
+        that failed to open, and a mid-reveal index write failure
+        reported by the stages."""
+        names = set(lego.pipeline.degraded)
         if result is not None and result.index_stats.get("degraded"):
             names.add("index")
         return sorted(names)
@@ -656,8 +484,7 @@ def _process_reveal(
     )
     job = RevealJob(app_id=app_id, apk=Apk.from_bytes(apk_bytes),
                     collect_only=collect_only)
-    outcome = service._run_job(job)
-    outcome.cache_key = cache_key
+    outcome = service._run_job(job, cache_key)
     # Strip the live result: ship the serialised revealed APK instead.
     if outcome.result is not None:
         revealed = outcome.result.revealed_apk

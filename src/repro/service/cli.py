@@ -51,11 +51,13 @@ without re-driving the application — and writes the verified DEX to
 The server subcommands speak through a
 :class:`~repro.service.jobs.JobStore` directory, so they compose across
 processes: ``submit`` journals queued job records (no server needed),
-``serve`` boots a :class:`~repro.service.server.RevealServer` against
-the store — adopting whatever is queued, including jobs a killed
-server still owed — drains it and exits cleanly (``--linger`` keeps it
-polling for new submissions), ``status`` renders the journal, and
-``watch`` prints the unified event stream (``--follow`` tails it).
+``serve`` drains the store with ``--workers`` lease-pulling
+:class:`~repro.service.worker.RevealWorker` threads — the same drain
+loop as one ``worker`` process, so jobs a killed ``serve`` or worker
+still owed are reclaimed once their lease expires — and exits cleanly
+(``--linger`` keeps it polling for new submissions), ``status``
+renders the journal, and ``watch`` prints the unified event stream
+(``--follow`` tails it).
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
-import uuid
 
 from repro.core.exploration import (
     ALL_STRATEGIES,
@@ -576,47 +578,30 @@ def main(argv: list[str] | None = None) -> int:
 def _run_serve(args) -> int:
     """The ``serve`` subcommand: drain a job store, exit cleanly.
 
-    Adopts every queued record in the store — fresh submissions from
-    the ``submit`` CLI and jobs a killed server still owed alike —
-    processes them to a terminal state, and (with ``--linger``) keeps
-    polling for new work before shutting the pool down.
+    ``--workers`` fleet workers, one thread each, share one pipeline
+    service and claim from the store like ``worker`` processes do —
+    fresh submissions and jobs a killed predecessor still owed alike
+    — until it is drained (and, with ``--linger``, stays drained).
     """
-    from repro.service.server import RevealServer
+    from repro.service.worker import RevealWorker
 
-    warm_native_registries = registry_warmer()
     try:
         store = JobStore(args.store)
-        warm_native_registries(store.load_all())
         service = _service_from(args, backend="thread")
-        progress = [] if args.json else [
-            lambda e: print(f"[{e.seq:>4}] {e.kind:<10} {e.job_id} "
-                            f"({e.app_id})")
-        ]
-        # keep_results=False: a lingering server must not accumulate
-        # one revealed APK per completed job on its handles; results
-        # live in the cache and the journal.
-        server = RevealServer(service=service, workers=args.workers,
-                              store=store, observers=progress,
-                              keep_results=False)
+        workers = [RevealWorker(store, service=service,
+                                poll_interval_s=args.poll_interval)
+                   for _ in range(max(1, args.workers))]
     except OSError as exc:
         return usage_error(f"cannot use store {args.store!r}: {exc}")
-    deadline = time.monotonic() + max(0.0, args.linger)
-    while True:
-        # One journal read per tick, shared by the native-registry
-        # warmer and the queue sync.
-        records = store.load_all()
-        warm_native_registries(records)
-        adopted = server.sync_store(records)
-        if adopted:
-            deadline = time.monotonic() + max(0.0, args.linger)
-        server.wait_idle()
-        if time.monotonic() >= deadline:
-            break
-        time.sleep(min(args.poll_interval,
-                       max(0.0, deadline - time.monotonic())))
-    server.close()
-    counts = server.status_counts()
-    processed = {state: n for state, n in counts.items() if n}
+    if not args.json:
+        for worker in workers:
+            worker.bus.add_observer(
+                lambda e: print(f"[{e.seq:>4}] {e.kind:<10} {e.job_id} "
+                                f"({e.app_id})"))
+    totals = _drain(store, workers, args)
+    processed = {state: totals[state]
+                 for state in (JobState.DONE, JobState.FAILED,
+                               JobState.CANCELLED) if totals[state]}
     if args.json:
         print(json.dumps({"store": args.store, "jobs": processed}, indent=2))
     else:
@@ -626,7 +611,58 @@ def _run_serve(args) -> int:
               f"[{breakdown}]; clean shutdown")
     # Mirror reveal-batch's exit-code contract: a drain that left
     # failed jobs behind must not look like success to the caller.
-    return exit_for_failures(processed.get(JobState.FAILED, 0))
+    return exit_for_failures(totals["failed"])
+
+
+def _drain(store: JobStore, workers: list, args) -> dict:
+    """The drain loop ``serve`` and ``worker`` share.
+
+    Each sweep warms the native registries for what the store holds,
+    then runs every worker until nothing is claimable: the first on
+    the calling thread, each other one on a thread of its own.  Sweeps
+    repeat until the store has stayed drained for ``--linger`` seconds
+    or ``--max-jobs`` were processed, so corpus jobs submitted while
+    lingering still find their native libraries registered.  Returns
+    the workers' summed report counters.
+    """
+    warm_native_registries = registry_warmer()
+    max_jobs = getattr(args, "max_jobs", None)
+    totals = {"processed": 0, "done": 0, "failed": 0,
+              "cancelled": 0, "lost": 0}
+    deadline = time.monotonic() + max(0.0, args.linger)
+    while True:
+        warm_native_registries(store.load_all())
+        remaining = (None if max_jobs is None
+                     else max_jobs - totals["processed"])
+        reports = [None] * len(workers)
+
+        def sweep(i: int) -> None:
+            reports[i] = workers[i].run(max_jobs=remaining)
+
+        # Daemon threads: an interrupted drain exits without waiting
+        # for their jobs, whose leases then expire into other hands.
+        threads = [threading.Thread(target=sweep, args=(i,), daemon=True,
+                                    name=f"serve-worker-{i}")
+                   for i in range(1, len(workers))]
+        for thread in threads:
+            thread.start()
+        sweep(0)
+        for thread in threads:
+            thread.join()
+        before = totals["processed"]
+        for report in reports:
+            if report is not None:  # None: its thread died (see stderr)
+                for key in totals:
+                    totals[key] += getattr(report, key)
+        if totals["processed"] > before:
+            deadline = time.monotonic() + max(0.0, args.linger)
+        if max_jobs is not None and totals["processed"] >= max_jobs:
+            break
+        if time.monotonic() >= deadline:
+            break
+        time.sleep(min(args.poll_interval,
+                       max(0.0, deadline - time.monotonic())))
+    return totals
 
 
 def _run_submit(args) -> int:
@@ -661,15 +697,15 @@ def _run_submit(args) -> int:
             store = JobStore(args.store)
         except OSError as exc:
             return usage_error(f"cannot use store {args.store!r}: {exc}")
+        bus = store.event_bus()
         for job in jobs:
-            job_id = f"job-{uuid.uuid4().hex[:10]}"
-            store.save(store.make_record(
-                job_id=job_id, app_id=job.app_id, apk=job.apk,
-                priority=lane, collect_only=args.collect_only,
-                cache_salt=job.cache_salt, device=job.device,
-                metadata={"corpus": args.corpus},
-            ))
-            job_ids.append({"job_id": job_id, "app_id": job.app_id})
+            record = store.submit(
+                bus, app_id=job.app_id, apk=job.apk, priority=lane,
+                collect_only=args.collect_only, cache_salt=job.cache_salt,
+                device=job.device, metadata={"corpus": args.corpus},
+            )
+            job_ids.append({"job_id": record["job_id"],
+                            "app_id": job.app_id})
         target = args.store
     if args.json:
         print(json.dumps({"target": target, "store": args.store,
@@ -724,12 +760,7 @@ def _run_gateway(args) -> int:
 
 
 def _run_worker(args) -> int:
-    """The ``worker`` subcommand: one fleet member draining a store.
-
-    The outer loop interleaves native-registry warming with claim
-    sweeps so corpus jobs submitted *while* the worker lingers still
-    find their native libraries registered.
-    """
+    """The ``worker`` subcommand: one fleet member draining a store."""
     from repro.service.worker import RevealWorker
 
     try:
@@ -742,29 +773,11 @@ def _run_worker(args) -> int:
         )
     except OSError as exc:
         return usage_error(f"cannot use store {args.store!r}: {exc}")
-    warm_native_registries = registry_warmer()
-    totals = {"processed": 0, "done": 0, "failed": 0,
-              "cancelled": 0, "lost": 0}
-    deadline = time.monotonic() + max(0.0, args.linger)
-    while True:
-        warm_native_registries(store.load_all())
-        remaining = (None if args.max_jobs is None
-                     else args.max_jobs - totals["processed"])
-        report = worker.run(max_jobs=remaining, linger_s=0.0)
-        for key in totals:
-            totals[key] += getattr(report, key)
-        if not args.json and report.processed:
-            for job_id in report.job_ids:
-                print(f"[{worker.worker_id}] finished {job_id}")
-        if report.processed:
-            deadline = time.monotonic() + max(0.0, args.linger)
-        if args.max_jobs is not None \
-                and totals["processed"] >= args.max_jobs:
-            break
-        if time.monotonic() >= deadline:
-            break
-        time.sleep(min(args.poll_interval,
-                       max(0.0, deadline - time.monotonic())))
+    if not args.json:
+        worker.bus.add_observer(
+            lambda e: e.terminal and print(
+                f"[{worker.worker_id}] finished {e.job_id}"))
+    totals = _drain(store, [worker], args)
     if args.json:
         print(json.dumps({"store": args.store,
                           "worker_id": worker.worker_id, **totals},

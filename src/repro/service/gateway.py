@@ -38,10 +38,11 @@ the queue — a sliding-window request rate limit (``429`` with
 running (``429``).  Uploads over ``max_upload_bytes`` get ``413``.
 
 The gateway never runs a pipeline itself: it appends queued records
-that :class:`~repro.service.worker.RevealWorker` processes lease and
-reveal, or that an in-process ``serve`` loop adopts via
-``sync_store``.  That asymmetry is the scaling story: front ends and
-workers scale independently, coordinated only by the store directory.
+(:meth:`~repro.service.jobs.JobStore.submit`) that
+:class:`~repro.service.worker.RevealWorker` members — fleet ``worker``
+processes or the threads of a ``serve`` process — lease and reveal.
+That asymmetry is the scaling story: front ends and workers scale
+independently, coordinated only by the store directory.
 """
 
 from __future__ import annotations
@@ -54,19 +55,13 @@ import os
 import socket
 import threading
 import time
-import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro import faults
 from repro.runtime.apk import Apk
 from repro.service.artifacts import ArtifactStore, is_artifact_digest
-from repro.service.events import (
-    EVENT_SUBMITTED,
-    TERMINAL_EVENTS,
-    EventBus,
-    event_to_frame,
-)
+from repro.service.events import TERMINAL_EVENTS, event_to_frame
 from repro.service.jobs import (
     PRIORITY_NORMAL,
     JobHandle,
@@ -144,10 +139,7 @@ class RevealGateway:
                          else _RateLimiter(rate_limit_per_min))
         self._idempotency_dir = os.path.join(self.store.path, "idempotency")
         os.makedirs(self._idempotency_dir, exist_ok=True)
-        self.bus = EventBus()
-        store_ref = self.store
-        self.bus.add_observer(
-            lambda event: store_ref.append_event(event.to_dict()))
+        self.bus = self.store.event_bus()
         self._host = host
         self._port = port
         self._httpd: ThreadingHTTPServer | None = None
@@ -227,22 +219,6 @@ class RevealGateway:
             if (record.get("meta") or {}).get("tenant", "") == tenant:
                 count += 1
         return count
-
-    def submit_record(self, *, app_id: str, apk: Apk, priority: int,
-                      collect_only: bool, cache_salt: str,
-                      meta: dict) -> dict:
-        """Append one queued record and announce it on the stream."""
-        job_id = f"job-{uuid.uuid4().hex[:10]}"
-        record = self.store.make_record(
-            job_id=job_id, app_id=app_id, apk=apk, priority=priority,
-            collect_only=collect_only, cache_salt=cache_salt,
-            metadata=meta,
-        )
-        self.store.save(record)
-        self.bus.publish(EVENT_SUBMITTED, job_id, app_id,
-                         payload={"priority": priority,
-                                  "tenant": meta.get("tenant", "")})
-        return record
 
     def idempotent_job_id(self, tenant: str, key: str) -> str | None:
         """The job id a prior submit stored under this key, if any."""
@@ -503,9 +479,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         app_id = app_id or apk.package or "app"
         meta["tenant"] = tenant
-        record = gateway.submit_record(
-            app_id=app_id, apk=apk, priority=priority,
-            collect_only=collect_only, cache_salt=cache_salt, meta=meta,
+        record = gateway.store.submit(
+            gateway.bus, app_id=app_id, apk=apk, priority=priority,
+            collect_only=collect_only, cache_salt=cache_salt, metadata=meta,
         )
         if idem_key:
             gateway.remember_idempotency(tenant, idem_key,

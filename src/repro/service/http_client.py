@@ -1,8 +1,7 @@
 """GatewayClient: the SubmitAPI implementation that crosses the wire.
 
-The third front end (after :class:`~repro.service.server.RevealServer`
-and :class:`~repro.service.batch.BatchRevealService`): the same
-``submit`` / ``poll`` / ``await_many`` vocabulary, executed by a
+The remote twin of :class:`~repro.service.server.RevealServer`: the
+same ``submit`` / ``poll`` / ``await_many`` vocabulary, executed by a
 worker fleet behind a :class:`~repro.service.gateway.RevealGateway`
 instead of threads in this process.  Code written against
 :class:`~repro.service.api.SubmitAPI` moves onto the fleet by swapping

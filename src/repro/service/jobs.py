@@ -1,39 +1,40 @@
-"""Job lifecycle primitives for the reveal server.
+"""Job lifecycle primitives: states, handles, and the durable queue.
 
 A *job* is one application's trip through the service:
-``queued → running → done | failed | cancelled``.  This module owns the
-three pieces the server composes:
+``queued → running → done | failed | cancelled``.  This module owns
+three pieces:
 
 * :class:`JobState` — the five states and the legal transitions;
 * :class:`JobHandle` — the caller's view of one submitted job: state,
   timestamps (submit / start / finish), priority, the final
   :class:`~repro.service.outcomes.RevealOutcome`, and a blocking
   :meth:`JobHandle.wait`;
-* :class:`JobStore` — a JSON-on-disk journal of job records plus an
-  append-only event log, so a killed server can be restarted against
-  the same directory and finish the jobs it still owes (the queue
-  analogue of ``resume_exploration()`` resuming a run).
+* :class:`JobStore` — the one durable queue: a JSON-on-disk journal of
+  job records plus an append-only event log.  Work enters it through
+  :meth:`JobStore.submit` (the gateway, ``submit --store``) and leaves
+  it through the claim/lease protocol below (fleet workers, ``serve``),
+  so a queue outlives any process that feeds or drains it.
 
 Store layout
 ------------
 
 ``<store>/jobs/<job_id>.json``
     One record per job, rewritten atomically on every state change.
-    The serialised APK travels inside the record (base64), so a
-    restarted server can rebuild the :class:`~repro.service.batch.RevealJob`
+    The serialised APK travels inside the record (base64), so any
+    worker can rebuild the :class:`~repro.service.batch.RevealJob`
     without the submitting process.
 ``<store>/events.jsonl``
-    Every :class:`~repro.service.events.JobEvent` the server published,
-    one JSON object per line — what ``python -m repro.service watch``
-    tails.
+    Every :class:`~repro.service.events.JobEvent` published on a bus
+    from :meth:`JobStore.event_bus`, one JSON object per line — what
+    ``python -m repro.service watch`` tails.
 
-Jobs whose ``drive`` callable cannot be serialised are journalled
-without it; a resumed run re-executes them with the default drive.
+A ``drive`` callable cannot be serialised, so records carry none; a
+worker runs every job with the default drive.
 
 Worker-fleet leases
 -------------------
 
-The store doubles as the queue a fleet of
+The store is the queue a fleet of
 :class:`~repro.service.worker.RevealWorker` processes drains.  A worker
 *claims* the best queued record (priority lane, then submission order)
 by winning an exclusive *claim token* — ``claims/<job_id>.<generation>``
@@ -50,7 +51,9 @@ claimable again at the *next* generation.  Writes from the dead (or
 merely slow) first owner are *fenced* — heartbeat and completion verify
 the record still carries their generation, and completion additionally
 takes a once-only ``claims/<job_id>.done`` token — so a job revealed by
-two overlapping owners still completes exactly once.
+two overlapping owners still completes exactly once.  A ``running``
+record with no lease at all (an older ``serve`` killed mid-job) is owed
+work too, and is claimed the same way.
 """
 
 from __future__ import annotations
@@ -61,10 +64,12 @@ import json
 import os
 import threading
 import time
+import uuid
 
 from repro import faults
 from repro.runtime.apk import Apk
 from repro.runtime.device import DeviceProfile
+from repro.service.events import EVENT_SUBMITTED, EventBus
 from repro.service.outcomes import RevealOutcome
 
 STORE_FORMAT_VERSION = 1
@@ -122,14 +127,12 @@ class JobState:
     ALL = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
     TERMINAL = frozenset((DONE, FAILED, CANCELLED))
 
-    #: Legal next states; anything else is a server bug.  The fleet
-    #: protocol widened the ``RUNNING`` row: a running job may return
-    #: to ``QUEUED`` (its worker's lease expired and a restarted server
-    #: re-adopted it) or resolve ``CANCELLED`` (an operator cancel the
-    #: owning worker acknowledged at its next heartbeat).
+    #: Legal next states; anything else is a server bug.  A running job
+    #: may resolve ``CANCELLED`` (an operator cancel the owning worker
+    #: acknowledged at its next heartbeat).
     TRANSITIONS = {
         QUEUED: frozenset((RUNNING, CANCELLED)),
-        RUNNING: frozenset((DONE, FAILED, CANCELLED, QUEUED)),
+        RUNNING: frozenset((DONE, FAILED, CANCELLED)),
         DONE: frozenset(),
         FAILED: frozenset(),
         CANCELLED: frozenset(),
@@ -381,6 +384,18 @@ class JobStore:
     def save(self, record: dict) -> None:
         self._write(record["job_id"], record)
 
+    def submit(self, bus: EventBus, **fields) -> dict:
+        """Journal one fresh ``queued`` record and announce it on
+        ``bus``: how the gateway and ``submit --store`` put work in.
+        ``fields`` are :meth:`make_record`'s, minus the job id."""
+        record = self.make_record(job_id=f"job-{uuid.uuid4().hex[:10]}",
+                                  **fields)
+        self.save(record)
+        bus.publish(EVENT_SUBMITTED, record["job_id"], record["app_id"],
+                    payload={"priority": record["priority"],
+                             "tenant": record["meta"].get("tenant", "")})
+        return record
+
     def update(self, job_id: str, **fields) -> dict | None:
         """Read-modify-write one record; returns the new record."""
         with self._lock:
@@ -409,24 +424,6 @@ class JobStore:
                                     r.get("job_id", "")))
         return records
 
-    def pending_records(self) -> list[dict]:
-        """Records a restarted server still owes: queued, plus running
-        ones whose server died mid-job (they re-run from scratch).
-
-        Running records under a *live* worker lease are excluded — a
-        server sharing its store with a worker fleet must not steal a
-        job another process is actively revealing.  Lease-less running
-        records (an in-process server's own orphans) and expired leases
-        (a dead worker's) are owed work.
-        """
-        now = time.time()
-        return [
-            record for record in self.load_all()
-            if record.get("state") == JobState.QUEUED
-            or (record.get("state") == JobState.RUNNING
-                and not self._lease_live(record, now))
-        ]
-
     # -- worker leases -------------------------------------------------------
 
     @staticmethod
@@ -438,10 +435,9 @@ class JobStore:
         """Records a worker may lease, best first (lane, then age).
 
         Queued records (unless an operator already requested their
-        cancellation) and running records whose lease expired — the
-        crash-handoff case.  Running records *without* a lease belong
-        to an in-process :class:`~repro.service.server.RevealServer`
-        and are never claimable.
+        cancellation) and running records without a live lease — the
+        crash-handoff case: a worker whose lease expired, or a
+        lease-less record an older ``serve`` was running when killed.
         """
         now = time.time() if now is None else now
         claimable = []
@@ -450,10 +446,9 @@ class JobStore:
             if state == JobState.QUEUED:
                 if not record.get("cancel_requested"):
                     claimable.append(record)
-            elif state == JobState.RUNNING:
-                lease = record.get("lease")
-                if lease and lease.get("expires_at", 0.0) <= now:
-                    claimable.append(record)
+            elif state == JobState.RUNNING \
+                    and not self._lease_live(record, now):
+                claimable.append(record)
         claimable.sort(key=lambda r: (r.get("priority", PRIORITY_NORMAL),
                                       r.get("submitted_at", 0.0),
                                       r.get("job_id", "")))
@@ -733,6 +728,12 @@ class JobStore:
             return foreign
 
     # -- event log ----------------------------------------------------------
+
+    def event_bus(self) -> EventBus:
+        """A fresh bus that journals every event it publishes here."""
+        bus = EventBus()
+        bus.add_observer(lambda event: self.append_event(event.to_dict()))
+        return bus
 
     def append_event(self, event_dict: dict) -> None:
         with self._lock:

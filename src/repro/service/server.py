@@ -4,8 +4,8 @@
 call-and-wait: hand over a corpus, block, get a report.  Production
 consumers (market scanners, CI queues, analyst tooling) need the dual
 posture — submit work incrementally, watch it progress, prioritise the
-sample an analyst is waiting on over the nightly backfill, cancel what
-stopped mattering, and survive a restart without losing the queue.
+sample an analyst is waiting on over the nightly backfill, and cancel
+what stopped mattering.
 
 * :meth:`RevealServer.submit` enqueues one
   :class:`~repro.service.batch.RevealJob` into a priority lane
@@ -14,21 +14,23 @@ stopped mattering, and survive a restart without losing the queue.
   (``max_pending``) applies backpressure: a full queue rejects with
   :class:`QueueFull`, or blocks when ``block=True``.
 * A pool of worker threads pops jobs best-lane-first (FIFO within a
-  lane), runs them through the owning
-  :class:`~repro.service.batch.BatchRevealService` — result cache,
-  crash isolation and outcome classification included — and resolves
-  each handle ``queued → running → done/failed``.
+  lane), runs each through
+  :meth:`~repro.service.batch.BatchRevealService.reveal_one` — the job
+  path every front end shares: result cache, crash isolation, outcome
+  classification and the job's progress events — and resolves each
+  handle ``queued → running → done/failed``.
 * :meth:`RevealServer.cancel` on a queued job resolves it
   ``cancelled`` without ever starting its pipeline.
 * Every transition, pipeline stage, exploration wave, cache hit and
-  corpus-index dedup summary
-  flows through one :class:`~repro.service.events.EventBus` —
-  consumable as an iterator (:meth:`RevealServer.events`) or an
-  observer callback (:meth:`RevealServer.add_observer`).
-* With a :class:`~repro.service.jobs.JobStore`, submissions and state
-  changes are journalled to disk; a server restarted against the same
-  store re-queues the jobs a killed predecessor still owed, the way
-  ``resume_exploration()`` resumes an interrupted exploration.
+  index/cluster/degraded verdict flows through one
+  :class:`~repro.service.events.EventBus` — consumable as an iterator
+  (:meth:`RevealServer.events`) or an observer callback
+  (:meth:`RevealServer.add_observer`).
+
+The server's queue lives in memory.  A queue that must survive a
+restart is a :class:`~repro.service.jobs.JobStore`: ``submit --store``
+or the gateway journal jobs into it, and ``serve`` or ``worker``
+processes drain it under the store's claim/lease protocol.
 """
 
 from __future__ import annotations
@@ -41,17 +43,11 @@ import uuid
 from repro.service.api import SubmitAPI
 from repro.service.batch import BatchRevealService, RevealJob
 from repro.service.events import (
-    EVENT_CACHE_HIT,
     EVENT_CANCELLED,
-    EVENT_DEGRADED,
     EVENT_DONE,
-    EVENT_CLUSTER,
     EVENT_FAILED,
-    EVENT_INDEX,
-    EVENT_STAGE,
     EVENT_STARTED,
     EVENT_SUBMITTED,
-    EVENT_WAVE,
     EventBus,
     EventStream,
 )
@@ -59,7 +55,6 @@ from repro.service.jobs import (
     PRIORITY_NORMAL,
     JobHandle,
     JobState,
-    JobStore,
     resolve_priority,
 )
 from repro.service.outcomes import (
@@ -87,10 +82,8 @@ class RevealServer(SubmitAPI):
 
     ``workers`` threads execute jobs (default: the service's worker
     count).  ``max_pending`` bounds the queue; ``None`` is unbounded.
-    ``store`` (a path or :class:`JobStore`) turns on the on-disk
-    journal and restart recovery.  ``autostart=False`` delays the
-    worker pool until :meth:`start` — useful to stage submissions, and
-    how tests simulate a killed server.
+    ``autostart=False`` delays the worker pool until :meth:`start` —
+    useful to stage submissions.
     """
 
     def __init__(
@@ -99,7 +92,6 @@ class RevealServer(SubmitAPI):
         *,
         workers: int | None = None,
         max_pending: int | None = None,
-        store: JobStore | str | None = None,
         autostart: bool = True,
         observers=None,
         keep_results: bool = True,
@@ -116,24 +108,18 @@ class RevealServer(SubmitAPI):
             else BatchRevealService(**service_kwargs)
         #: With ``keep_results=False`` terminal outcomes are stripped of
         #: their live result and serialised APK before landing on the
-        #: handle — a lingering server (the ``serve`` CLI) would
-        #: otherwise retain one revealed-APK-sized object per completed
-        #: job forever.  Consumers then read artefacts from the cache
-        #: or the journal, not the handle.
+        #: handle — a long-lived server would otherwise retain one
+        #: revealed-APK-sized object per completed job forever.
+        #: Consumers then read artefacts from the cache, not the handle.
         self.keep_results = keep_results
         self.workers = max(1, workers if workers is not None
                            else self.service.workers)
         self.max_pending = max_pending
         self.bus = EventBus()
-        # Registered before any publish (store resume included), so a
-        # constructor-supplied observer sees the whole stream.
+        # Registered before any publish, so a constructor-supplied
+        # observer sees the whole stream.
         for callback in observers or ():
             self.bus.add_observer(callback)
-        self.store = JobStore(store) if isinstance(store, str) else store
-        if self.store is not None:
-            store_ref = self.store
-            self.bus.add_observer(
-                lambda event: store_ref.append_event(event.to_dict()))
         self._cv = threading.Condition()
         self._heap: list[tuple[int, int, str]] = []  # (lane, seq, job_id)
         self._seq = 0
@@ -146,8 +132,6 @@ class RevealServer(SubmitAPI):
         self._started = False
         self._stop = False
         self._closed = False
-        if self.store is not None:
-            self._resume_from_store()
         if autostart:
             self.start()
 
@@ -177,8 +161,8 @@ class RevealServer(SubmitAPI):
     def close(self, drain: bool = True) -> None:
         """Shut down: finish the queue (``drain=True``) or cancel it.
 
-        Either way every worker exits, the store is consistent, and the
-        event bus closes so ``events()`` iterators end.  Idempotent.
+        Either way every worker exits and the event bus closes so
+        ``events()`` iterators end.  Idempotent.
         """
         with self._cv:
             if self._closed:
@@ -259,30 +243,10 @@ class RevealServer(SubmitAPI):
             if cache_key is not None:
                 self._cache_keys[job_id] = cache_key
             self._queued += 1  # slot reserved before the heap push below
-        if self.store is not None:
-            try:
-                self.store.save(self.store.make_record(
-                    job_id=job_id, app_id=job.app_id, apk=job.apk,
-                    priority=lane, collect_only=job.collect_only,
-                    cache_salt=job.cache_salt, device=job.device,
-                    submitted_at=handle.submitted_at,
-                ))
-            except OSError:
-                # The reserved slot must not leak (close(drain=True)
-                # would wait on it forever); unwind and let the caller
-                # see the journal failure.
-                with self._cv:
-                    self._handles.pop(job_id, None)
-                    self._jobs.pop(job_id, None)
-                    self._cache_keys.pop(job_id, None)
-                    self._queued -= 1
-                    self._cv.notify_all()
-                raise
-        return self._announce(job_id, handle, lane,
-                              payload={"priority": lane})
+        return self._announce(job_id, handle, lane)
 
-    def _announce(self, job_id: str, handle: JobHandle, lane: int,
-                  payload: dict) -> JobHandle:
+    def _announce(self, job_id: str, handle: JobHandle,
+                  lane: int) -> JobHandle:
         """Publish ``submitted`` and make the job poppable.
 
         The event goes out before the heap push, so per-job order is
@@ -292,7 +256,7 @@ class RevealServer(SubmitAPI):
         order); such a job never reaches the heap.
         """
         self.bus.publish(EVENT_SUBMITTED, job_id, handle.app_id,
-                         payload=payload)
+                         payload={"priority": lane})
         with self._cv:
             handle._announced = True
             cancelled = handle.state == JobState.CANCELLED
@@ -346,8 +310,7 @@ class RevealServer(SubmitAPI):
         return counts
 
     # -- waiting ------------------------------------------------------------
-    # ``submit_many`` / ``await_many`` / ``await_job`` (and the
-    # deprecated ``submit_all`` / ``await_all`` shims) come from
+    # ``submit_many`` / ``await_many`` / ``await_job`` come from
     # :class:`SubmitAPI`.
 
     def wait_idle(self, timeout: float | None = None) -> bool:
@@ -389,20 +352,8 @@ class RevealServer(SubmitAPI):
         return True
 
     def _finish_cancel(self, job_id: str, handle: JobHandle) -> None:
-        self._store_update(job_id, state=JobState.CANCELLED,
-                           finished_at=handle.finished_at)
         self.bus.publish(EVENT_CANCELLED, job_id, handle.app_id)
         handle._mark_terminal()
-
-    def _store_update(self, job_id: str, **fields) -> None:
-        """Best-effort journal update: once a job is in memory, a
-        failing disk must not kill its worker or strand its waiters."""
-        if self.store is None:
-            return
-        try:
-            self.store.update(job_id, **fields)
-        except OSError:
-            pass
 
     # -- events -------------------------------------------------------------
 
@@ -412,73 +363,6 @@ class RevealServer(SubmitAPI):
 
     def add_observer(self, callback) -> None:
         self.bus.add_observer(callback)
-
-    # -- store resume -------------------------------------------------------
-
-    def _resume_from_store(self) -> None:
-        """Re-queue the jobs a killed predecessor still owed."""
-        for record in self.store.pending_records():
-            self._submit_record(record, resumed=True)
-
-    def sync_store(self, records: list[dict] | None = None) -> int:
-        """Pick up queued records other processes appended to the store
-        (the ``submit`` CLI); returns how many jobs were adopted.
-
-        ``records`` lets a caller that already read the journal (the
-        ``serve`` poll loop) share one ``load_all`` per tick.
-        """
-        if self.store is None:
-            return 0
-        if records is None:
-            records = self.store.load_all()
-        adopted = 0
-        for record in records:
-            if record.get("state") != JobState.QUEUED:
-                continue
-            with self._cv:
-                known = record["job_id"] in self._handles
-            if not known and self._submit_record(record, resumed=False):
-                adopted += 1
-        return adopted
-
-    def _submit_record(self, record: dict, resumed: bool) -> bool:
-        """Adopt one journalled record; False when it cannot run.
-
-        An undecodable record is marked ``failed`` in the journal —
-        costing that job, not the queue — so pollers never count it as
-        fresh work again (a lingering server would otherwise spin on
-        it forever).
-        """
-        job_id = record.get("job_id", "")
-        try:
-            job = RevealJob(
-                app_id=record["app_id"],
-                apk=JobStore.decode_apk(record["apk_b64"]),
-                device=JobStore.decode_device(record.get("device")),
-                collect_only=record.get("collect_only", False),
-                cache_salt=record.get("cache_salt", ""),
-            )
-            lane = resolve_priority(record.get("priority", PRIORITY_NORMAL))
-        except Exception:
-            if job_id:
-                self._store_update(job_id, state=JobState.FAILED,
-                                   error="unreadable job record")
-            return False
-        with self._cv:
-            if job_id in self._handles:
-                return False
-            handle = JobHandle(job_id, job.app_id, lane,
-                               submitted_at=record.get("submitted_at"))
-            self._handles[job_id] = handle
-            self._jobs[job_id] = job
-            self._queued += 1
-        if record.get("state") != JobState.QUEUED:
-            # A job its dead server had already started re-runs whole.
-            self._store_update(job_id, state=JobState.QUEUED,
-                               started_at=None)
-        self._announce(job_id, handle, lane,
-                       payload={"priority": lane, "resumed": resumed})
-        return True
 
     # -- worker loop --------------------------------------------------------
 
@@ -507,36 +391,20 @@ class RevealServer(SubmitAPI):
 
     def _run_one(self, job_id: str, handle: JobHandle) -> None:
         job = self._jobs[job_id]
-        self._store_update(job_id, state=JobState.RUNNING,
-                           started_at=handle.started_at)
         self.bus.publish(EVENT_STARTED, job_id, job.app_id,
                          payload={"queue_wait_s": handle.queue_wait_s})
+        with self._cv:
+            key = self._cache_keys.pop(job_id, None)
         try:
-            outcome = self._execute(job_id, job)
-        except Exception as exc:  # _run_job never raises; belt and braces
+            outcome = self.service.reveal_one(job, job_id=job_id,
+                                              bus=self.bus, cache_key=key)
+        except Exception as exc:  # reveal_one never raises; belt and braces
             outcome = RevealOutcome(
                 app_id=job.app_id,
                 status=STATUS_ERROR,
                 error=f"{type(exc).__name__}: {exc}",
             )
         outcome.queue_wait_s = handle.queue_wait_s
-        if outcome.index_stats:
-            # Dedup accounting rides the stream before the terminal
-            # event, so per-job lifecycle order stays started → index →
-            # done and corpus dashboards never race the outcome.
-            self.bus.publish(EVENT_INDEX, job_id, job.app_id,
-                             payload=dict(outcome.index_stats))
-        if outcome.cluster_stats:
-            # Same pre-terminal placement for the labeling verdict:
-            # started → index → cluster → done.
-            self.bus.publish(EVENT_CLUSTER, job_id, job.app_id,
-                             payload=dict(outcome.cluster_stats))
-        if outcome.degraded:
-            # Degradations also ride pre-terminal, so a dashboard sees
-            # what this reveal bypassed before it sees the outcome.
-            self.bus.publish(EVENT_DEGRADED, job_id, job.app_id,
-                             payload={"subsystems":
-                                      list(outcome.degraded)})
         if not self.keep_results:
             outcome.result = None
             outcome.revealed_apk_bytes = None
@@ -550,50 +418,8 @@ class RevealServer(SubmitAPI):
             # Release the RevealJob (and its APK): a lingering server
             # must not retain one APK-sized object per completed job.
             self._jobs.pop(job_id, None)
-        self._store_update(
-            job_id,
-            state=handle.state,
-            finished_at=handle.finished_at,
-            outcome=outcome.to_summary(),
-            error=outcome.error,
-        )
         self.bus.publish(
             EVENT_FAILED if failed else EVENT_DONE,
             job_id, job.app_id, payload=outcome.to_summary(),
         )
         handle._mark_terminal()
-
-    def _execute(self, job_id: str, job: RevealJob) -> RevealOutcome:
-        """One job through the service: cache, pipeline, events."""
-        service = self.service
-
-        def on_stage(event) -> None:
-            self.bus.publish(EVENT_STAGE, job_id, job.app_id, payload={
-                "stage": event.stage,
-                "duration_s": event.duration_s,
-                "ok": event.ok,
-                "error": event.error,
-            })
-
-        def on_wave(snapshot: dict) -> None:
-            self.bus.publish(EVENT_WAVE, job_id, job.app_id,
-                             payload=dict(snapshot))
-
-        with self._cv:
-            key = self._cache_keys.pop(job_id, None)
-        if key is None:
-            key = service.job_cache_key(job) if job.cacheable else ""
-
-        def compute() -> RevealOutcome:
-            return service._run_job(job, key, observer=on_stage,
-                                    wave_observer=on_wave)
-
-        if key:
-            outcome, hit = service.cache.get_or_compute(key, compute)
-            if hit:
-                outcome.app_id = job.app_id
-                self.bus.publish(EVENT_CACHE_HIT, job_id, job.app_id,
-                                 payload={"cache_key": key})
-        else:
-            outcome = compute()
-        return outcome

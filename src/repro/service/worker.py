@@ -15,12 +15,14 @@ fleet the moment it points at the store, and *out* of it the moment it
 stops (its in-flight lease expires and the job is reclaimed by whoever
 gets there first).
 
-Execution reuses :class:`~repro.service.batch.BatchRevealService`
-whole — result cache, crash isolation, outcome classification — so a
-job revealed by a fleet worker is byte-for-byte the job an in-process
-server would have produced.  Progress events are published on the
+Execution is :meth:`~repro.service.batch.BatchRevealService.reveal_one`,
+the job path every front end shares — result cache, crash isolation,
+outcome classification and progress events — so a job revealed by a
+fleet worker is byte-for-byte, and event for event, the job an
+in-process server would have produced.  Events are published on the
 worker's own bus and journalled to the store's ``events.jsonl``, which
 is what the gateway's ``/events`` endpoint and ``watch`` CLI tail.
+The ``serve`` CLI is a pool of these workers over one store.
 """
 
 from __future__ import annotations
@@ -40,16 +42,10 @@ from repro import faults
 from repro.service.artifacts import ArtifactStore
 from repro.service.batch import BatchRevealService, RevealJob
 from repro.service.events import (
-    EVENT_CACHE_HIT,
     EVENT_CANCELLED,
-    EVENT_DEGRADED,
     EVENT_DONE,
     EVENT_FAILED,
-    EVENT_INDEX,
-    EVENT_STAGE,
     EVENT_STARTED,
-    EVENT_WAVE,
-    EventBus,
 )
 from repro.service.jobs import (
     HEARTBEAT_LOST,
@@ -189,7 +185,6 @@ class RevealWorker:
         lease_ttl_s: float = LEASE_TTL_DEFAULT_S,
         poll_interval_s: float = 0.2,
         artifact_store: ArtifactStore | str | None = None,
-        keep_results: bool = False,
         retry: RetryPolicy | None = None,
         **service_kwargs,
     ) -> None:
@@ -209,15 +204,11 @@ class RevealWorker:
         self.artifacts = (ArtifactStore(artifact_store)
                           if isinstance(artifact_store, str)
                           else artifact_store)
-        self.keep_results = keep_results
         #: Bounded-retry policy for the store writes that must land for
         #: a job to resolve (artifacts, completion); the claim loop
         #: uses the same policy's curve, uncapped, via a Backoff.
         self.retry = retry if retry is not None else RetryPolicy()
-        self.bus = EventBus()
-        store_ref = self.store
-        self.bus.add_observer(
-            lambda event: store_ref.append_event(event.to_dict()))
+        self.bus = self.store.event_bus()
         self._stop = threading.Event()
 
     # -- lifecycle ----------------------------------------------------------
@@ -327,8 +318,9 @@ class RevealWorker:
                                 self.lease_ttl_s)
         beat.start()
         try:
-            outcome = self._execute(job_id, job)
-        except Exception as exc:  # _run_job never raises; belt and braces
+            outcome = self.service.reveal_one(job, job_id=job_id,
+                                              bus=self.bus)
+        except Exception as exc:  # reveal_one never raises; belt and braces
             outcome = RevealOutcome(
                 app_id=job.app_id, status=STATUS_ERROR,
                 error=f"{type(exc).__name__}: {exc}",
@@ -345,13 +337,6 @@ class RevealWorker:
         if beat.cancelled.is_set():
             return self._finish_cancelled(job_id, lease_seq, job.app_id,
                                           report=report)
-        if outcome.index_stats:
-            self.bus.publish(EVENT_INDEX, job_id, job.app_id,
-                             payload=dict(outcome.index_stats))
-        if outcome.degraded:
-            self.bus.publish(EVENT_DEGRADED, job_id, job.app_id,
-                             payload={"subsystems": list(outcome.degraded),
-                                      "worker_id": self.worker_id})
         # Artifact puts are content-addressed, so retrying them is
         # idempotent; a re-run by another worker after a lost lease
         # lands the same digests.
@@ -414,39 +399,6 @@ class RevealWorker:
                          payload={"worker_id": self.worker_id})
         return "cancelled"
 
-    def _execute(self, job_id: str, job: RevealJob) -> RevealOutcome:
-        """One job through the service — the same cache-then-run path
-        (and event vocabulary) as ``RevealServer._execute``."""
-        service = self.service
-
-        def on_stage(event) -> None:
-            self.bus.publish(EVENT_STAGE, job_id, job.app_id, payload={
-                "stage": event.stage,
-                "duration_s": event.duration_s,
-                "ok": event.ok,
-                "error": event.error,
-            })
-
-        def on_wave(snapshot: dict) -> None:
-            self.bus.publish(EVENT_WAVE, job_id, job.app_id,
-                             payload=dict(snapshot))
-
-        key = service.job_cache_key(job) if job.cacheable else ""
-
-        def compute() -> RevealOutcome:
-            return service._run_job(job, key, observer=on_stage,
-                                    wave_observer=on_wave)
-
-        if key:
-            outcome, hit = service.cache.get_or_compute(key, compute)
-            if hit:
-                outcome.app_id = job.app_id
-                self.bus.publish(EVENT_CACHE_HIT, job_id, job.app_id,
-                                 payload={"cache_key": key})
-        else:
-            outcome = compute()
-        return outcome
-
     # -- artifacts -----------------------------------------------------------
 
     def _store_artifacts(self, outcome: RevealOutcome) -> dict:
@@ -454,7 +406,8 @@ class RevealWorker:
 
         Collect-only jobs and hard failures produce nothing; disk-cache
         hits carry the APK bytes but no live archive, so they store the
-        APK/DEX pair and skip the collection zip.
+        APK/DEX pair and skip the collection zip.  The outcome then
+        drops its live result: the artifacts are the job's product.
         """
         digests: dict[str, str] = {}
         apk = outcome.revealed_apk
@@ -469,9 +422,8 @@ class RevealWorker:
         if result is not None and result.archive is not None:
             digests[ARTIFACT_COLLECTION] = self.artifacts.put(
                 collection_zip_bytes(result.archive))
-        if not self.keep_results:
-            outcome.result = None
-            outcome.revealed_apk_bytes = None
+        outcome.result = None
+        outcome.revealed_apk_bytes = None
         return digests
 
 

@@ -55,7 +55,7 @@ class TestClusterStatsSurfaces:
         service = BatchRevealService(
             cluster_dir=str(tmp_path / "fam"), workers=1)
         with RevealServer(service=service) as server:
-            handles = server.submit_all(_jobs(apps))
+            handles = server.submit_many(_jobs(apps))
             outcomes = server.await_many(handles)
 
         for handle, outcome in zip(handles, outcomes):
@@ -99,9 +99,13 @@ class TestWorkerCountDeterminism:
         anchor_store.close()
 
         probe_dir = str(tmp_path / f"{backend}-{workers}")
-        BatchRevealService(cluster_dir=probe_dir, workers=workers,
-                           backend=backend).reveal_batch(
-                               _jobs(list(reversed(apps))))
+        report = BatchRevealService(
+            cluster_dir=probe_dir, workers=workers,
+            backend=backend).reveal_batch(_jobs(list(reversed(apps))))
+        # Every reveal really labeled: a store that failed to open
+        # would pass silently as ``ok`` with ``degraded=['cluster']``.
+        assert [(o.status, o.degraded) for o in report.outcomes] == \
+            [("ok", [])] * len(apps)
         probe_store = ClusterStore(probe_dir, create=False)
         probe = probe_store.build_families().to_json()
         probe_store.close()

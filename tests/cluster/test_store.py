@@ -84,6 +84,31 @@ class TestOpenGuards:
             ClusterStore(root)
 
 
+    def test_concurrent_create_of_a_fresh_store(self, tmp_path,
+                                                monkeypatch):
+        # Two processes creating the same fresh store: the second opens
+        # between the first one's meta tmp write and its os.replace.
+        # Each writer's tmp name is its own, so both opens succeed.
+        root = str(tmp_path / "store")
+        real_replace = os.replace
+        raced = []
+
+        def racing_replace(src, dst):
+            if dst.endswith("cluster_meta.json") and not raced:
+                raced.append(None)  # the second open must not race again
+                raced[0] = ClusterStore(root)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        first = ClusterStore(root)
+        monkeypatch.undo()
+        assert raced  # the second open really ran inside the window
+        first.close()
+        raced[0].close()
+        reopened = ClusterStore(root, create=False)
+        assert reopened.stats()["version"] == CLUSTER_FORMAT_VERSION
+        reopened.close()
+
 class TestPersistence:
     def test_members_survive_reopen(self, tmp_path):
         root = str(tmp_path / "store")

@@ -96,8 +96,7 @@ class TestFacadeConstruction:
         lego = DexLego(run_budget=42, use_force_execution=True)
         assert lego.config == RevealConfig(run_budget=42,
                                            use_force_execution=True)
-        # Attribute views stay readable for old call sites.
-        assert lego.run_budget == 42 and lego.use_force_execution
+        assert lego.pipeline.config is lego.config
 
     def test_dexlego_accepts_config_directly(self):
         cfg = RevealConfig(run_budget=7)

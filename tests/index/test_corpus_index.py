@@ -37,6 +37,33 @@ def _blob(seed: int, size: int = 400) -> bytes:
     return bytes(out)
 
 
+class TestConcurrentCreate:
+    def test_concurrent_create_of_a_fresh_index(self, tmp_path,
+                                                monkeypatch):
+        # Two processes creating the same fresh index: the second opens
+        # between the first one's meta tmp write and its os.replace.
+        # Each writer's tmp name is its own, so both opens succeed.
+        root = str(tmp_path / "index")
+        real_replace = os.replace
+        raced = []
+
+        def racing_replace(src, dst):
+            if dst.endswith("index_meta.json") and not raced:
+                raced.append(None)  # the second open must not race again
+                raced[0] = CorpusIndex(root)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        first = CorpusIndex(root)
+        monkeypatch.undo()
+        assert raced  # the second open really ran inside the window
+        first.close()
+        raced[0].close()
+        reopened = CorpusIndex(root, create=False)
+        assert reopened.stats()["version"] == INDEX_FORMAT_VERSION
+        reopened.close()
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         root = str(tmp_path / "index")

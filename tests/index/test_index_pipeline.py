@@ -90,8 +90,8 @@ class TestIndexStatsSurfaces:
         service = BatchRevealService(
             index_dir=str(tmp_path / "idx"), workers=1)
         with RevealServer(service=service) as server:
-            handles = server.submit_all(_jobs(apps))
-            outcomes = server.await_all(handles)
+            handles = server.submit_many(_jobs(apps))
+            outcomes = server.await_many(handles)
 
         for handle, outcome in zip(handles, outcomes):
             assert outcome.index_stats, outcome.app_id

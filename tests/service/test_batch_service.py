@@ -283,13 +283,15 @@ class TestProcessBackend:
         custom = dataclasses.replace(NEXUS_5X, imei="999999999999999")
         service = BatchRevealService(backend="process", workers=2,
                                      device=custom)
-        assert service._process_safe(
-            RevealJob("c", build_simple_apk("svc.dev.c")))
-        assert not service._process_safe(
-            RevealJob("d", build_simple_apk("svc.dev.d"),
-                      drive=lambda driver: driver.launch()))
-        report = service.reveal_batch(_corpus(2, "svc.dev"))
+        jobs = _corpus(2, "svc.dev")
+        report = service.reveal_batch(jobs)
         assert all(o.status == STATUS_OK for o in report.outcomes)
+        # Both jobs shipped (no live result comes back from a worker
+        # process), and ran under the custom profile: their keys carry
+        # its config hash.
+        assert all(o.result is None for o in report.outcomes)
+        assert [o.cache_key for o in report.outcomes] == \
+            [service.job_cache_key(job) for job in jobs]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -77,14 +77,18 @@ class TestClaim:
             t.join()
         assert len(wins) == 1
 
-    def test_running_without_lease_never_claimable(self, tmp_path):
-        # A running record with no lease belongs to an in-process
-        # RevealServer; the fleet must not steal it.
+    def test_running_without_lease_is_claimable(self, tmp_path):
+        # A running record with no lease is what an older ``serve``
+        # left behind when it was killed mid-job: owed work, which the
+        # next worker claims and re-runs.
         store = _store(tmp_path)
-        _queue(store, "served")
-        store.update("served", state=JobState.RUNNING)
-        assert store.claimable_records() == []
-        assert store.claim_next("thief") is None
+        _queue(store, "orphan")
+        store.update("orphan", state=JobState.RUNNING)
+        assert [r["job_id"] for r in store.claimable_records()] == \
+            ["orphan"]
+        claimed = store.claim_next("heir")
+        assert claimed["lease"]["worker_id"] == "heir"
+        assert claimed["lease_seq"] == 1
 
     def test_cancel_requested_queued_not_claimable(self, tmp_path):
         store = _store(tmp_path)
@@ -287,14 +291,15 @@ class TestCancelAndVisibility:
                               state=JobState.DONE)
         assert store.request_cancel("j1") is None
 
-    def test_pending_records_excludes_live_worker_leases(self, tmp_path):
-        # A restarted in-process server must not steal a job a fleet
-        # worker is actively revealing.
+    def test_claimable_excludes_live_worker_leases(self, tmp_path):
+        # A restarted ``serve`` must not steal a job a fleet worker is
+        # actively revealing.
         store = _store(tmp_path)
         _queue(store, "leased")
         _queue(store, "queued")
         store.claim_next("w1", lease_ttl_s=3600.0)
-        assert [r["job_id"] for r in store.pending_records()] == ["queued"]
+        assert [r["job_id"] for r in store.claimable_records()] == \
+            ["queued"]
 
     def test_worker_leases_dashboard(self, tmp_path):
         store = _store(tmp_path)

@@ -1,5 +1,10 @@
-"""RevealServer: the job lifecycle, priorities, events, persistence."""
+"""RevealServer: the job lifecycle, priorities, events; ``serve`` over a
+JobStore: persistence."""
 
+import contextlib
+import io
+import json
+import sys
 import threading
 
 import pytest
@@ -18,11 +23,30 @@ from repro.service import (
     RevealServer,
 )
 
+from repro.service.cli import main
+
 from tests.conftest import build_simple_apk
 
 
 def _job(app_id, package=None):
     return RevealJob(app_id, build_simple_apk(package or f"srv.{app_id}"))
+
+
+def _journal(store, app_id, **fields):
+    """Queue one job the way ``submit --store`` does; its job id."""
+    job = _job(app_id)
+    record = store.submit(store.event_bus(), app_id=job.app_id,
+                          apk=job.apk, **fields)
+    return record["job_id"]
+
+
+def _serve(store_dir, workers=1):
+    """One ``serve --json`` drain: (exit code, jobs it processed)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["serve", "--store", store_dir,
+                     "--workers", str(workers), "--json"])
+    return code, json.loads(out.getvalue())["jobs"]
 
 
 def _lifecycle_kinds(server, job_id):
@@ -57,8 +81,8 @@ class TestSubmitAwait:
 
     def test_await_all_in_submission_order(self):
         with RevealServer(workers=4) as server:
-            handles = server.submit_all([_job(f"j{i}") for i in range(6)])
-            outcomes = server.await_all(handles)
+            handles = server.submit_many([_job(f"j{i}") for i in range(6)])
+            outcomes = server.await_many(handles)
         assert [o.app_id for o in outcomes] == [f"j{i}" for i in range(6)]
 
     def test_failed_job_resolves_failed_state(self):
@@ -198,8 +222,8 @@ class TestEventStream:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_per_job_lifecycle_order_at_any_worker_count(self, workers):
         server = RevealServer(workers=workers)
-        handles = server.submit_all([_job(f"evt{i}") for i in range(8)])
-        server.await_all(handles)
+        handles = server.submit_many([_job(f"evt{i}") for i in range(8)])
+        server.await_many(handles)
         server.close()
         for handle in handles:
             kinds = _lifecycle_kinds(server, handle.job_id)
@@ -217,8 +241,8 @@ class TestEventStream:
     def test_events_iterator_sees_the_run(self):
         server = RevealServer(workers=2)
         stream = server.events()
-        handles = server.submit_all([_job(f"it{i}") for i in range(3)])
-        server.await_all(handles)
+        handles = server.submit_many([_job(f"it{i}") for i in range(3)])
+        server.await_many(handles)
         server.close()  # closes the bus -> iteration ends
         kinds = [e.kind for e in stream]
         assert kinds.count("done") == 3
@@ -275,20 +299,19 @@ class TestEventStream:
 
 
 class TestJobStorePersistence:
+    """The durable queue is the JobStore: ``serve`` drains whatever it
+    holds, including what a killed predecessor still owed."""
+
     def test_restarted_server_completes_owed_jobs(self, tmp_path):
         store_dir = str(tmp_path / "queue")
-        dead = RevealServer(workers=2, store=store_dir, autostart=False)
-        handles = [dead.submit(_job(f"owed{i}")) for i in range(3)]
-        job_ids = [h.job_id for h in handles]
-        del dead  # killed before ever starting its workers
-
-        with RevealServer(workers=2, store=store_dir) as server:
-            outcomes = server.await_all()
-        assert len(outcomes) == 3
-        assert all(o.status == "ok" for o in outcomes)
-        records = {r["job_id"]: r for r in JobStore(store_dir).load_all()}
+        store = JobStore(store_dir)
+        job_ids = [_journal(store, f"owed{i}") for i in range(3)]
+        assert _serve(store_dir, workers=2) == (0, {"done": 3})
+        records = {r["job_id"]: r for r in store.load_all()}
         assert sorted(records) == sorted(job_ids)
         assert all(r["state"] == JobState.DONE for r in records.values())
+        assert all(r["outcome"]["status"] == "ok"
+                   for r in records.values())
 
     def test_interrupted_running_job_requeues(self, tmp_path):
         store_dir = str(tmp_path / "queue")
@@ -296,22 +319,24 @@ class TestJobStorePersistence:
         record = store.make_record(
             job_id="mid-flight", app_id="app",
             apk=build_simple_apk("srv.midflight"))
-        record["state"] = JobState.RUNNING  # its server died mid-job
+        record["state"] = JobState.RUNNING  # its serve died mid-job
         store.save(record)
-        with RevealServer(workers=1, store=store_dir) as server:
-            outcome = server.await_job("mid-flight", timeout=30)
-        assert outcome is not None and outcome.status == "ok"
-        assert store.load("mid-flight")["state"] == JobState.DONE
+        assert _serve(store_dir) == (0, {"done": 1})
+        record = store.load("mid-flight")
+        assert record["state"] == JobState.DONE
+        assert record["outcome"]["status"] == "ok"
 
     def test_store_journals_events(self, tmp_path):
         store_dir = str(tmp_path / "queue")
-        with RevealServer(workers=1, store=store_dir) as server:
-            handle = server.submit(_job("journal"))
-            handle.wait(timeout=30)
+        _journal(JobStore(store_dir), "journal")
+        _serve(store_dir)
         kinds = [e["kind"] for e in JobStore(store_dir).events()]
-        assert kinds[0] == "submitted" and kinds[-1] == "done"
+        assert kinds == ["submitted", "started", EVENT_STAGE, EVENT_STAGE,
+                         EVENT_STAGE, EVENT_STAGE, "done"]
 
     def test_corrupt_record_skipped_on_resume(self, tmp_path):
+        # A record that cannot be decoded costs that job, not the
+        # queue: it is failed and the good job still runs.
         store_dir = str(tmp_path / "queue")
         store = JobStore(store_dir)
         store.save(store.make_record(job_id="good", app_id="good",
@@ -320,14 +345,12 @@ class TestJobStorePersistence:
                                 apk=build_simple_apk("srv.bad2"))
         bad["apk_b64"] = "%%% not base64 %%%"
         store.save(bad)
-        with RevealServer(workers=1, store=store_dir) as server:
-            outcome = server.await_job("good", timeout=30)
-            assert outcome is not None and outcome.status == "ok"
-            with pytest.raises(KeyError):
-                server.poll("bad")
+        assert _serve(store_dir) == (1, {"done": 1, "failed": 1})
+        assert store.load("good")["outcome"]["status"] == "ok"
+        assert store.load("bad")["error"] == "unreadable job record"
 
     def test_device_override_survives_restart(self, tmp_path):
-        # A resumed job must run under the device it was submitted
+        # A journalled job must run under the device it was submitted
         # with, not the service default (device state feeds sources).
         import dataclasses
 
@@ -335,46 +358,59 @@ class TestJobStorePersistence:
 
         custom = dataclasses.replace(NEXUS_5X, imei="424242424242424")
         store_dir = str(tmp_path / "queue")
-        dead = RevealServer(workers=1, store=store_dir, autostart=False)
-        dead.submit(RevealJob("dev", build_simple_apk("srv.devjob"),
-                              device=custom), job_id="dev-job")
-        del dead
-
-        with RevealServer(workers=1, store=store_dir) as server:
-            assert server.await_job("dev-job", timeout=30).status == "ok"
-            # The adopted job carried the full custom profile.
-            record = JobStore(store_dir).load("dev-job")
+        store = JobStore(store_dir)
+        job_id = _journal(store, "dev", device=custom)
+        assert _serve(store_dir) == (0, {"done": 1})
+        record = store.load(job_id)
         assert record["device"]["imei"] == "424242424242424"
+        # The key hashes the config the job ran under: the custom one.
+        service = BatchRevealService(workers=1)
+        job = _job("dev")
+        assert record["outcome"]["cache_key"] == service.job_cache_key(
+            RevealJob("dev", job.apk, device=custom))
+        assert record["outcome"]["cache_key"] != service.job_cache_key(job)
 
     def test_undecodable_record_not_counted_as_adopted(self, tmp_path):
         # A lingering serve loop must not spin forever on a record it
-        # can never run; it is failed in the journal instead.
+        # can never run; it is failed in the journal instead, and the
+        # next drain finds nothing owed.
         store_dir = str(tmp_path / "queue")
         store = JobStore(store_dir)
         bad = store.make_record(job_id="garbled", app_id="x",
                                 apk=build_simple_apk("srv.garbled"))
         bad["apk_b64"] = "%%% not base64 %%%"
         store.save(bad)
-        with RevealServer(workers=1, store=store_dir) as server:
-            assert server.sync_store() == 0
+        assert _serve(store_dir) == (1, {"failed": 1})
         assert store.load("garbled")["state"] == JobState.FAILED
+        assert _serve(store_dir) == (0, {})
 
-    def test_journal_failure_does_not_strand_waiters(self, tmp_path):
-        # A store that starts failing mid-run must not kill the worker
-        # or leave handle.wait() blocking forever.
+    def test_serve_threads_complete_each_job_exactly_once(self, tmp_path):
+        # Four worker threads (more than the cores CI has) racing one
+        # store, switching often: every job is claimed once, run once,
+        # completed once.
         store_dir = str(tmp_path / "queue")
-        server = RevealServer(workers=1, store=store_dir, autostart=False)
-        handle = server.submit(_job("diskfull"))
-
-        def broken_update(job_id, **fields):
-            raise OSError("disk full")
-
-        server.store.update = broken_update
-        server.start()
-        outcome = handle.wait(timeout=30)
-        server.close()
-        assert outcome is not None and outcome.status == "ok"
-        assert handle.state == JobState.DONE
+        store = JobStore(store_dir)
+        job_ids = [_journal(store, f"race{i}") for i in range(8)]
+        result = []
+        drain = threading.Thread(
+            target=lambda: result.append(_serve(store_dir, workers=4)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            drain.start()
+            drain.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not drain.is_alive(), "serve --workers 4 did not drain"
+        assert result == [(0, {"done": 8})]
+        records = {r["job_id"]: r for r in store.load_all()}
+        assert sorted(records) == sorted(job_ids)
+        assert all(r["state"] == JobState.DONE and r["attempts"] == 1
+                   for r in records.values())
+        for kind in ("started", "done"):
+            journalled = [e["job_id"] for e in store.events()
+                          if e["kind"] == kind]
+            assert sorted(journalled) == sorted(job_ids), kind
 
     def test_precomputed_cache_key_is_used(self):
         service = BatchRevealService(workers=1)
@@ -396,12 +432,11 @@ class TestJobStorePersistence:
 
     def test_cancelled_job_persists_cancelled(self, tmp_path):
         store_dir = str(tmp_path / "queue")
-        server = RevealServer(workers=1, store=store_dir, autostart=False)
-        handle = server.submit(_job("nixed"))
-        server.cancel(handle.job_id)
-        server.close()
-        record = JobStore(store_dir).load(handle.job_id)
-        assert record["state"] == JobState.CANCELLED
+        store = JobStore(store_dir)
+        job_id = _journal(store, "nixed")
+        assert store.request_cancel(job_id) == "cancelled"
+        assert _serve(store_dir) == (0, {})
+        assert store.load(job_id)["state"] == JobState.CANCELLED
 
 
 class TestServiceFacade:
@@ -420,11 +455,9 @@ class TestServiceFacade:
     def test_submit_all_await_all_against_shared_server(self):
         service = BatchRevealService(workers=2)
         with service.server() as server:
-            high = service.submit_all([_job("hi")], server,
-                                      priority=PRIORITY_HIGH)
-            low = service.submit_all([_job("lo")], server,
-                                     priority=PRIORITY_LOW)
-            outcomes = service.await_all(high + low)
+            high = server.submit_many([_job("hi")], priority=PRIORITY_HIGH)
+            low = server.submit_many([_job("lo")], priority=PRIORITY_LOW)
+            outcomes = server.await_many(high + low)
         assert [o.app_id for o in outcomes] == ["hi", "lo"]
 
     def test_empty_batch(self):
@@ -461,8 +494,8 @@ class TestWaitIdle:
 
     def test_status_counts(self):
         with RevealServer(workers=2) as server:
-            handles = server.submit_all([_job(f"sc{i}") for i in range(3)])
-            server.await_all(handles)
+            handles = server.submit_many([_job(f"sc{i}") for i in range(3)])
+            server.await_many(handles)
             counts = server.status_counts()
         assert counts[JobState.DONE] == 3
         assert counts[JobState.QUEUED] == 0

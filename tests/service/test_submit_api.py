@@ -23,8 +23,11 @@ def _job(app_id, package=None):
 
 class TestOneProtocol:
     def test_every_front_end_implements_submit_api(self):
-        for cls in (RevealServer, BatchRevealService, GatewayClient):
+        for cls in (RevealServer, GatewayClient):
             assert issubclass(cls, SubmitAPI)
+        # The service is the executor behind them, not a front end:
+        # ``service.server()`` is its submit surface.
+        assert not issubclass(BatchRevealService, SubmitAPI)
 
     def test_protocol_core_is_abstract(self):
         with pytest.raises(TypeError):
@@ -46,28 +49,16 @@ class TestOneProtocol:
 
 
 class TestDeprecatedShims:
-    def test_server_submit_all_await_all_warn_but_work(self):
-        with RevealServer(workers=2) as server:
-            with pytest.warns(DeprecationWarning, match="submit_many"):
-                handles = server.submit_all([_job("d1")])
-            with pytest.warns(DeprecationWarning, match="await_many"):
-                outcomes = server.await_all(handles, timeout=60)
-        assert [o.app_id for o in outcomes] == ["d1"]
-        assert outcomes[0].status == STATUS_OK
-
-    def test_batch_service_shims_warn_but_work(self):
-        service = BatchRevealService(workers=2)
-        with pytest.warns(DeprecationWarning):
-            handles = service.submit_all([_job("b1")])
-        with pytest.warns(DeprecationWarning):
-            outcomes = service.await_all(handles, timeout=60)
-        assert [o.app_id for o in outcomes] == ["b1"]
-        assert outcomes[0].status == STATUS_OK
+    def test_shim_names_are_gone(self):
+        for name in ("submit_all", "await_all"):
+            assert not hasattr(SubmitAPI, name)
+            assert not hasattr(BatchRevealService, name)
 
     def test_new_names_do_not_warn(self):
         service = BatchRevealService(workers=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            handles = service.submit_many([_job("c1")])
-            outcomes = service.await_many(handles, timeout=60)
+            with service.server() as server:
+                handles = server.submit_many([_job("c1")])
+                outcomes = server.await_many(handles, timeout=60)
         assert outcomes[0].status == STATUS_OK
