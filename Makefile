@@ -11,11 +11,15 @@ PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # refresh it explicitly with `make bench-smoke BENCH_TIMINGS=bench-smoke-timings.json`.
 BENCH_TIMINGS ?= bench-smoke-current.json
 BENCH_BASELINE ?= bench-smoke-timings.json
+# bench-layers writes the per-layer ledger of every perfbench workload
+# here (gitignored), keyed by workload.
+BENCH_LAYERS ?= bench-layers-current.json
+BENCH_LAYER_WORKLOADS = plain-server force-library fleet-drain
 SERVE_SMOKE_STORE ?= .serve-smoke
 
 .PHONY: test test-determinism test-chaos bench bench-batch bench-force \
         bench-interp bench-index bench-cluster bench-smoke bench-check \
-        serve-smoke gateway-smoke profile lint ci all help
+        bench-layers serve-smoke gateway-smoke profile lint ci all help
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
@@ -29,6 +33,7 @@ help:
 	@echo "make bench-cluster - LSH nearest vs linear scan (>=10x @ recall >=0.95) + reveal-and-label throughput"
 	@echo "make bench-smoke - every benchmark once in quick mode (--benchmark-disable); timing JSON to $(BENCH_TIMINGS)"
 	@echo "make bench-check - gate $(BENCH_TIMINGS) against the committed $(BENCH_BASELINE) (>25% total regression fails)"
+	@echo "make bench-layers - traced perfbench ledger of all three workloads (seed 1, 20 s) to $(BENCH_LAYERS); not gated"
 	@echo "make serve-smoke - submit two jobs, drain them with serve, assert clean shutdown and the journal"
 	@echo "make gateway-smoke - gateway + 2 fleet workers: HTTP submit, fetch artifact, diff vs in-process"
 	@echo "make profile     - cProfile one reveal, print top-20 cumulative (tools/profile_reveal.py)"
@@ -88,6 +93,23 @@ bench-smoke:
 # baseline's total duration by more than 25%.
 bench-check:
 	$(PYTHON) tools/check_bench_regression.py $(BENCH_BASELINE) $(BENCH_TIMINGS)
+
+# The per-layer ledger behind a perf PR's before/after numbers: each
+# perfbench workload once, seed 1, 20 s, traced.  Every run's ledger is
+# printed, and its final JSON line lands in $(BENCH_LAYERS) keyed by
+# workload.  Not gated: perfbench's own spread is the judge.
+bench-layers:
+	mkdir -p .perfbench-work
+	for w in $(BENCH_LAYER_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 \
+			--trace 1 > .perfbench-work/bench-layers-$$w.out || exit 1; \
+		cat .perfbench-work/bench-layers-$$w.out; \
+	done
+	$(PYTHON) -c "import json; \
+		runs = {w: json.loads(open('.perfbench-work/bench-layers-' + w + '.out').read().splitlines()[-1]) \
+			for w in '$(BENCH_LAYER_WORKLOADS)'.split()}; \
+		json.dump(runs, open('$(BENCH_LAYERS)', 'w'), indent=1); \
+		print('bench-layers: ledgers of', ', '.join(runs), 'in $(BENCH_LAYERS)')"
 
 # Profile a single reveal (top-20 cumulative by default) so perf work
 # starts from data; see tools/profile_reveal.py --help for knobs.

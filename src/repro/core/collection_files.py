@@ -22,7 +22,7 @@ from repro.core.collector import (
     DexLegoCollector,
     ReflectionSite,
 )
-from repro.core.method_store import CollectedTry, MethodRecord, MethodStore
+from repro.core.method_store import MethodRecord, MethodStore
 from repro.core.tree import CollectionTree
 from repro.runtime.predecode import validate_predecode_index
 
@@ -103,33 +103,11 @@ class CollectionArchive:
         method_data = []
         bytecode = []
         for record in collector.method_store.records.values():
-            method_data.append(
-                {
-                    "signature": record.signature,
-                    "class": record.class_desc,
-                    "name": record.name,
-                    "params": list(record.param_descs),
-                    "return": record.return_desc,
-                    "access": record.access_flags,
-                    "native": record.is_native,
-                    "registers": record.registers_size,
-                    "ins": record.ins_size,
-                    "outs": record.outs_size,
-                    "tries": [t.to_dict() for t in record.tries],
-                }
-            )
+            method_data.append(record.to_dict())
             for tree in record.trees:
                 bytecode.append(tree.to_dict())
         reflection = [
-            {
-                "caller": site.caller_signature,
-                "dex_pc": site.dex_pc,
-                "targets": [
-                    {"signature": sig, "static": site.target_static[sig]}
-                    for sig in site.targets
-                ],
-            }
-            for site in collector.reflection_sites.values()
+            site.to_dict() for site in collector.reflection_sites.values()
         ]
         payload = {
             CLASS_DATA_FILE: json.dumps(class_data, indent=1),
@@ -382,21 +360,7 @@ class CollectionArchive:
     def method_store(self) -> MethodStore:
         store = MethodStore()
         for entry in json.loads(self._payload[METHOD_DATA_FILE]):
-            store.ensure(
-                MethodRecord(
-                    signature=entry["signature"],
-                    class_desc=entry["class"],
-                    name=entry["name"],
-                    param_descs=tuple(entry["params"]),
-                    return_desc=entry["return"],
-                    access_flags=entry["access"],
-                    is_native=entry["native"],
-                    registers_size=entry["registers"],
-                    ins_size=entry["ins"],
-                    outs_size=entry["outs"],
-                    tries=[CollectedTry.from_dict(t) for t in entry["tries"]],
-                )
-            )
+            store.ensure(MethodRecord.from_dict(entry))
         for tree_data in json.loads(self._payload[BYTECODE_FILE]):
             tree = CollectionTree.from_dict(tree_data)
             store.add_tree(tree.method_signature, tree)
@@ -405,9 +369,7 @@ class CollectionArchive:
     def reflection_sites(self) -> dict[tuple[str, int], ReflectionSite]:
         sites: dict[tuple[str, int], ReflectionSite] = {}
         for entry in json.loads(self._payload[REFLECTION_FILE]):
-            site = ReflectionSite(entry["caller"], entry["dex_pc"])
-            for target in entry["targets"]:
-                site.add_target(target["signature"], target["static"])
+            site = ReflectionSite.from_dict(entry)
             sites[(site.caller_signature, site.dex_pc)] = site
         return sites
 

@@ -16,11 +16,18 @@ framework classes are boot-classpath noise, exactly as on ART.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass, field
 
 from repro.core.method_store import CollectedTry, MethodRecord, MethodStore
-from repro.core.tree import CollectedInstruction, CollectionTree
+from repro.core.tree import (
+    CollectedInstruction,
+    CollectionTree,
+    KnownTreeMatch,
+    TreeNode,
+)
+from repro.dex.formats import FORMAT_UNITS
 from repro.dex.opcodes import IndexKind
 from repro.dex.payloads import payload_unit_count
 from repro.runtime.hooks import RuntimeListener
@@ -110,22 +117,67 @@ class ReflectionSite:
     def add_target(self, signature: str, is_static: bool) -> None:
         self.target_static.setdefault(signature, is_static)
 
+    def to_dict(self) -> dict:
+        return {
+            "caller": self.caller_signature,
+            "dex_pc": self.dex_pc,
+            "targets": [
+                {"signature": sig, "static": static}
+                for sig, static in self.target_static.items()
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ReflectionSite":
+        site = cls(data["caller"], data["dex_pc"])
+        for target in data["targets"]:
+            site.add_target(target["signature"], target["static"])
+        return site
+
+
+class _FrameState:
+    """What one executing frame is collecting, behind one lookup.
+
+    ``tree`` is the frame's collection tree, or ``None`` while ``match``
+    still finds the frame repeating a known tree; ``count`` is its
+    executed instructions, folded into the collector's total at method
+    exit under the lock: a frame belongs to exactly one thread, so the
+    hot per-instruction increment never contends, and the shared total
+    never loses updates when parallel force-execution replays share
+    the collector.
+    """
+
+    __slots__ = ("tree", "match", "count")
+
+    def __init__(self, tree: CollectionTree | None,
+                 match: KnownTreeMatch | None) -> None:
+        self.tree = tree
+        self.match = match
+        self.count = 0
+
 
 class DexLegoCollector(RuntimeListener):
-    """The JIT collection component of DexLego."""
+    """The JIT collection component of DexLego.
 
-    def __init__(self) -> None:
+    ``known`` is another collector read as the trees already held (a
+    force-execution replay gets the engine's): each frame is streamed
+    against its method's known trees and becomes a tree only when it
+    turns out new, since a repeat would be dropped as a duplicate when
+    this collector is merged into ``known``.  Nothing writes to
+    ``known`` through this collector.
+    """
+
+    def __init__(self, known: "DexLegoCollector | None" = None) -> None:
         self.classes: dict[str, CollectedClass] = {}
         self.method_store = MethodStore()
         self.reflection_sites: dict[tuple[str, int], ReflectionSite] = {}
-        self._active_trees: dict[int, CollectionTree] = {}
         self.instructions_observed = 0
-        # Per-frame event counts, folded into instructions_observed at
-        # method exit under the lock: a frame belongs to exactly one
-        # thread, so the hot per-instruction increment never contends,
-        # and the shared total never loses updates when parallel
-        # force-execution replays share this collector.
-        self._frame_counts: dict[int, int] = {}
+        self.known = known
+        # signature -> roots of the known trees a frame may repeat;
+        # filled on first entry (``known`` holds still while a replay
+        # runs: the engine merges only between waves).
+        self._known_roots: dict[str, list[TreeNode]] = {}
+        self._frames: dict[int, _FrameState] = {}
         self._stats_lock = threading.Lock()
 
     # -- class linking (metadata collection) --------------------------------
@@ -202,29 +254,63 @@ class DexLegoCollector(RuntimeListener):
         method = frame.method
         if method.declaring_class.source_dex is None or method.code is None:
             return
-        code = method.code
-        self._active_trees[id(frame)] = CollectionTree(
-            method.ref.signature,
-            code.registers_size,
-            code.ins_size,
-            code.outs_size,
+        roots = None
+        if self.known is not None:
+            roots = self._roots_for(method.ref.signature)
+        self._frames[id(frame)] = (
+            _FrameState(None, KnownTreeMatch(roots)) if roots
+            else _FrameState(_new_tree(frame), None)
         )
 
+    def _roots_for(self, signature: str) -> list[TreeNode]:
+        """Roots of the known trees of ``signature`` without
+        self-modification children (the ones a frame is matched
+        against)."""
+        roots = self._known_roots.get(signature)
+        if roots is None:
+            record = self.known.method_store.get(signature)
+            roots = [] if record is None else [
+                tree.root for tree in record.trees if not tree.root.children
+            ]
+            self._known_roots[signature] = roots
+        return roots
+
     def on_instruction(self, frame, dex_pc: int, ins) -> None:
-        tree = self._active_trees.get(id(frame))
-        if tree is None:
+        state = self._frames.get(id(frame))
+        if state is None:
             return
-        key = id(frame)
-        self._frame_counts[key] = self._frame_counts.get(key, 0) + 1
-        units = tuple(frame.code_units[dex_pc : dex_pc + ins.unit_count])
+        state.count += 1
+        code_units = frame.code.insns  # the live array
+        fmt = ins.opcode.fmt
+        # ins.unit_count without a property call per executed step.
+        units = tuple(code_units[dex_pc : dex_pc + FORMAT_UNITS[fmt]])
         payload_units = None
-        if ins.opcode.fmt == "31t":
+        if fmt == "31t":
             target = dex_pc + ins.branch_target
-            if 0 <= target < len(frame.code_units):
-                count = payload_unit_count(frame.code_units, target)
-                payload_units = tuple(frame.code_units[target : target + count])
+            if 0 <= target < len(code_units):
+                count = payload_unit_count(code_units, target)
+                payload_units = tuple(code_units[target : target + count])
+        match = state.match
+        if match is not None:
+            if match.repeats(dex_pc, units, payload_units):
+                return
+            state.match = None
+            state.tree = self._materialise(frame, match)
         symbol = self._resolve_symbol(frame, ins)
-        tree.observe(CollectedInstruction(dex_pc, units, payload_units, symbol))
+        state.tree.observe(
+            CollectedInstruction(dex_pc, units, payload_units, symbol)
+        )
+
+    def _materialise(self, frame, match: KnownTreeMatch) -> CollectionTree:
+        """The frame's tree so far, its matched prefix re-resolved."""
+
+        def symbol_of(entry: CollectedInstruction) -> str | None:
+            # No symbol means no pool reference, which equal units keep.
+            if entry.symbol is None:
+                return None
+            return self._resolve_symbol(frame, entry.instruction)
+
+        return match.materialise(_new_tree(frame), symbol_of)
 
     @staticmethod
     def _resolve_symbol(frame, ins) -> str | None:
@@ -244,13 +330,17 @@ class DexLegoCollector(RuntimeListener):
         return dex.method_ref(index).signature
 
     def on_method_exit(self, frame, result) -> None:
-        tree = self._active_trees.pop(id(frame), None)
-        if tree is None:
+        state = self._frames.pop(id(frame), None)
+        if state is None:
             return
-        observed = self._frame_counts.pop(id(frame), 0)
-        if observed:
+        if state.count:
             with self._stats_lock:
-                self.instructions_observed += observed
+                self.instructions_observed += state.count
+        tree = state.tree
+        if tree is None:
+            if state.match.exact():
+                return  # a repeat of a known tree: nothing new to keep
+            tree = self._materialise(frame, state.match)
         if tree.root.il:
             self.method_store.add_tree(tree.method_signature, tree)
 
@@ -273,116 +363,104 @@ class DexLegoCollector(RuntimeListener):
             )
         site.add_target(target_method.ref.signature, target_method.is_static)
 
-    # -- deltas (process-parallel exploration) -------------------------------
+    # -- merging replays (force execution) ----------------------------------
 
     def delta_dict(self) -> dict:
         """Everything this collector holds, as a JSON-safe value.
 
-        The unit a replay ships back to the engine: a private
-        per-replay collector serialises itself and the engine absorbs
-        the deltas strictly in pop order, so the merged collector is
-        identical no matter which backend or worker count executed the
-        replays.  Instruction counts still sitting in per-frame
-        buckets (a frame that never exited because the run crashed)
-        are deliberately excluded, matching what a directly-attached
+        The process backend's wire format: a replay in a worker process
+        ships its collector this way (pickling a collector calls this),
+        and the engine rebuilds it with :meth:`from_delta` before the
+        same :meth:`absorb` an in-process replay's live collector goes
+        through.  Instruction counts still sitting in per-frame state
+        (a frame that never exited because the run crashed) are
+        deliberately excluded, matching what a directly-attached
         collector would have folded in.
         """
         return {
             "classes": [c.to_dict() for c in self.classes.values()],
             "methods": [
-                {
-                    "signature": record.signature,
-                    "class": record.class_desc,
-                    "name": record.name,
-                    "params": list(record.param_descs),
-                    "return": record.return_desc,
-                    "access": record.access_flags,
-                    "native": record.is_native,
-                    "registers": record.registers_size,
-                    "ins": record.ins_size,
-                    "outs": record.outs_size,
-                    "tries": [t.to_dict() for t in record.tries],
-                    "trees": [t.to_dict() for t in record.trees],
-                }
+                {**record.to_dict(),
+                 "trees": [t.to_dict() for t in record.trees]}
                 for record in self.method_store.records.values()
             ],
             "reflection": [
-                {
-                    "caller": site.caller_signature,
-                    "dex_pc": site.dex_pc,
-                    "targets": [
-                        {"signature": sig, "static": site.target_static[sig]}
-                        for sig in site.targets
-                    ],
-                }
-                for site in self.reflection_sites.values()
+                site.to_dict() for site in self.reflection_sites.values()
             ],
             "instructions_observed": self.instructions_observed,
         }
 
-    def absorb(self, delta: dict) -> None:
-        """Merge one replay's delta into this collector.
-
-        The merge rules mirror what a directly-attached shared
-        collector does event-by-event — classes keyed by descriptor,
-        method records by signature with fingerprint-deduped trees,
-        reflection targets unioned in first-observed order — except
-        that here the order is the engine's deterministic merge order
-        rather than thread-completion order.  A delta that initialized
-        a class carries its real static values, so it overwrites
-        link-time defaults (and, like a later serial run re-entering
-        ``<clinit>``, any earlier values).
-        """
-        for entry in delta.get("classes", ()):
-            collected = self.classes.get(entry["descriptor"])
-            if collected is None:
-                self.classes[entry["descriptor"]] = \
-                    CollectedClass.from_dict(entry)
-            else:
-                known = set(collected.method_signatures)
-                collected.method_signatures.extend(
-                    sig for sig in entry["methods"] if sig not in known
-                )
-                if entry["initialized"]:
-                    collected.initialized = True
-                    values = {f["name"]: tuple(f["value"])
-                              for f in entry["fields"]}
-                    for collected_field in collected.fields:
-                        if collected_field.name in values:
-                            collected_field.static_value = \
-                                values[collected_field.name]
-        for entry in delta.get("methods", ()):
-            record = self.method_store.get(entry["signature"])
-            if record is None:
-                record = self.method_store.ensure(
-                    MethodRecord(
-                        signature=entry["signature"],
-                        class_desc=entry["class"],
-                        name=entry["name"],
-                        param_descs=tuple(entry["params"]),
-                        return_desc=entry["return"],
-                        access_flags=entry["access"],
-                        is_native=entry["native"],
-                        registers_size=entry["registers"],
-                        ins_size=entry["ins"],
-                        outs_size=entry["outs"],
-                        tries=[CollectedTry.from_dict(t)
-                               for t in entry["tries"]],
-                    )
-                )
+    @classmethod
+    def from_delta(cls, data: dict) -> "DexLegoCollector":
+        """Rebuild a collector from :meth:`delta_dict`'s value."""
+        collector = cls()
+        for entry in data["classes"]:
+            collected = CollectedClass.from_dict(entry)
+            collector.classes[collected.descriptor] = collected
+        for entry in data["methods"]:
+            record = collector.method_store.ensure(MethodRecord.from_dict(entry))
             for tree_data in entry["trees"]:
                 record.add_tree(CollectionTree.from_dict(tree_data))
-        for entry in delta.get("reflection", ()):
-            key = (entry["caller"], entry["dex_pc"])
-            site = self.reflection_sites.setdefault(
-                key, ReflectionSite(entry["caller"], entry["dex_pc"])
+        for entry in data["reflection"]:
+            site = ReflectionSite.from_dict(entry)
+            collector.reflection_sites[(site.caller_signature,
+                                        site.dex_pc)] = site
+        collector.instructions_observed = data["instructions_observed"]
+        return collector
+
+    def __reduce__(self):
+        # A collector crosses a process boundary as its delta.
+        return (DexLegoCollector.from_delta, (self.delta_dict(),))
+
+    def absorb(self, other: "DexLegoCollector") -> None:
+        """Merge one replay's collector into this one.
+
+        The engine's one merge, run for every replay in pop order: an
+        in-process replay hands over its collector live, a process
+        replay's arrives rebuilt from its :meth:`delta_dict`.  The
+        rules mirror what a directly-attached shared collector does
+        event by event — classes keyed by descriptor, method records
+        by signature with fingerprint-deduped trees, reflection targets
+        unioned in first-observed order — except that here the order is
+        the engine's deterministic merge order rather than
+        thread-completion order.  ``other`` is used up: classes and
+        trees this collector lacks are adopted, not copied.  A replay
+        that initialized a class carries its real static values, so it
+        overwrites link-time defaults (and, like a later serial run
+        re-entering ``<clinit>``, any earlier values).
+        """
+        for theirs in other.classes.values():
+            collected = self.classes.setdefault(theirs.descriptor, theirs)
+            if collected is theirs:
+                continue
+            seen = set(collected.method_signatures)
+            collected.method_signatures.extend(
+                sig for sig in theirs.method_signatures if sig not in seen
             )
-            for target in entry["targets"]:
-                site.add_target(target["signature"], target["static"])
-        observed = delta.get("instructions_observed", 0)
-        if observed:
+            if theirs.initialized:
+                collected.initialized = True
+                values = {f.name: f.static_value for f in theirs.fields}
+                for collected_field in collected.fields:
+                    if collected_field.name in values:
+                        collected_field.static_value = \
+                            values[collected_field.name]
+        for record in other.method_store.records.values():
+            mine = self.method_store.get(record.signature)
+            if mine is None:
+                mine = self.method_store.ensure(
+                    dataclasses.replace(record, trees=[]))
+            for tree in record.trees:
+                mine.add_tree(tree)
+        for site in other.reflection_sites.values():
+            mine = self.reflection_sites.setdefault(
+                (site.caller_signature, site.dex_pc),
+                ReflectionSite(site.caller_signature, site.dex_pc),
+            )
+            for signature, is_static in site.target_static.items():
+                mine.add_target(signature, is_static)
+        if other.instructions_observed:
             with self._stats_lock:
-                self.instructions_observed += observed
+                self.instructions_observed += other.instructions_observed
 
     # -- summary ---------------------------------------------------------------
 
@@ -402,6 +480,12 @@ class DexLegoCollector(RuntimeListener):
             "collected_instructions": self.method_store.total_collected_instructions(),
             "reflection_sites": len(self.reflection_sites),
         }
+
+
+def _new_tree(frame) -> CollectionTree:
+    code = frame.code
+    return CollectionTree(frame.method.ref.signature, code.registers_size,
+                          code.ins_size, code.outs_size)
 
 
 def _encode_static(value) -> tuple:

@@ -167,9 +167,12 @@ class ForceExecutionEngine:
 
     Every replay returns a :class:`~repro.core.replay.TraceDelta` and
     the engine merges the deltas strictly in pop order — traces into
-    the covered-outcome map, collector payloads into ``collector`` —
+    the covered-outcome map, replay collectors into ``collector`` —
     so exploration state *and* collection output are identical at any
-    worker count on any backend.  ``shared_listeners`` still attach
+    worker count on any backend.  In-process replays read
+    ``collector`` as their known trees and skip re-building the ones it
+    holds; process replays ship every tree, which is what makes them
+    the reference for that skip.  ``shared_listeners`` still attach
     live to in-process replays (they cannot cross a process boundary;
     combining them with the process backend is an error — ship a
     ``collector`` instead).
@@ -267,12 +270,23 @@ class ForceExecutionEngine:
 
     # -- one run ------------------------------------------------------------
 
-    def _inprocess_spec(self, path: PathFile | None,
-                        budget: int) -> ReplaySpec:
-        """A spec for a replay that stays in this process (no APK bytes
-        — the live object is passed alongside and shares its warm
-        decode stores across the wave)."""
-        return ReplaySpec(
+    def _run_baseline(self) -> TraceDelta:
+        """The "previous execution" baseline of Figure 4."""
+        return self._execute_inprocess(None, self.run_budget)
+
+    def _replay_inprocess(self, path: PathFile) -> TraceDelta:
+        # Round-trip through the serialised path-file format, exactly
+        # like a spec shipped to a worker process would.
+        return self._execute_inprocess(PathFile.from_json(path.to_json()),
+                                       self.path_budget)
+
+    def _execute_inprocess(self, path: PathFile | None,
+                           budget: int) -> TraceDelta:
+        """One run in this process: no APK bytes in the spec (the live
+        object goes alongside and shares its warm decode stores across
+        the wave), and the engine's collector as the known trees — it
+        is only read while a wave runs, since deltas merge after it."""
+        spec = ReplaySpec(
             app_id=self.apk.package,
             apk_bytes=b"",
             device=self.device,
@@ -280,20 +294,9 @@ class ForceExecutionEngine:
             step_budget=budget,
             collect=self.collector is not None,
         )
-
-    def _run_baseline(self) -> TraceDelta:
-        """The "previous execution" baseline of Figure 4."""
-        spec = self._inprocess_spec(None, self.run_budget)
         return execute_replay(spec, apk=self.apk, drive=self.drive,
-                              extra_listeners=tuple(self.shared_listeners))
-
-    def _replay_inprocess(self, path: PathFile) -> TraceDelta:
-        # Round-trip through the serialised path-file format, exactly
-        # like a spec shipped to a worker process would.
-        spec = self._inprocess_spec(PathFile.from_json(path.to_json()),
-                                    self.path_budget)
-        return execute_replay(spec, apk=self.apk, drive=self.drive,
-                              extra_listeners=tuple(self.shared_listeners))
+                              extra_listeners=tuple(self.shared_listeners),
+                              known=self.collector)
 
     def _merge_trace(self, trace: list[Decision]) -> None:
         for index, (signature, dex_pc, taken) in enumerate(trace):
@@ -364,9 +367,12 @@ class ForceExecutionEngine:
         exported predecode index carries the parent's warm decodes."""
         if self._pool is None:
             index = export_predecode_index(self.apk.dex_files)
+            # Pools as they stand: the baseline already ran on them, and
+            # sorting them now would hand workers other pool indices
+            # (other collected units) than in-process replays see.
             spec = ReplaySpec(
                 app_id=self.apk.package,
-                apk_bytes=self.apk.to_bytes(),
+                apk_bytes=self.apk.to_bytes(canonicalize=False),
                 device=self.device,
                 path=None,
                 step_budget=self.path_budget,

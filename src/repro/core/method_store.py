@@ -57,13 +57,48 @@ class MethodRecord:
     outs_size: int = 0
     tries: list[CollectedTry] = field(default_factory=list)
     trees: list[CollectionTree] = field(default_factory=list)
-    _fingerprints: set = field(default_factory=set)
+    # Not constructor arguments: a record built from another's metadata
+    # (``dataclasses.replace``) starts with its own, empty dedup state.
+    _fingerprints: set = field(default_factory=set, init=False)
     # Guards the fingerprint check-then-append, which must stay atomic
     # when parallel force-execution replays share one collector; method
     # exit is cold enough that the lock is free in practice.
     _tree_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+        default_factory=threading.Lock, init=False, repr=False, compare=False
     )
+
+    def to_dict(self) -> dict:
+        """The record's metadata as a JSON-safe value; its trees are
+        serialised by whoever ships them."""
+        return {
+            "signature": self.signature,
+            "class": self.class_desc,
+            "name": self.name,
+            "params": list(self.param_descs),
+            "return": self.return_desc,
+            "access": self.access_flags,
+            "native": self.is_native,
+            "registers": self.registers_size,
+            "ins": self.ins_size,
+            "outs": self.outs_size,
+            "tries": [t.to_dict() for t in self.tries],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MethodRecord":
+        return cls(
+            signature=data["signature"],
+            class_desc=data["class"],
+            name=data["name"],
+            param_descs=tuple(data["params"]),
+            return_desc=data["return"],
+            access_flags=data["access"],
+            is_native=data["native"],
+            registers_size=data["registers"],
+            ins_size=data["ins"],
+            outs_size=data["outs"],
+            tries=[CollectedTry.from_dict(t) for t in data["tries"]],
+        )
 
     def add_tree(self, tree: CollectionTree) -> bool:
         """Add a per-execution tree; returns False if it was a duplicate."""

@@ -12,7 +12,7 @@ defines that boundary:
   (:mod:`repro.runtime.predecode`) so the worker warm-starts instead of
   re-decoding.  Compact, picklable, JSON-round-trippable.
 * :class:`TraceDelta` — everything one replay produced: the ordered
-  branch decisions, a serialised collector delta (classes, method
+  branch decisions, the replay's private collector (classes, method
   trees, reflection targets, instruction counts), the steps consumed
   and the outcome flags.  The engine merges deltas strictly in pop
   order, which is the whole determinism contract: because *results*
@@ -22,8 +22,12 @@ defines that boundary:
 * :func:`execute_replay` — the one replay body all backends share:
   hydrate (or borrow) an APK, build a fresh runtime + tracer + private
   collector, drive, and return the delta.  Serial and thread backends
-  call it in-process against the engine's APK; the process backend
-  calls it in a forked worker against a hydrated copy.
+  call it in-process against the engine's APK and hand the engine
+  their collector live, built against the engine's trees so a frame
+  that repeats one is never built; the process backend calls it in a
+  forked worker against a hydrated copy, with no known trees, and its
+  collector travels back as :meth:`DexLegoCollector.delta_dict` — the
+  wire format, and the reference the in-process skip is diffed against.
 
 The module-level ``_process_worker_*`` functions are the process-pool
 protocol (initializer + task); they live at module scope so the pool
@@ -166,10 +170,13 @@ class ReplaySpec:
 class TraceDelta:
     """What one replay produced, as a value the engine merges in order.
 
-    ``trace`` is the run's ordered branch decisions; ``collector`` is a
-    :meth:`DexLegoCollector.delta_dict` payload (or ``None`` when the
-    spec disabled collection); ``steps`` is the interpreter steps the
-    run consumed.  The flags mirror what the engine's in-process
+    ``trace`` is the run's ordered branch decisions; ``collector`` is
+    the replay's private :class:`DexLegoCollector` (``None`` when the
+    spec disabled collection) — live from an in-process replay, rebuilt
+    from its :meth:`~DexLegoCollector.delta_dict` when the delta was
+    pickled or read back with :meth:`from_dict` — for the engine to
+    :meth:`~DexLegoCollector.absorb`; ``steps`` is the interpreter
+    steps the run consumed.  The flags mirror what the engine's in-process
     execution used to observe directly: budget exhaustion, a crash, how
     many decisions the controller forced and whether the flip itself
     was reached.  ``worker_lost`` marks a replay whose worker process
@@ -178,7 +185,7 @@ class TraceDelta:
     """
 
     trace: list[Decision] = field(default_factory=list)
-    collector: dict | None = None
+    collector: DexLegoCollector | None = None
     steps: int = 0
     budget_hit: bool = False
     crashed: bool = False
@@ -195,7 +202,8 @@ class TraceDelta:
     def to_dict(self) -> dict:
         return {
             "trace": [list(d) for d in self.trace],
-            "collector": self.collector,
+            "collector": (None if self.collector is None
+                          else self.collector.delta_dict()),
             "steps": self.steps,
             "budget_hit": self.budget_hit,
             "crashed": self.crashed,
@@ -206,9 +214,11 @@ class TraceDelta:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceDelta":
+        collector = data.get("collector")
         return cls(
             trace=[(d[0], d[1], bool(d[2])) for d in data.get("trace", [])],
-            collector=data.get("collector"),
+            collector=(None if collector is None
+                       else DexLegoCollector.from_delta(collector)),
             steps=data.get("steps", 0),
             budget_hit=bool(data.get("budget_hit", False)),
             crashed=bool(data.get("crashed", False)),
@@ -223,17 +233,21 @@ def execute_replay(
     apk: Apk | None = None,
     drive=None,
     extra_listeners: tuple = (),
+    known: DexLegoCollector | None = None,
 ) -> TraceDelta:
     """The one replay body every backend shares.
 
-    Builds an isolated runtime for ``spec`` and returns its delta.
-    ``apk`` lets in-process backends reuse the engine's live object
-    (sharing its decode stores) instead of deserialising; a worker
-    process passes its hydrated copy.  ``drive`` and
-    ``extra_listeners`` exist for the in-process backends only — a
-    custom drive callable and live listeners cannot ship to another
-    process, which is why the engine refuses to combine them with the
-    process backend.
+    Builds an isolated runtime for ``spec`` and returns its delta, the
+    private collector in it live.  ``apk`` lets in-process backends
+    reuse the engine's live object (sharing its decode stores) instead
+    of deserialising; a worker process passes its hydrated copy.
+    ``drive``, ``extra_listeners`` and ``known`` exist for the
+    in-process backends only — a custom drive callable, live listeners
+    and the engine's collector cannot ship to another process, which
+    is why the engine refuses to combine the first two with the
+    process backend.  ``known`` is the engine's collector, read-only:
+    frames that repeat one of its trees are skipped, since the merge
+    would drop them as duplicates (see :class:`DexLegoCollector`).
     """
     if apk is None:
         apk = spec.hydrate()
@@ -245,7 +259,7 @@ def execute_replay(
         runtime.branch_controller = controller
     tracer = BranchTraceListener()
     runtime.add_listener(tracer)
-    collector = DexLegoCollector() if spec.collect else None
+    collector = DexLegoCollector(known) if spec.collect else None
     if collector is not None:
         runtime.add_listener(collector)
     for listener in extra_listeners:
@@ -270,7 +284,7 @@ def execute_replay(
             crashed = outcome.crashed
     return TraceDelta(
         trace=tracer.trace,
-        collector=None if collector is None else collector.delta_dict(),
+        collector=collector,
         steps=runtime.steps,
         budget_hit=budget_hit,
         crashed=crashed,

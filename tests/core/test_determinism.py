@@ -14,9 +14,12 @@ sets, report counters, collector statistics, and the serialised
 collection-archive payload byte for byte.
 """
 
+import json
+
 import pytest
 
 from repro.benchsuite.categories.selfmod import samples as selfmod_samples
+from repro.benchsuite.codegen import AppProfile, generate_app
 from repro.core import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
@@ -28,9 +31,10 @@ from repro.core import (
     ForceExecutionEngine,
     RevealConfig,
 )
-from repro.core.collection_files import PREDECODE_INDEX_FILE
+from repro.core.collection_files import BYTECODE_FILE, PREDECODE_INDEX_FILE
 from repro.dex import assemble
 from repro.dex.instructions import Instruction
+from repro.errors import VmCrash
 from repro.runtime import Apk, register_native_library
 
 #: Fields of the report summary that *declare* how the run executed;
@@ -162,13 +166,116 @@ def _packer_apk(package: str = "d.packed") -> Apk:
                native_libraries=["libdet_packer"])
 
 
-def _explore(apk: Apk, backend: str, workers: int) -> dict:
+KNOWN_CLS = "Ld/Known;"
+LOOP_SIG = f"{KNOWN_CLS}->loop(I)V"
+
+
+def _tamper(ctx, this, armed):
+    """Self-modification inside the running frame: when armed, rewrite
+    ``loop``'s ``const/4 v2, 0`` so its next iteration diverges."""
+    if armed:
+        ctx.patch_code(LOOP_SIG, 1, Instruction.make("const/4", 2, 1).encode())
+
+
+def _boom(ctx, this, armed):
+    if not armed:
+        raise VmCrash("boom")
+
+
+register_native_library("libdet_known", {
+    f"{KNOWN_CLS}->tamper(I)V": _tamper,
+    f"{KNOWN_CLS}->boom(I)V": _boom,
+})
+
+
+def _known_tree_apk(package: str = "d.known") -> Apk:
+    """New trees that start out like known ones.  The baseline runs
+    ``loop(1)``, which patches itself mid-frame (a tree with a child),
+    and ``work(1)`` whole.  The replay that flips the gate runs
+    ``loop(0)`` — first visits equal to that tree's root, but no child,
+    so a new tree — and ``work(0)``, whose native crashes after a
+    strict prefix of the known tree: another new tree."""
+    text = f"""
+.class public {KNOWN_CLS}
+.super Landroid/app/Activity;
+.field public static flag:I = 0
+
+.method public onCreate(Landroid/os/Bundle;)V
+    .registers 4
+    sget v0, {KNOWN_CLS}->flag:I
+    if-nez v0, :alt
+    const/4 v1, 1
+    invoke-virtual {{p0, v1}}, {LOOP_SIG}
+    invoke-virtual {{p0, v1}}, {KNOWN_CLS}->work(I)V
+    return-void
+    :alt
+    const/4 v1, 0
+    invoke-virtual {{p0, v1}}, {LOOP_SIG}
+    invoke-virtual {{p0, v1}}, {KNOWN_CLS}->work(I)V
+    return-void
+.end method
+
+.method public loop(I)V
+    .registers 5
+    const/4 v0, 0
+    :top
+    const/4 v2, 0
+    invoke-virtual {{p0, p1}}, {KNOWN_CLS}->tamper(I)V
+    add-int/lit8 v0, v0, 1
+    const/4 v1, 2
+    if-lt v0, v1, :top
+    return-void
+.end method
+
+.method public work(I)V
+    .registers 3
+    const/4 v0, 0
+    invoke-virtual {{p0, p1}}, {KNOWN_CLS}->boom(I)V
+    add-int/lit8 v0, v0, 1
+    return-void
+.end method
+
+.method public native tamper(I)V
+.end method
+
+.method public native boom(I)V
+.end method
+"""
+    return Apk(package, KNOWN_CLS, [assemble(text)],
+               native_libraries=["libdet_known"])
+
+
+def _fdroid_apk() -> Apk:
+    """A generated app with the F-Droid coverage profile (gated, dead
+    and handler code, no natives), as built in memory: 54 methods that
+    every replay re-executes, so most trees a replay collects are ones
+    the engine already holds — the merge the known-tree skip serves."""
+    profile = AppProfile(gated=0.50, dead=0.08, crash=0.0, handler=0.05)
+    return generate_app("d.fdroid", 900, seed=14, profile=profile).apk
+
+
+class _MergeCounter(DexLegoCollector):
+    """An engine collector that counts the trees its merges are
+    offered."""
+
+    offered = 0
+
+    def absorb(self, other: DexLegoCollector) -> None:
+        self.offered += sum(len(record.trees)
+                            for record in other.method_store.records.values())
+        super().absorb(other)
+
+
+def _explore(apk: Apk, backend: str, workers: int,
+             collector: DexLegoCollector | None = None,
+             max_paths: int | None = None) -> dict:
     """One full exploration; everything observable, normalised."""
-    collector = DexLegoCollector()
+    collector = collector if collector is not None else DexLegoCollector()
     engine = ForceExecutionEngine(
         apk,
         collector=collector,
         max_iterations=8,
+        max_paths=max_paths,
         workers=workers,
         backend=backend,
     )
@@ -225,6 +332,44 @@ class TestBackendEquivalence:
         reference = _explore(_packer_apk(), BACKEND_SERIAL, 1)
         assert reference["summary"]["paths_explored"] >= 1
         assert any(site[0] == PACKED_SIG for site in reference["covered"])
+
+    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    def test_new_trees_that_start_like_known_ones_identical(self, backend):
+        reference = _explore(_known_tree_apk(), BACKEND_SERIAL, 1)
+        got = _explore(_known_tree_apk(), backend, 2)
+        assert got == reference
+        # Not vacuous: each method kept both its trees.
+        trees = json.loads(reference["archive"][BYTECODE_FILE])
+        shapes = {}
+        for tree in trees:
+            shapes.setdefault(tree["method"], []).append(
+                (len(tree["root"]["il"]), len(tree["root"]["children"])))
+        assert shapes[LOOP_SIG] == [(7, 1), (7, 0)]
+        assert shapes[f"{KNOWN_CLS}->work(I)V"] == [(4, 0), (2, 0)]
+
+    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    def test_generated_fdroid_app_identical(self, backend):
+        # In-process replays skip the trees the engine holds; process
+        # replays ship every tree.  Both must merge to the same bytes.
+        reference = _explore(_fdroid_apk(), BACKEND_SERIAL, 1, max_paths=32)
+        got = _explore(_fdroid_apk(), backend, 2, max_paths=32)
+        assert got == reference
+
+    def test_generated_fdroid_app_merges_mostly_duplicates(self):
+        # Guard against vacuity: replays ran over at least two waves,
+        # and most trees the process backend ships are duplicates —
+        # exactly what the in-process replays skip.
+        shipped, skipped = _MergeCounter(), _MergeCounter()
+        result = _explore(_fdroid_apk(), BACKEND_PROCESS, 2,
+                          collector=shipped, max_paths=32)
+        _explore(_fdroid_apk(), BACKEND_SERIAL, 1,
+                 collector=skipped, max_paths=32)
+        summary = result["summary"]
+        assert summary["iterations"] >= 2
+        assert summary["paths_explored"] == 32
+        kept = result["collector_stats"]["unique_trees"]
+        assert shipped.offered > 2 * kept
+        assert kept <= skipped.offered < shipped.offered
 
     def test_exploration_order_is_meaningful(self):
         # Guard against the suite passing vacuously: the branchy

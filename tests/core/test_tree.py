@@ -1,17 +1,28 @@
-"""Collection tree tests: Algorithm 1 semantics."""
+"""Collection tree tests: Algorithm 1 semantics, and the known-tree
+skip that runs it against trees a collector already holds."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.tree import CollectedInstruction, CollectionTree, TreeNode
+from repro.core.collector import DexLegoCollector
+from repro.core.method_store import MethodRecord
+from repro.core.tree import (
+    CollectedInstruction,
+    CollectionTree,
+    KnownTreeMatch,
+    TreeNode,
+)
 
 
 def _ci(dex_pc: int, units: tuple, symbol=None) -> CollectedInstruction:
     return CollectedInstruction(dex_pc, units, None, symbol)
 
 
+_SIG = "Lt/X;->m()V"
+
+
 def _tree() -> CollectionTree:
-    return CollectionTree("Lt/X;->m()V", 4, 1, 1)
+    return CollectionTree(_SIG, 4, 1, 1)
 
 
 _NOP = (0x0000,)
@@ -19,6 +30,103 @@ _CONST_A = (0x0112,)  # const/4 v1, 0
 _CONST_B = (0x1112,)  # const/4 v1, 1
 _CONST_C = (0x2112,)  # const/4 v1, 2
 _RET = (0x000E,)
+_SWITCH = (0x002B, 4, 0)  # packed-switch v0, +4: carries a payload
+
+# -- the known-tree skip --------------------------------------------------
+
+_PAYLOADS = (None, (0x0100, 1, 0, 0, 5, 0), (0x0100, 1, 0, 0, 7, 0))
+
+#: One ordinary run of the method: a loop visits pcs 1 and 2 twice
+#: (repeats), pc 2 carries a payload, then it returns.
+_BASE_RUN = [
+    (0, _CONST_A, None), (1, _NOP, None), (2, _SWITCH, _PAYLOADS[1]),
+    (1, _NOP, None), (2, _SWITCH, _PAYLOADS[1]), (3, _RET, None),
+]
+
+
+@st.composite
+def _edited_run(draw):
+    """The base run with a few edits: an early exit, a new pc out of
+    order, or changed units or payload at some step (at a seen pc that
+    is a divergence, and the next unchanged step converges)."""
+    events = list(_BASE_RUN)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(events)))
+        edit = draw(st.sampled_from(["exit", "new-pc", "units", "payload"]))
+        if edit == "exit":
+            del events[at:]
+        elif edit == "new-pc":
+            events.insert(at, (draw(st.integers(4, 6)),
+                               draw(st.sampled_from([_CONST_B, _NOP])), None))
+        elif at < len(events):
+            dex_pc, units, payload = events[at]
+            if edit == "units":
+                units = draw(st.sampled_from([_CONST_A, _CONST_C, _NOP]))
+            else:
+                payload = draw(st.sampled_from(_PAYLOADS))
+            events[at] = (dex_pc, units, payload)
+    return events
+
+
+_random_run = st.lists(
+    st.tuples(st.integers(0, 6),
+              st.sampled_from([_CONST_A, _CONST_B, _NOP, _SWITCH]),
+              st.sampled_from(_PAYLOADS)),
+    max_size=12,
+)
+_frames = st.lists(st.one_of(_edited_run(), _edited_run(), _random_run),
+                   max_size=4)
+
+
+def _symbols(dex: int):
+    """A replay's fresh symbol resolution: the pool it resolves against
+    (``dex``) can differ between replays, as with reloaded code."""
+    def resolve(units: tuple) -> str | None:
+        if units in (_NOP, _RET, _SWITCH):
+            return None
+        return f"dex{dex}:{units[0]:#06x}"
+    return resolve
+
+
+def _replay(frames, dex: int, known: DexLegoCollector | None):
+    """One replay's private collector, each frame fed the way
+    ``DexLegoCollector`` feeds it: matched against the childless known
+    trees while it repeats one, built once it turns out new."""
+    collector = DexLegoCollector()
+    record = collector.method_store.ensure(
+        MethodRecord(_SIG, "Lt/X;", "m", (), "V", 1))
+    held = known.method_store.get(_SIG) if known is not None else None
+    roots = [t.root for t in held.trees
+             if not t.root.children] if held is not None else []
+    resolve = _symbols(dex)
+
+    def symbol_of(entry: CollectedInstruction):
+        return resolve(entry.units)
+
+    for events in frames:
+        match = KnownTreeMatch(roots) if roots else None
+        tree = None if match is not None else _tree()
+        for dex_pc, units, payload in events:
+            collector.instructions_observed += 1
+            if match is not None:
+                if match.repeats(dex_pc, units, payload):
+                    continue
+                tree = match.materialise(_tree(), symbol_of)
+                match = None
+            tree.observe(CollectedInstruction(dex_pc, units, payload,
+                                              resolve(units)))
+        if match is not None:
+            if match.exact():
+                continue
+            tree = match.materialise(_tree(), symbol_of)
+        if tree.root.il:
+            record.add_tree(tree)
+    return collector
+
+
+def _trees(collector: DexLegoCollector) -> list[dict]:
+    record = collector.method_store.get(_SIG)
+    return [] if record is None else [t.to_dict() for t in record.trees]
 
 
 class TestBaselineRecording:
@@ -153,6 +261,26 @@ class TestSerialization:
         again = CollectionTree.from_dict(tree.to_dict())
         assert again.fingerprint() == tree.fingerprint()
 
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 1), _frames)),
+                    min_size=1, max_size=5))
+    def test_known_tree_skip_merges_like_full_collection(self, waves):
+        """The engine merge of replay collectors built against the
+        engine's trees equals the merge of collectors built without
+        them: same trees, same order, every field (symbols included)."""
+        skipping, reference = DexLegoCollector(), DexLegoCollector()
+        for wave in waves:
+            # Every replay of a wave runs against the same engine state;
+            # merging happens after the wave, in replay order.
+            fast = [_replay(frames, dex, skipping) for dex, frames in wave]
+            full = [_replay(frames, dex, None) for dex, frames in wave]
+            for replay in fast:
+                skipping.absorb(replay)
+            for replay in full:
+                reference.absorb(replay)
+            assert _trees(skipping) == _trees(reference)
+        assert skipping.instructions_observed == \
+            reference.instructions_observed
+
     @given(st.lists(st.tuples(st.integers(0, 6),
                               st.sampled_from([_CONST_A, _CONST_B])),
                     max_size=60))
@@ -169,3 +297,61 @@ class TestSerialization:
                 check(child)
 
         check(tree.root)
+
+
+class TestKnownTreeMatch:
+    def _known(self, events, dex=0) -> list[TreeNode]:
+        tree = _tree()
+        resolve = _symbols(dex)
+        for dex_pc, units, payload in events:
+            tree.observe(CollectedInstruction(dex_pc, units, payload,
+                                              resolve(units)))
+        return [tree.root]
+
+    def test_a_repeated_run_matches_exactly(self):
+        match = KnownTreeMatch(self._known(_BASE_RUN))
+        assert all(match.repeats(*event) for event in _BASE_RUN)
+        assert match.exact()
+
+    def test_an_early_exit_is_new(self):
+        match = KnownTreeMatch(self._known(_BASE_RUN))
+        assert all(match.repeats(*event) for event in _BASE_RUN[:3])
+        assert not match.exact()
+        tree = match.materialise(_tree(), lambda entry: entry.symbol)
+        assert [c.dex_pc for c in tree.root.il] == [0, 1, 2]
+
+    def test_changed_units_at_a_seen_pc_is_new(self):
+        match = KnownTreeMatch(self._known(_BASE_RUN))
+        for event in _BASE_RUN[:3]:
+            assert match.repeats(*event)
+        assert not match.repeats(1, _CONST_B, None)  # would diverge
+
+    def test_changed_payload_on_first_visit_is_new(self):
+        match = KnownTreeMatch(self._known(_BASE_RUN))
+        assert match.repeats(*_BASE_RUN[0]) and match.repeats(*_BASE_RUN[1])
+        assert not match.repeats(2, _SWITCH, _PAYLOADS[2])
+
+    def test_an_out_of_order_first_visit_is_new(self):
+        match = KnownTreeMatch(self._known(_BASE_RUN))
+        assert match.repeats(*_BASE_RUN[0])
+        assert not match.repeats(*_BASE_RUN[2])
+
+    def test_candidates_narrow_on_first_visits(self):
+        other = [(0, _CONST_A, None), (5, _RET, None)]
+        match = KnownTreeMatch(self._known(_BASE_RUN) + self._known(other))
+        assert match.repeats(0, _CONST_A, None)
+        assert len(match.candidates) == 2
+        assert match.repeats(5, _RET, None)
+        assert match.exact() and len(match.candidates) == 1
+
+    def test_materialise_re_resolves_symbols(self):
+        # The prefix was collected against dex0; this frame runs dex1.
+        match = KnownTreeMatch(self._known(_BASE_RUN, dex=0))
+        known_entry = match.candidates[0].il[0]
+        assert match.repeats(*_BASE_RUN[0]) and match.repeats(*_BASE_RUN[1])
+        resolve = _symbols(1)
+        tree = match.materialise(_tree(),
+                                 lambda entry: resolve(entry.units))
+        assert tree.root.il[0].symbol == "dex1:0x0112"
+        assert tree.root.il[0] is not known_entry
+        assert tree.root.il[1] is match.candidates[0].il[1]  # reused
