@@ -23,11 +23,11 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: serial/thread/process replay backends bit-identical"
+	@echo "make test-determinism - differential suite: serial/process replay backends bit-identical"
 	@echo "make test-chaos  - seeded fault schedules vs gateway + worker fleet: exactly-once, byte-identical artifacts"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
-	@echo "make bench-force - force-execution exploration: serial vs parallel, fifo vs rarity-first"
+	@echo "make bench-force - force-execution exploration: serial vs process, fifo vs rarity-first"
 	@echo "make bench-interp- interpreter fast path: steps/sec, cold/warm/invalidation-storm, +/- collector"
 	@echo "make bench-index - corpus index: cold vs warm cross-app dedup on a ~80%-shared corpus"
 	@echo "make bench-cluster - LSH nearest vs linear scan (>=10x @ recall >=0.95) + reveal-and-label throughput"
@@ -43,8 +43,8 @@ help:
 test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
-# The differential determinism suite on its own: every replay backend
-# (serial / thread / process, 1..8 workers) must produce bit-identical
+# The differential determinism suite on its own: both replay backends
+# (serial, and process at 1..8 workers) must produce bit-identical
 # exploration, collection and archives.  Part of `make test` too; this
 # target exists so CI (and bisects) can run the contract in isolation
 # with verbose per-case output.

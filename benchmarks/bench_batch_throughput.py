@@ -33,9 +33,7 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
     reports = {}
 
     def run():
-        reports["serial"] = BatchRevealService(
-            workers=1, backend="serial"
-        ).reveal_batch(jobs)
+        reports["serial"] = BatchRevealService(workers=1).reveal_batch(jobs)
         reports["parallel"] = BatchRevealService(
             workers=WORKERS, cache_dir=cache_dir
         ).reveal_batch(jobs)

@@ -11,7 +11,7 @@ coverage structure) is explored four ways:
   branch-rich regions (visible in the mid-budget coverage column);
 * ``serial rarity``    — least-observed branch sites first;
 * ``parallel rarity``  — the same, replaying each wave across a
-  4-thread pool on isolated runtimes.
+  4-process pool of forked workers.
 
 Every leg reports replays executed, the *naive-equivalent* replay count
 (replays + replays saved by decision-prefix dedup — what a dedup-free
@@ -50,16 +50,17 @@ ITERATIONS = 3
 WORKERS = 4
 
 LEGS = (
-    ("serial fifo", "bfs", 1),
-    ("serial dfs", "dfs", 1),
-    ("serial rarity", "rarity-first", 1),
-    ("parallel rarity", "rarity-first", WORKERS),
+    ("serial fifo", "bfs", "serial", 1),
+    ("serial dfs", "dfs", "serial", 1),
+    ("serial rarity", "rarity-first", "serial", 1),
+    ("parallel rarity", "rarity-first", "process", WORKERS),
 )
 
 
-def _explore(apk, strategy: str, workers: int):
+def _explore(apk, strategy: str, backend: str, workers: int):
     engine = ForceExecutionEngine(
-        apk, max_iterations=ITERATIONS, strategy=strategy, workers=workers
+        apk, max_iterations=ITERATIONS, strategy=strategy, backend=backend,
+        workers=workers,
     )
     started = time.perf_counter()
     report = engine.run()
@@ -71,8 +72,8 @@ def test_exploration_strategies(benchmark):
     results = {}
 
     def run():
-        for name, strategy, workers in LEGS:
-            results[name] = _explore(app.apk, strategy, workers)
+        for name, strategy, backend, workers in LEGS:
+            results[name] = _explore(app.apk, strategy, backend, workers)
         return results
 
     run_once(benchmark, run)
@@ -80,7 +81,7 @@ def test_exploration_strategies(benchmark):
     baseline, baseline_wall = results["serial fifo"]
     naive_baseline_replays = baseline.paths_executed + baseline.paths_deduped
     rows = []
-    for name, _strategy, workers in LEGS:
+    for name, _strategy, _backend, workers in LEGS:
         report, wall = results[name]
         half = report.coverage_curve[
             min(len(report.coverage_curve) - 1, report.paths_executed // 2)
@@ -127,22 +128,21 @@ def test_exploration_strategies(benchmark):
     assert par_report.coverage_curve == serial_report.coverage_curve
 
 
-# -- thread vs process replay throughput -------------------------------------
+# -- serial vs process replay throughput -------------------------------------
 # A packer-style workload: a native "unpacker" flips the payload guard at
-# runtime (self-modifying code, so the predecode index ships pristine
-# bytes only), the revealed payload burns a hot interpreter loop, and a
-# row of one-sided gates leaves UCBs for the engine to replay.  Replays
-# are pure Python interpretation — GIL-bound — so a thread pool replays
-# a wave serially no matter its width, while forked worker processes
-# execute replays genuinely in parallel.  The determinism contract makes
-# the comparison exact: both backends produce bit-identical exploration,
-# only wall clock may differ.
+# runtime (self-modifying code), the revealed payload burns a hot
+# interpreter loop, and a row of one-sided gates leaves UCBs for the
+# engine to replay.  Replays are pure Python interpretation, so serial
+# replays use one core, while forked worker processes execute replays
+# genuinely in parallel.  The determinism contract makes the comparison
+# exact: both backends produce bit-identical exploration, only wall
+# clock may differ.
 
 PACK_CLS = "Lb/Packer;"
 PACK_SIG = f"{PACK_CLS}->payload()V"
 PACK_GATES = 6
 PACK_LOOP = 4_000 if quick_mode() else 40_000
-#: Process replays must beat thread replays by this factor — asserted
+#: Process replays must beat serial replays by this factor — asserted
 #: only where parallelism is physically possible (≥2 usable cores and
 #: not the quick lane); a single-core runner still checks determinism
 #: and prints the measured ratio.
@@ -220,9 +220,9 @@ def test_replay_backend_throughput(benchmark):
     results = {}
 
     def run():
-        for backend in ("thread", "process"):
+        for backend, workers in (("serial", 1), ("process", WORKERS)):
             engine = ForceExecutionEngine(
-                _packer_apk(), max_iterations=4, workers=WORKERS,
+                _packer_apk(), max_iterations=4, workers=workers,
                 backend=backend,
             )
             started = time.perf_counter()
@@ -237,15 +237,15 @@ def test_replay_backend_throughput(benchmark):
         throughput = report.replay_steps / wall if wall else 0.0
         rows.append([
             backend,
-            f"{WORKERS}",
+            f"{report.workers}",
             report.paths_executed,
             report.replay_steps,
             f"{wall:.2f}s",
             f"{throughput / 1000:.0f}k steps/s",
         ])
-    thread_report, thread_wall = results["thread"]
+    serial_report, serial_wall = results["serial"]
     process_report, process_wall = results["process"]
-    ratio = thread_wall / process_wall if process_wall else float("inf")
+    ratio = serial_wall / process_wall if process_wall else float("inf")
     cores = len(os.sched_getaffinity(0))
     print()
     print(render_table(
@@ -255,22 +255,22 @@ def test_replay_backend_throughput(benchmark):
          "Throughput"],
         rows,
     ))
-    print(f"process vs thread replay throughput: {ratio:.2f}x "
+    print(f"process vs serial replay throughput: {ratio:.2f}x "
           f"(floor {SPEEDUP_FLOOR}x, asserted on >=2 cores)")
 
     # Bit-identical exploration is unconditional: same order, same
     # curve, same covered set, same replay step total.
     assert (process_report.exploration_order
-            == thread_report.exploration_order)
-    assert process_report.coverage_curve == thread_report.coverage_curve
-    assert process_report.ucbs_covered == thread_report.ucbs_covered
-    assert process_report.replay_steps == thread_report.replay_steps
+            == serial_report.exploration_order)
+    assert process_report.coverage_curve == serial_report.coverage_curve
+    assert process_report.ucbs_covered == serial_report.ucbs_covered
+    assert process_report.replay_steps == serial_report.replay_steps
     assert process_report.replay_steps > 0  # the lane really replayed
 
     # The speedup claim needs hardware that can express it: forked
     # workers on one core only add scheduling overhead.
     if cores >= 2 and not quick_mode():
         assert ratio >= SPEEDUP_FLOOR, (
-            f"process backend {ratio:.2f}x vs thread; expected "
+            f"process backend {ratio:.2f}x vs serial; expected "
             f">= {SPEEDUP_FLOOR}x on {cores} cores"
         )

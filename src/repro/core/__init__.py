@@ -25,7 +25,6 @@ from repro.core.exploration import (
     ALL_STRATEGIES,
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_THREAD,
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
     STRATEGY_DFS,
@@ -72,7 +71,6 @@ __all__ = [
     "ALL_STRATEGIES",
     "BACKEND_PROCESS",
     "BACKEND_SERIAL",
-    "BACKEND_THREAD",
     "BranchTraceListener",
     "EXPLORE_BACKENDS",
     "ExplorationScheduler",

@@ -17,7 +17,6 @@ framework classes are boot-classpath noise, exactly as on ART.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.method_store import CollectedTry, MethodRecord, MethodStore
@@ -100,9 +99,8 @@ class ReflectionSite:
     """One reflective invoke site and the targets resolved there.
 
     The insertion-ordered ``target_static`` dict is the single source
-    of truth and is only ever mutated via ``setdefault`` — atomic under
-    the GIL, so concurrent force-execution replays sharing a collector
-    can never drop a resolved target.
+    of truth and is only ever mutated via ``setdefault``, so a target
+    keeps the static flag it was first observed with.
     """
 
     caller_signature: str
@@ -141,10 +139,7 @@ class _FrameState:
     ``tree`` is the frame's collection tree, or ``None`` while ``match``
     still finds the frame repeating a known tree; ``count`` is its
     executed instructions, folded into the collector's total at method
-    exit under the lock: a frame belongs to exactly one thread, so the
-    hot per-instruction increment never contends, and the shared total
-    never loses updates when parallel force-execution replays share
-    the collector.
+    exit, so a frame that a crash never exited stays out of the total.
     """
 
     __slots__ = ("tree", "match", "count")
@@ -178,7 +173,6 @@ class DexLegoCollector(RuntimeListener):
         # runs: the engine merges only between waves).
         self._known_roots: dict[str, list[TreeNode]] = {}
         self._frames: dict[int, _FrameState] = {}
-        self._stats_lock = threading.Lock()
 
     # -- class linking (metadata collection) --------------------------------
 
@@ -232,8 +226,8 @@ class DexLegoCollector(RuntimeListener):
                     )
             self.method_store.ensure(record)
             collected.method_signatures.append(method.ref.signature)
-        # setdefault, not assignment: a replay thread may already have
-        # linked this class (and recorded init state on its object).
+        # setdefault, not assignment: a class linked again keeps the
+        # first record (and any init state recorded on it).
         self.classes.setdefault(klass.descriptor, collected)
 
     def on_class_initialized(self, klass) -> None:
@@ -333,9 +327,7 @@ class DexLegoCollector(RuntimeListener):
         state = self._frames.pop(id(frame), None)
         if state is None:
             return
-        if state.count:
-            with self._stats_lock:
-                self.instructions_observed += state.count
+        self.instructions_observed += state.count
         tree = state.tree
         if tree is None:
             if state.match.exact():
@@ -355,12 +347,8 @@ class DexLegoCollector(RuntimeListener):
         key = (caller.ref.signature, frame.dex_pc)
         site = self.reflection_sites.get(key)
         if site is None:
-            # setdefault keeps the race between concurrent replays
-            # benign: whichever site object wins, every thread adds its
-            # target to that one.
-            site = self.reflection_sites.setdefault(
-                key, ReflectionSite(caller.ref.signature, frame.dex_pc)
-            )
+            site = self.reflection_sites[key] = ReflectionSite(
+                caller.ref.signature, frame.dex_pc)
         site.add_target(target_method.ref.signature, target_method.is_static)
 
     # -- merging replays (force execution) ----------------------------------
@@ -421,10 +409,9 @@ class DexLegoCollector(RuntimeListener):
         rules mirror what a directly-attached shared collector does
         event by event — classes keyed by descriptor, method records
         by signature with fingerprint-deduped trees, reflection targets
-        unioned in first-observed order — except that here the order is
-        the engine's deterministic merge order rather than
-        thread-completion order.  ``other`` is used up: classes and
-        trees this collector lacks are adopted, not copied.  A replay
+        unioned in first-observed order — in the engine's deterministic
+        merge order.  ``other`` is used up: classes and trees this
+        collector lacks are adopted, not copied.  A replay
         that initialized a class carries its real static values, so it
         overwrites link-time defaults (and, like a later serial run
         re-entering ``<clinit>``, any earlier values).
@@ -458,9 +445,7 @@ class DexLegoCollector(RuntimeListener):
             )
             for signature, is_static in site.target_static.items():
                 mine.add_target(signature, is_static)
-        if other.instructions_observed:
-            with self._stats_lock:
-                self.instructions_observed += other.instructions_observed
+        self.instructions_observed += other.instructions_observed
 
     # -- summary ---------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.exploration import (
     ALL_STRATEGIES,
-    BACKEND_THREAD,
+    BACKEND_SERIAL,
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
 )
@@ -74,10 +74,10 @@ class RevealConfig:
       (``None`` = unbounded; the frontier serialises for resume).
     * ``path_budget`` — interpreter step budget per *replay* run
       (``None`` = same as ``run_budget``).
-    * ``explore_workers`` — pool width for replaying one wave of path
-      files (threads or processes, per ``explore_backend``).
-    * ``explore_backend`` — how a wave of replays executes: ``serial``,
-      ``thread`` or ``process``
+    * ``explore_workers`` — width of the ``process`` backend's worker
+      pool; the ``serial`` backend ignores it.
+    * ``explore_backend`` — how a wave of replays executes: ``serial``
+      (in this process, the default) or ``process`` (forked workers)
       (:data:`~repro.core.exploration.EXPLORE_BACKENDS`).  Replays come
       back as :class:`~repro.core.replay.TraceDelta` values merged in
       pop order, so exploration state *and* collection output are
@@ -109,7 +109,7 @@ class RevealConfig:
     max_paths: int | None = None
     path_budget: int | None = None
     explore_workers: int = 1
-    explore_backend: str = BACKEND_THREAD
+    explore_backend: str = BACKEND_SERIAL
     index_dir: str | None = None
     cluster_dir: str | None = None
 
@@ -165,7 +165,7 @@ class RevealConfig:
             max_paths=data.get("max_paths"),
             path_budget=data.get("path_budget"),
             explore_workers=data.get("explore_workers", 1),
-            explore_backend=data.get("explore_backend", BACKEND_THREAD),
+            explore_backend=data.get("explore_backend", BACKEND_SERIAL),
             index_dir=data.get("index_dir"),
             cluster_dir=data.get("cluster_dir"),
         )

@@ -57,14 +57,14 @@ STRATEGY_RARITY = "rarity-first"
 
 ALL_STRATEGIES = (STRATEGY_BFS, STRATEGY_DFS, STRATEGY_RARITY)
 
-#: How one wave of replays executes.  The exploration outcome (order,
-#: covered-UCB set, collector records) is contractually identical across
-#: all three — backends trade wall clock, never results.
+#: How one wave of replays executes: in this process, one after
+#: another, or across forked worker processes.  The exploration outcome
+#: (order, covered-UCB set, collector records) is contractually
+#: identical across both — backends trade wall clock, never results.
 BACKEND_SERIAL = "serial"
-BACKEND_THREAD = "thread"
 BACKEND_PROCESS = "process"
 
-EXPLORE_BACKENDS = (BACKEND_SERIAL, BACKEND_THREAD, BACKEND_PROCESS)
+EXPLORE_BACKENDS = (BACKEND_SERIAL, BACKEND_PROCESS)
 
 
 @dataclass

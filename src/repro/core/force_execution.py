@@ -15,13 +15,13 @@ Scheduling is delegated to
 strategy order (``bfs`` / ``dfs`` / ``rarity-first``), and capped by a
 total replay budget.  Each wave of replays runs on isolated
 :class:`~repro.runtime.art.AndroidRuntime` instances through one of
-three backends — ``serial``, a ``thread`` pool, or a ``process`` pool
-of forked workers — and every replay comes back as a
+two backends — ``serial`` in this process, or a ``process`` pool of
+forked workers — and every replay comes back as a
 :class:`~repro.core.replay.TraceDelta` that the engine merges strictly
-in pop order.  Because results travel as values and merging is ordered
-and single-threaded, the covered-site set, the collector's records and
-the exploration order are bit-for-bit identical at any worker count on
-any backend.  The whole exploration state serialises via
+in pop order.  Because results travel as values and only the engine
+merges them, in order, the covered-site set, the collector's records
+and the exploration order are bit-for-bit identical at any worker
+count on either backend.  The whole exploration state serialises via
 :meth:`ForceExecutionEngine.state_dict` and resumes via
 ``resume_state=``, which is how an interrupted exploration continues
 out of a collection archive.
@@ -30,14 +30,13 @@ out of a collection archive.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.collector import DexLegoCollector
 from repro.core.exploration import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_THREAD,
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
     BranchSite,
@@ -57,7 +56,6 @@ from repro.core.replay import (
 )
 from repro.runtime.device import NEXUS_5X, DeviceProfile
 from repro.runtime.hooks import RuntimeListener
-from repro.runtime.predecode import export_predecode_index
 
 __all__ = [
     "BranchSite",
@@ -85,7 +83,7 @@ class ForceExecutionReport:
     fully_covered_sites: int = 0
     # -- exploration-scheduler view ----------------------------------------
     strategy: str = STRATEGY_BFS
-    backend: str = BACKEND_THREAD
+    backend: str = BACKEND_SERIAL
     workers: int = 1
     ucbs_discovered: int = 0
     ucbs_covered: int = 0
@@ -158,24 +156,26 @@ class ForceExecutionEngine:
     popped from the scheduler (at most ``max_paths_per_iteration``).
     ``backend`` picks how a wave executes:
 
-    * ``serial`` — replays run one after another in this process;
-    * ``thread`` — replays run on a ``workers``-wide thread pool;
-    * ``process`` — replays ship to a pool of forked worker processes
-      as :class:`~repro.core.replay.ReplaySpec` values; each worker
-      hydrates the APK once (warm-started from the parent's exported
-      predecode index) and keeps it across replays.
+    * ``serial`` (the default) — replays run one after another in this
+      process;
+    * ``process`` — path files ship to a ``workers``-wide pool of
+      forked worker processes; each worker inherits the engine's
+      :class:`~repro.runtime.apk.Apk` through the fork — same model,
+      pool indices and warm decode stores — and keeps it across
+      replays.  ``workers`` only sizes this pool.
 
     Every replay returns a :class:`~repro.core.replay.TraceDelta` and
     the engine merges the deltas strictly in pop order — traces into
     the covered-outcome map, replay collectors into ``collector`` —
     so exploration state *and* collection output are identical at any
-    worker count on any backend.  In-process replays read
+    worker count on either backend.  Serial replays read
     ``collector`` as their known trees and skip re-building the ones it
     holds; process replays ship every tree, which is what makes them
     the reference for that skip.  ``shared_listeners`` still attach
-    live to in-process replays (they cannot cross a process boundary;
+    live to serial replays (they cannot cross a process boundary;
     combining them with the process backend is an error — ship a
-    ``collector`` instead).
+    ``collector`` instead).  Without the ``fork`` start method the
+    engine falls back to ``serial``.
 
     A worker process dying mid-wave (a replay tripping a hard native
     fault) costs exactly that replay: completed results are kept, the
@@ -203,7 +203,7 @@ class ForceExecutionEngine:
         max_paths: int | None = None,
         path_budget: int | None = None,
         workers: int = 1,
-        backend: str = BACKEND_THREAD,
+        backend: str = BACKEND_SERIAL,
         resume_state: dict | None = None,
         wave_observer=None,
     ) -> None:
@@ -222,20 +222,20 @@ class ForceExecutionEngine:
             if self._custom_drive:
                 raise ValueError(
                     "the process backend cannot ship a custom drive "
-                    "callable to worker processes; use the thread or "
-                    "serial backend (or the default drive)"
+                    "callable to worker processes; use the serial "
+                    "backend (or the default drive)"
                 )
             if self.shared_listeners:
                 raise ValueError(
                     "the process backend cannot attach shared listeners "
                     "across a process boundary; pass collector= (its "
                     "records travel back as TraceDeltas) or use the "
-                    "thread or serial backend"
+                    "serial backend"
                 )
             if "fork" not in multiprocessing.get_all_start_methods():
-                # Forked workers are how native-library registries
-                # reach the children; without fork, run threaded.
-                backend = BACKEND_THREAD
+                # Workers inherit the app and the native-library
+                # registry through fork; without it, run serially.
+                backend = BACKEND_SERIAL
         self.backend = backend
         self.run_budget = run_budget
         self.max_iterations = max_iterations
@@ -276,25 +276,27 @@ class ForceExecutionEngine:
 
     def _replay_inprocess(self, path: PathFile) -> TraceDelta:
         # Round-trip through the serialised path-file format, exactly
-        # like a spec shipped to a worker process would.
+        # like a path shipped to a worker process would.
         return self._execute_inprocess(PathFile.from_json(path.to_json()),
                                        self.path_budget)
 
-    def _execute_inprocess(self, path: PathFile | None,
-                           budget: int) -> TraceDelta:
-        """One run in this process: no APK bytes in the spec (the live
-        object goes alongside and shares its warm decode stores across
-        the wave), and the engine's collector as the known trees — it
-        is only read while a wave runs, since deltas merge after it."""
-        spec = ReplaySpec(
+    def _spec(self, path: PathFile | None, budget: int) -> ReplaySpec:
+        return ReplaySpec(
             app_id=self.apk.package,
-            apk_bytes=b"",
             device=self.device,
             path=path,
             step_budget=budget,
             collect=self.collector is not None,
         )
-        return execute_replay(spec, apk=self.apk, drive=self.drive,
+
+    def _execute_inprocess(self, path: PathFile | None,
+                           budget: int) -> TraceDelta:
+        """One run in this process, on the engine's APK (its warm
+        decode stores shared across the wave) with the engine's
+        collector as the known trees — it is only read while a wave
+        runs, since deltas merge after it."""
+        return execute_replay(self._spec(path, budget), self.apk,
+                              drive=self.drive,
                               extra_listeners=tuple(self.shared_listeners),
                               known=self.collector)
 
@@ -313,7 +315,7 @@ class ForceExecutionEngine:
                       report: ForceExecutionReport) -> None:
         """Deterministic post-replay merge, the only writer of shared
         state: trace, rarity, curve, order, collector records and
-        report counters — all in pop order, all on one thread."""
+        report counters — all in pop order."""
         self._merge_trace(delta.trace)
         self.scheduler.observe_trace(delta.trace)
         if path is not None:
@@ -363,27 +365,16 @@ class ForceExecutionEngine:
     # -- wave replay --------------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The lazy worker pool: built after the baseline ran, so the
-        exported predecode index carries the parent's warm decodes."""
+        """The lazy worker pool, built after the baseline ran.  ``fork``
+        hands the initializer's arguments over without pickling, so the
+        workers inherit the engine's APK itself — the model, pool
+        indices and warm decode stores serial replays run on."""
         if self._pool is None:
-            index = export_predecode_index(self.apk.dex_files)
-            # Pools as they stand: the baseline already ran on them, and
-            # sorting them now would hand workers other pool indices
-            # (other collected units) than in-process replays see.
-            spec = ReplaySpec(
-                app_id=self.apk.package,
-                apk_bytes=self.apk.to_bytes(canonicalize=False),
-                device=self.device,
-                path=None,
-                step_budget=self.path_budget,
-                predecode_index=index if index.get("methods") else None,
-                collect=self.collector is not None,
-            )
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_process_worker_init,
-                initargs=(spec,),
+                initargs=(self.apk, self._spec(None, self.path_budget)),
             )
         return self._pool
 
@@ -446,14 +437,7 @@ class ForceExecutionEngine:
         """
         if self.backend == BACKEND_PROCESS:
             return self._replay_wave_process(wave)
-        if (self.backend == BACKEND_SERIAL or self.workers == 1
-                or len(wave) == 1):
-            return [self._replay_inprocess(path) for path in wave]
-        pool_size = min(self.workers, len(wave))
-        with ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix="explore"
-        ) as pool:
-            return list(pool.map(self._replay_inprocess, wave))
+        return [self._replay_inprocess(path) for path in wave]
 
     # -- iteration loop -----------------------------------------------------------
 

@@ -8,7 +8,6 @@ flags) the reassembler needs to rebuild a method.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.tree import CollectionTree
@@ -60,12 +59,6 @@ class MethodRecord:
     # Not constructor arguments: a record built from another's metadata
     # (``dataclasses.replace``) starts with its own, empty dedup state.
     _fingerprints: set = field(default_factory=set, init=False)
-    # Guards the fingerprint check-then-append, which must stay atomic
-    # when parallel force-execution replays share one collector; method
-    # exit is cold enough that the lock is free in practice.
-    _tree_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     def to_dict(self) -> dict:
         """The record's metadata as a JSON-safe value; its trees are
@@ -103,12 +96,11 @@ class MethodRecord:
     def add_tree(self, tree: CollectionTree) -> bool:
         """Add a per-execution tree; returns False if it was a duplicate."""
         fingerprint = tree.fingerprint()
-        with self._tree_lock:
-            if fingerprint in self._fingerprints:
-                return False
-            self._fingerprints.add(fingerprint)
-            self.trees.append(tree)
-            return True
+        if fingerprint in self._fingerprints:
+            return False
+        self._fingerprints.add(fingerprint)
+        self.trees.append(tree)
+        return True
 
     @property
     def executed(self) -> bool:
@@ -125,8 +117,7 @@ class MethodStore:
         self.records: dict[str, MethodRecord] = {}
 
     def ensure(self, record: MethodRecord) -> MethodRecord:
-        # setdefault, not check-then-assign: re-linking must never
-        # replace a record another replay thread already added trees to.
+        # Re-linking must never replace a record that already holds trees.
         return self.records.setdefault(record.signature, record)
 
     def get(self, signature: str) -> MethodRecord | None:

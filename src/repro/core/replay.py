@@ -1,46 +1,42 @@
-"""Process-shippable exploration replay: ReplaySpec in, TraceDelta out.
+"""Exploration replay as values: ReplaySpec in, TraceDelta out.
 
-Force execution replays path files on isolated runtimes.  For replays
-to leave the process — a worker pool, eventually a fleet — the unit of
-work must be a *value*, not a closure over engine state.  This module
-defines that boundary:
+Force execution replays path files on isolated runtimes, in the
+engine's process or in forked workers.  Either way the unit of work is
+a *value*, not a closure over engine state:
 
-* :class:`ReplaySpec` — everything a fresh process needs to hydrate an
-  isolated runtime and execute one replay: app identity and serialised
-  APK bytes, the device profile, the path file (decision prefix plus
-  flip), the per-replay step budget, and an optional predecode index
-  (:mod:`repro.runtime.predecode`) so the worker warm-starts instead of
-  re-decoding.  Compact, picklable, JSON-round-trippable.
+* :class:`ReplaySpec` — what one replay runs under besides the app:
+  its identity, the device profile, the path file (decision prefix
+  plus flip), the per-replay step budget and whether to collect.
 * :class:`TraceDelta` — everything one replay produced: the ordered
   branch decisions, the replay's private collector (classes, method
   trees, reflection targets, instruction counts), the steps consumed
   and the outcome flags.  The engine merges deltas strictly in pop
   order, which is the whole determinism contract: because *results*
-  travel as values and *merging* is single-threaded and ordered, the
+  travel as values and only the engine merges them, in order, the
   covered-site set, collector stats and exploration order are
-  bit-for-bit identical at any worker count on any backend.
-* :func:`execute_replay` — the one replay body all backends share:
-  hydrate (or borrow) an APK, build a fresh runtime + tracer + private
-  collector, drive, and return the delta.  Serial and thread backends
-  call it in-process against the engine's APK and hand the engine
-  their collector live, built against the engine's trees so a frame
-  that repeats one is never built; the process backend calls it in a
-  forked worker against a hydrated copy, with no known trees, and its
-  collector travels back as :meth:`DexLegoCollector.delta_dict` — the
-  wire format, and the reference the in-process skip is diffed against.
+  bit-for-bit identical at any worker count on either backend.
+* :func:`execute_replay` — the one replay body both backends share:
+  build a fresh runtime + tracer + private collector over the given
+  APK, drive, and return the delta.  The serial backend calls it
+  against the engine's APK and hands the engine its collector live,
+  built against the engine's trees so a frame that repeats one is
+  never built; the process backend calls it in a forked worker, with
+  no known trees, and its collector travels back as
+  :meth:`DexLegoCollector.delta_dict` — the wire format, and the
+  reference the serial skip is diffed against.
 
 The module-level ``_process_worker_*`` functions are the process-pool
 protocol (initializer + task); they live at module scope so the pool
 can pickle references to them.  Workers are created with the ``fork``
-start method: the process-wide native-library registry
-(:data:`repro.runtime.apk.NATIVE_LIBRARY_REGISTRY`) is populated by
-sample/packer generation in the parent and is inherited by forked
-children, exactly like the batch service's process backend.
+start method, so the initializer's arguments — the engine's live
+:class:`~repro.runtime.apk.Apk` among them — reach each child without
+being pickled, as does the process-wide native-library registry
+(:data:`repro.runtime.apk.NATIVE_LIBRARY_REGISTRY`) that sample and
+packer generation populate in the parent.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,7 +50,6 @@ from repro.runtime.device import NEXUS_5X, DeviceProfile
 from repro.runtime.events import AppDriver, DriveReport
 from repro.runtime.exceptions import VmThrow
 from repro.runtime.hooks import BranchController, RuntimeListener
-from repro.runtime.predecode import warm_predecode
 
 __all__ = [
     "BranchTraceListener",
@@ -110,60 +105,22 @@ class ForcedPathController(BranchController):
 
 @dataclass
 class ReplaySpec:
-    """One replay as a value: what a fresh worker process hydrates.
+    """One replay as a value, apart from the app it runs on.
 
-    ``apk_bytes`` is the serialised application (``Apk.to_bytes``);
-    ``app_id`` names it for error messages and affinity checks without
-    deserialising.  ``path`` is ``None`` for a baseline (unforced) run.
-    ``predecode_index`` optionally ships the exporting process's warm
-    decode state (content-validated on adoption).  ``collect`` turns
-    the per-replay collector off for engines that only measure
-    coverage — the delta then carries no collector payload.
+    ``app_id`` names the application it replays.  ``path`` is
+    ``None`` for a baseline (unforced) run.  ``collect`` turns the
+    per-replay collector off for engines that only measure coverage —
+    the delta then carries no collector payload.
     """
 
     app_id: str
-    apk_bytes: bytes
     device: DeviceProfile = NEXUS_5X
     path: PathFile | None = None
     step_budget: int = 2_000_000
-    predecode_index: dict | None = None
     collect: bool = True
 
     def with_path(self, path: PathFile | None) -> "ReplaySpec":
         return dataclasses.replace(self, path=path)
-
-    def hydrate(self) -> Apk:
-        """Rebuild the application in this process, warm-started."""
-        apk = Apk.from_bytes(self.apk_bytes)
-        if self.predecode_index is not None:
-            warm_predecode(apk.dex_files, self.predecode_index)
-        return apk
-
-    # -- JSON round trip ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "app_id": self.app_id,
-            "apk_b64": base64.b64encode(self.apk_bytes).decode("ascii"),
-            "device": dataclasses.asdict(self.device),
-            "path": None if self.path is None else self.path.to_dict(),
-            "step_budget": self.step_budget,
-            "predecode_index": self.predecode_index,
-            "collect": self.collect,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReplaySpec":
-        path = data.get("path")
-        return cls(
-            app_id=data["app_id"],
-            apk_bytes=base64.b64decode(data["apk_b64"]),
-            device=DeviceProfile(**data["device"]),
-            path=None if path is None else PathFile.from_dict(path),
-            step_budget=data.get("step_budget", 2_000_000),
-            predecode_index=data.get("predecode_index"),
-            collect=bool(data.get("collect", True)),
-        )
 
 
 @dataclass
@@ -230,27 +187,25 @@ class TraceDelta:
 
 def execute_replay(
     spec: ReplaySpec,
-    apk: Apk | None = None,
+    apk: Apk,
     drive=None,
     extra_listeners: tuple = (),
     known: DexLegoCollector | None = None,
 ) -> TraceDelta:
-    """The one replay body every backend shares.
+    """The one replay body both backends share.
 
-    Builds an isolated runtime for ``spec`` and returns its delta, the
-    private collector in it live.  ``apk`` lets in-process backends
-    reuse the engine's live object (sharing its decode stores) instead
-    of deserialising; a worker process passes its hydrated copy.
-    ``drive``, ``extra_listeners`` and ``known`` exist for the
-    in-process backends only — a custom drive callable, live listeners
-    and the engine's collector cannot ship to another process, which
-    is why the engine refuses to combine the first two with the
-    process backend.  ``known`` is the engine's collector, read-only:
-    frames that repeat one of its trees are skipped, since the merge
-    would drop them as duplicates (see :class:`DexLegoCollector`).
+    Builds an isolated runtime for ``spec`` over ``apk`` and returns
+    its delta, the private collector in it live.  ``apk`` is the
+    engine's live object, or a forked worker's inherited copy of it;
+    runs on one object share its warm decode stores.  ``drive``,
+    ``extra_listeners`` and ``known`` exist for the serial backend
+    only — a custom drive callable, live listeners and the engine's
+    collector cannot ship to another process, which is why the engine
+    refuses to combine the first two with the process backend.
+    ``known`` is the engine's collector, read-only: frames that repeat
+    one of its trees are skipped, since the merge would drop them as
+    duplicates (see :class:`DexLegoCollector`).
     """
-    if apk is None:
-        apk = spec.hydrate()
     runtime = AndroidRuntime(spec.device, max_steps=spec.step_budget)
     runtime.tolerate_exceptions = True
     controller = None
@@ -295,21 +250,22 @@ def execute_replay(
 
 
 # -- process-pool protocol --------------------------------------------------
-# One hydration per worker (the initializer), one replay per task.  The
-# hydrated APK persists across tasks, so its shared decode stores stay
-# warm for every replay the worker executes — the process-level
-# equivalent of the engine reusing its own APK across a wave.
+# The initializer keeps the APK the worker inherited through the fork;
+# one replay per task.  The APK persists across tasks, so its shared
+# decode stores stay warm for every replay the worker executes — the
+# process-level equivalent of the engine reusing its own APK across a
+# wave.
 
 _WORKER_APK: Apk | None = None
 _WORKER_SPEC: ReplaySpec | None = None
 
 
-def _process_worker_init(spec: ReplaySpec) -> None:
+def _process_worker_init(apk: Apk, spec: ReplaySpec) -> None:
     global _WORKER_APK, _WORKER_SPEC
+    _WORKER_APK = apk
     _WORKER_SPEC = spec
-    _WORKER_APK = spec.hydrate()
 
 
 def _process_worker_replay(path_json: str) -> TraceDelta:
     spec = _WORKER_SPEC.with_path(PathFile.from_json(path_json))
-    return execute_replay(spec, apk=_WORKER_APK)
+    return execute_replay(spec, _WORKER_APK)

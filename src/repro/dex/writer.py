@@ -24,8 +24,8 @@ from repro.dex.structures import ClassDef, CodeItem, DexFile, EncodedValue
 from repro.errors import DexEncodeError
 
 
-def write_dex(dex: DexFile, canonicalize: bool = True) -> bytes:
-    """Serialise ``dex`` to binary.  Canonicalizes pools by default."""
+def write_dex(dex: DexFile) -> bytes:
+    """Serialise ``dex`` to binary, canonicalizing its pools in place."""
     # Shorty strings live in the string pool; intern them before layout so
     # offsets computed in the writer stay valid.
     from repro.dex.constants import shorty_of
@@ -34,8 +34,7 @@ def write_dex(dex: DexFile, canonicalize: bool = True) -> bytes:
         return_desc, param_descs = dex.proto_descs(i)
         shorty = shorty_of(return_desc) + "".join(shorty_of(p) for p in param_descs)
         dex.intern_string(shorty)
-    if canonicalize:
-        dex.canonicalize()
+    dex.canonicalize()
     return _Writer(dex).build()
 
 

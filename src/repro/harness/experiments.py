@@ -340,16 +340,15 @@ def run_table6(limit: int | None = None,
 def run_table7(limit: int | None = None,
                force_iterations: int = 3,
                max_paths_per_iteration: int = 150,
-               strategy: str = "bfs",
-               explore_workers: int = 1) -> ExperimentResult:
+               strategy: str = "bfs") -> ExperimentResult:
     """Coverage with and without force execution (Table VII).
 
     ``max_paths_per_iteration`` caps each analysis round's replay wave
     (named to avoid colliding with ``RevealConfig.max_paths``, the
-    *total* replay budget).  ``strategy`` / ``explore_workers`` select
-    the exploration-scheduler frontier order and wave-replay pool;
-    results are identical at any worker count, so parallelism here is
-    wall-clock only.
+    *total* replay budget).  ``strategy`` selects the
+    exploration-scheduler frontier order.  Replays run serially: the
+    coverage collector rides along as a live shared listener, which
+    cannot cross a process boundary.
     """
     apps = all_fdroid_apps()
     if limit:
@@ -367,7 +366,6 @@ def run_table7(limit: int | None = None,
             max_iterations=force_iterations,
             max_paths_per_iteration=max_paths_per_iteration,
             strategy=strategy,
-            workers=explore_workers,
         )
         engine.run()
         combined_report = collector.report(app.apk.dex_files)

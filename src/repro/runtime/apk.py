@@ -72,11 +72,10 @@ class Apk:
 
     # -- serialisation -----------------------------------------------------
 
-    def to_bytes(self, canonicalize: bool = True) -> bytes:
+    def to_bytes(self) -> bytes:
         """The APK as a zip.  Each DEX is written with its pools sorted
         into binary-format order, which re-sorts this object's pools in
-        place; ``canonicalize=False`` writes them as they stand, so a
-        copy read back executes with the very same pool indices."""
+        place."""
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
             manifest = {
@@ -90,7 +89,7 @@ class Apk:
                         json.dumps(manifest, indent=2).encode("utf-8"))]
             for i, dex in enumerate(self.dex_files):
                 name = "classes.dex" if i == 0 else f"classes{i + 1}.dex"
-                entries.append((name, write_dex(dex, canonicalize)))
+                entries.append((name, write_dex(dex)))
             for path, data in sorted(self.assets.items()):
                 entries.append((f"assets/{path}", data))
             for name, data in entries:

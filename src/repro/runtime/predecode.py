@@ -2,10 +2,10 @@
 
 The interpreter's shared decode store (:class:`~repro.dex.code_units.CodeUnits`
 ``shared``) lets every in-process copy of a code item reuse the first
-decode of each instruction.  That store is process memory: a fresh
-worker process — or a resumed session — starts cold and re-decodes the
-whole hot set.  This module moves the warm state across the process
-boundary:
+decode of each instruction.  That store is process memory: a resumed
+session, which reads the app back from its bytes, starts cold and
+re-decodes the whole hot set.  This module moves the warm state across
+that boundary (the collection archive carries it):
 
 * :func:`export_predecode_index` snapshots every shared store into a
   JSON-safe index keyed by method signature.  Only entries whose

@@ -7,8 +7,8 @@ run it over *corpora*.  This module is that production posture:
 * a :class:`RevealJob` names one application plus its per-app knobs
   (device profile, drive callable, collect-only mode),
 * :class:`BatchRevealService` fans jobs across worker threads by
-  default, a process pool for CPU-bound fleets, or one thread for
-  debugging — with every job isolated so one crashing APK produces an
+  default (one of them for debugging) or a process pool for CPU-bound
+  fleets — with every job isolated so one crashing APK produces an
   ``error`` record instead of aborting the batch,
 * results flow through the content-addressed
   :class:`~repro.service.cache.RevealCache`, so re-running a corpus only
@@ -23,7 +23,7 @@ every front end calls it: library callers directly,
 :class:`~repro.service.server.RevealServer` from its worker threads and
 the fleet's :class:`~repro.service.worker.RevealWorker` under a lease.
 ``reveal_batch`` resolves cache hits once, then runs the misses
-through an ephemeral server (``thread``/``serial``) or a process pool
+through an ephemeral server (``thread``) or a process pool
 (``process``).
 
 Backend notes
@@ -70,7 +70,7 @@ from repro.service.outcomes import (
 )
 from repro.service.stats import BatchReport
 
-BACKENDS = ("thread", "process", "serial")
+BACKENDS = ("thread", "process")
 
 
 #: Environment override consulted when a service (or experiment runner)
@@ -287,8 +287,7 @@ class BatchRevealService:
         (``max_pending=``, ``autostart=``...) pass through."""
         from repro.service.server import RevealServer
 
-        kwargs.setdefault(
-            "workers", 1 if self.backend == "serial" else self.workers)
+        kwargs.setdefault("workers", self.workers)
         return RevealServer(service=self, **kwargs)
 
     def reveal_batch(self, jobs: Iterable[RevealJob | Apk]) -> BatchReport:
@@ -297,9 +296,8 @@ class BatchRevealService:
         Cache hits resolve in the calling thread (a warm corpus never
         pays for queueing).  The misses run as ``submit`` + ``wait``
         against an ephemeral
-        :class:`~repro.service.server.RevealServer` (the ``serial``
-        backend is a one-worker server), or across a process pool for
-        the ``process`` backend.
+        :class:`~repro.service.server.RevealServer`, or across a process
+        pool for the ``process`` backend.
         """
         job_list = [self._coerce(j) for j in jobs]
         started = time.perf_counter()
@@ -480,7 +478,6 @@ def _process_reveal(
     service = BatchRevealService(
         config=RevealConfig.from_dict(config_dict),
         workers=1,
-        backend="serial",
     )
     job = RevealJob(app_id=app_id, apk=Apk.from_bytes(apk_bytes),
                     collect_only=collect_only)

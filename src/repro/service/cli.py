@@ -71,7 +71,7 @@ import time
 
 from repro.core.exploration import (
     ALL_STRATEGIES,
-    BACKEND_THREAD,
+    BACKEND_SERIAL,
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
 )
@@ -172,13 +172,14 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="interpreter step budget per replay "
                              "(default: same as --budget)")
     parser.add_argument("--explore-workers", type=int, default=1,
-                        help="pool width for replaying one wave of "
-                             "path files (default: 1)")
+                        help="worker processes replaying one wave of "
+                             "path files under --explore-backend process "
+                             "(default: 1)")
     parser.add_argument("--explore-backend", choices=EXPLORE_BACKENDS,
-                        default=BACKEND_THREAD,
-                        help="how a wave of replays executes: serial, "
-                             "thread or process workers — results are "
-                             "bit-identical either way (default: thread)")
+                        default=BACKEND_SERIAL,
+                        help="how a wave of replays executes: serial or "
+                             "process workers — results are "
+                             "bit-identical either way (default: serial)")
 
 
 def registry_warmer():

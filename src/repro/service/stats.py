@@ -42,7 +42,7 @@ class BatchReport:
     outcomes: list[RevealOutcome] = field(default_factory=list)
     wall_time_s: float = 0.0
     workers: int = 1
-    backend: str = "serial"
+    backend: str = "thread"
 
     # -- counts -------------------------------------------------------------
 

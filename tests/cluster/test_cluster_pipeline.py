@@ -81,19 +81,18 @@ class TestClusterStatsSurfaces:
 
 class TestWorkerCountDeterminism:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1),
         ("thread", 4),
         ("process", 2),
     ])
     def test_families_byte_identical_across_worker_counts(
             self, tmp_path, backend, workers):
         # Same corpus, different parallelism → the family snapshot must
-        # not move a byte.  The serial single-worker run is the anchor
-        # every other (backend, workers) combination is compared to.
+        # not move a byte.  The single-worker run is the anchor every
+        # other (backend, workers) combination is compared to.
         apps = build_shared_corpus(4, **_CORPUS_KW)
         anchor_dir = str(tmp_path / "anchor")
-        BatchRevealService(cluster_dir=anchor_dir, workers=1,
-                           backend="serial").reveal_batch(_jobs(apps))
+        BatchRevealService(cluster_dir=anchor_dir,
+                           workers=1).reveal_batch(_jobs(apps))
         anchor_store = ClusterStore(anchor_dir, create=False)
         anchor = anchor_store.build_families().to_json()
         anchor_store.close()

@@ -1,14 +1,14 @@
 """Differential determinism: the replay backends must be bit-identical.
 
 The tentpole contract of the process-parallel exploration work: every
-replay — serial, thread pool or process pool, at any worker count —
-comes back as a :class:`~repro.core.replay.TraceDelta` and is merged
-into shared state strictly in pop order by the engine's single thread.
-Therefore the *entire observable outcome* of an exploration is a pure
-function of the APK and the configuration, never of the pool flavour
-or how replays happened to interleave.
+replay — serial, or on a process pool at any worker count — comes back
+as a :class:`~repro.core.replay.TraceDelta` and is merged into shared
+state strictly in pop order by the engine alone.  Therefore the
+*entire observable outcome* of an exploration is a pure function of
+the APK and the configuration, never of the backend or how replays
+happened to interleave.
 
-These tests run the same workloads through every backend and diff the
+These tests run the same workloads through both backends and diff the
 results structurally: exploration order, coverage curve, covered-UCB
 sets, report counters, collector statistics, and the serialised
 collection-archive payload byte for byte.
@@ -18,12 +18,12 @@ import json
 
 import pytest
 
+from repro.benchsuite import sample_by_name
 from repro.benchsuite.categories.selfmod import samples as selfmod_samples
 from repro.benchsuite.codegen import AppProfile, generate_app
 from repro.core import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_THREAD,
     EXPLORE_BACKENDS,
     CollectionArchive,
     CollectStage,
@@ -36,6 +36,7 @@ from repro.dex import assemble
 from repro.dex.instructions import Instruction
 from repro.errors import VmCrash
 from repro.runtime import Apk, register_native_library
+from repro.runtime.device import NEXUS_5X
 
 #: Fields of the report summary that *declare* how the run executed;
 #: they differ across backends by construction and are excluded from
@@ -268,11 +269,12 @@ class _MergeCounter(DexLegoCollector):
 
 def _explore(apk: Apk, backend: str, workers: int,
              collector: DexLegoCollector | None = None,
-             max_paths: int | None = None) -> dict:
+             max_paths: int | None = None, device=NEXUS_5X) -> dict:
     """One full exploration; everything observable, normalised."""
     collector = collector if collector is not None else DexLegoCollector()
     engine = ForceExecutionEngine(
         apk,
+        device=device,
         collector=collector,
         max_iterations=8,
         max_paths=max_paths,
@@ -294,33 +296,53 @@ def _explore(apk: Apk, backend: str, workers: int,
     }
 
 
+#: One DroidBench sample per category whose exploration replays a path.
+#: Built in memory, their DEX pools are not in binary-format order and
+#: do not even encode as they stand (``DexFormatError``), so process
+#: workers must run on the engine's own model, not a re-read copy.
+REPLAYING_SAMPLES = (
+    "Direct4", "Lifecycle0", "IccExtra0", "ImplicitFlow1", "Implicit0",
+    "EmulatorDetection1", "TabletOnly1", "UnreachableFlow0", "CoverageGap0",
+)
+
+
 class TestBackendEquivalence:
-    """Serial is the reference; thread and process must match it."""
+    """Serial is the reference; process must match it."""
 
     @pytest.mark.parametrize("sample", selfmod_samples(),
                              ids=lambda s: s.name)
     def test_selfmod_corpus_identical_across_backends(self, sample):
         # Self-modifying code is the adversarial case: replays decode
-        # patched bytes, the predecode stores carry stale copies, and
-        # process workers see the APK only through its serialised form.
+        # patched bytes and the shared decode stores carry stale copies.
         reference = _explore(sample.build_apk(), BACKEND_SERIAL, 1)
-        for backend in (BACKEND_THREAD, BACKEND_PROCESS):
-            for workers in (1, 2, 8):
-                got = _explore(sample.build_apk(), backend, workers)
-                assert got == reference, (
-                    f"{sample.name}: {backend}@{workers} diverged from "
-                    f"the serial reference"
-                )
+        for workers in (1, 2, 8):
+            got = _explore(sample.build_apk(), BACKEND_PROCESS, workers)
+            assert got == reference, (
+                f"{sample.name}: process@{workers} diverged from "
+                f"the serial reference"
+            )
+
+    @pytest.mark.parametrize("name", REPLAYING_SAMPLES)
+    def test_droidbench_sample_identical(self, name):
+        # Built in memory, as the library sees an APK: no serialisation
+        # has sorted its pools before the exploration starts.
+        sample = sample_by_name(name)
+        reference = _explore(sample.build_apk(), BACKEND_SERIAL, 1,
+                             device=sample.device)
+        got = _explore(sample.build_apk(), BACKEND_PROCESS, 2,
+                       device=sample.device)
+        assert reference["summary"]["paths_explored"] >= 1
+        assert got == reference
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    @pytest.mark.parametrize("backend", [BACKEND_PROCESS])
     def test_branchy_workload_identical(self, backend, workers):
         reference = _explore(_branchy_apk(), BACKEND_SERIAL, 1)
         got = _explore(_branchy_apk(), backend, workers)
         assert got == reference
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    @pytest.mark.parametrize("backend", [BACKEND_PROCESS])
     def test_packer_workload_identical(self, backend, workers):
         reference = _explore(_packer_apk(), BACKEND_SERIAL, 1)
         got = _explore(_packer_apk(), backend, workers)
@@ -333,7 +355,7 @@ class TestBackendEquivalence:
         assert reference["summary"]["paths_explored"] >= 1
         assert any(site[0] == PACKED_SIG for site in reference["covered"])
 
-    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    @pytest.mark.parametrize("backend", [BACKEND_PROCESS])
     def test_new_trees_that_start_like_known_ones_identical(self, backend):
         reference = _explore(_known_tree_apk(), BACKEND_SERIAL, 1)
         got = _explore(_known_tree_apk(), backend, 2)
@@ -347,9 +369,9 @@ class TestBackendEquivalence:
         assert shapes[LOOP_SIG] == [(7, 1), (7, 0)]
         assert shapes[f"{KNOWN_CLS}->work(I)V"] == [(4, 0), (2, 0)]
 
-    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    @pytest.mark.parametrize("backend", [BACKEND_PROCESS])
     def test_generated_fdroid_app_identical(self, backend):
-        # In-process replays skip the trees the engine holds; process
+        # Serial replays skip the trees the engine holds; process
         # replays ship every tree.  Both must merge to the same bytes.
         reference = _explore(_fdroid_apk(), BACKEND_SERIAL, 1, max_paths=32)
         got = _explore(_fdroid_apk(), backend, 2, max_paths=32)
@@ -358,7 +380,7 @@ class TestBackendEquivalence:
     def test_generated_fdroid_app_merges_mostly_duplicates(self):
         # Guard against vacuity: replays ran over at least two waves,
         # and most trees the process backend ships are duplicates —
-        # exactly what the in-process replays skip.
+        # exactly what the serial replays skip.
         shipped, skipped = _MergeCounter(), _MergeCounter()
         result = _explore(_fdroid_apk(), BACKEND_PROCESS, 2,
                           collector=shipped, max_paths=32)
@@ -380,34 +402,46 @@ class TestBackendEquivalence:
         assert len(reference["covered"]) >= 3
 
 
+def _collect_payloads(apk_factory, tmp_path, **knobs) -> dict:
+    """Backend -> the archive CollectStage writes, minus the predecode
+    index.  That index is warm *cache* state, not collection output:
+    under the process backend replay decoding happens in the workers,
+    so the parent exports a smaller index.  Every collection file and
+    the exploration state must still match byte for byte."""
+    payloads = {}
+    for backend in EXPLORE_BACKENDS:
+        config = RevealConfig(
+            use_force_execution=True,
+            explore_workers=2,
+            explore_backend=backend,
+            archive_dir=str(tmp_path / backend),
+            **knobs,
+        )
+        result = CollectStage(config).run(apk_factory())
+        payload = dict(result.archive._payload)
+        payload.pop(PREDECODE_INDEX_FILE, None)
+        payloads[backend] = payload
+    return payloads
+
+
 class TestPipelineEquivalence:
     """The same contract through CollectStage, archive included."""
 
     def test_collect_stage_archive_identical(self, tmp_path):
-        payloads = {}
-        for backend in EXPLORE_BACKENDS:
-            config = RevealConfig(
-                use_force_execution=True,
-                force_iterations=8,
-                explore_workers=2,
-                explore_backend=backend,
-                archive_dir=str(tmp_path / backend),
-            )
-            result = CollectStage(config).run(_branchy_apk())
-            payload = dict(result.archive._payload)
-            # The predecode index is warm *cache* state, not collection
-            # output: under the process backend replay decoding happens
-            # in the workers, so the parent exports a smaller index.
-            # Every collection file and the exploration state must
-            # still match byte for byte.
-            payload.pop(PREDECODE_INDEX_FILE, None)
-            payloads[backend] = payload
-        assert payloads[BACKEND_THREAD] == payloads[BACKEND_SERIAL]
+        payloads = _collect_payloads(_branchy_apk, tmp_path,
+                                     force_iterations=8)
+        assert payloads[BACKEND_PROCESS] == payloads[BACKEND_SERIAL]
+
+    def test_collect_stage_droidbench_archive_identical(self, tmp_path):
+        sample = sample_by_name("IccExtra0")
+        payloads = _collect_payloads(sample.build_apk, tmp_path,
+                                     device=sample.device)
         assert payloads[BACKEND_PROCESS] == payloads[BACKEND_SERIAL]
 
     def test_config_hash_feeds_backend(self):
         base = RevealConfig()
-        assert base.explore_backend == BACKEND_THREAD
+        assert base.explore_backend == BACKEND_SERIAL
+        assert EXPLORE_BACKENDS == (BACKEND_SERIAL, BACKEND_PROCESS)
         hashes = {RevealConfig(explore_backend=b).config_hash()
                   for b in EXPLORE_BACKENDS}
         assert len(hashes) == len(EXPLORE_BACKENDS)
@@ -419,7 +453,8 @@ class TestPipelineEquivalence:
         assert again == config
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="explore_backend"):
-            RevealConfig(explore_backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            ForceExecutionEngine(_branchy_apk(), backend="gpu")
+        for backend in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="explore_backend"):
+                RevealConfig(explore_backend=backend)
+            with pytest.raises(ValueError, match="backend"):
+                ForceExecutionEngine(_branchy_apk(), backend=backend)

@@ -219,8 +219,9 @@ class TestEngineDeterminism:
     def test_parallel_matches_serial_exactly(self, strategy):
         engines = [
             ForceExecutionEngine(_multi_apk("x.par"), max_iterations=8,
-                                 strategy=strategy, workers=workers)
-            for workers in (1, 4)
+                                 strategy=strategy, workers=workers,
+                                 backend=backend)
+            for backend, workers in (("serial", 1), ("process", 4))
         ]
         serial, parallel = [engine.run() for engine in engines]
         assert serial.exploration_order == parallel.exploration_order

@@ -18,7 +18,6 @@ import pytest
 from repro.core import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
-    BACKEND_THREAD,
     CollectStage,
     RevealConfig,
 )
@@ -71,7 +70,7 @@ class TestStoreSemantics:
 
 
 # Two one-sided gates at different depths: force execution schedules
-# several replay waves, so thread/process pools have room to interleave.
+# several replay waves, so process pools have room to interleave.
 _GATED = """
 .class public Lms/Gated;
 .super Landroid/app/Activity;
@@ -119,24 +118,6 @@ def _collect_store(backend: str, workers: int):
     return CollectStage(config).run(_gated_apk()).archive.method_store()
 
 
-def _masked_node(node) -> tuple:
-    """Tree identity minus raw instruction units.
-
-    Process workers decode replays against the *serialised* APK, whose
-    constant pools are canonically sorted, so pool indices inside the
-    recorded units can legitimately renumber relative to the parent's
-    in-memory build.  Symbols travel alongside every pool-referencing
-    instruction and the digest pipeline masks the indices, so nothing
-    downstream can see the renumbering — the equivalence contract is
-    therefore structure + symbols + digests, not raw units.
-    """
-    return (
-        node.sm_start,
-        tuple((c.dex_pc, c.symbol) for c in node.il),
-        tuple(_masked_node(child) for child in node.children),
-    )
-
-
 def _snapshot(store: MethodStore) -> dict:
     """Everything the corpus index reads off a store, normalised."""
     snap = {}
@@ -152,8 +133,9 @@ def _snapshot(store: MethodStore) -> dict:
             "native": rec.is_native,
             "executed": rec.executed,
             "digests": digests,
-            "fingerprints": sorted(
-                repr(_masked_node(t.root)) for t in rec.trees),
+            # Raw units included: workers run on the engine's own APK,
+            # so they see the very pool indices serial replays see.
+            "trees": [t.to_dict() for t in rec.trees],
             "tries": [t.to_dict() for t in rec.tries],
         }
     return snap
@@ -161,7 +143,7 @@ def _snapshot(store: MethodStore) -> dict:
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
+    @pytest.mark.parametrize("backend", [BACKEND_PROCESS])
     def test_store_contents_identical_across_backends(self, backend,
                                                       workers):
         reference = _snapshot(_collect_store(BACKEND_SERIAL, 1))

@@ -1,11 +1,11 @@
 """ReplaySpec/TraceDelta are values: round trips and crash isolation.
 
 The process backend works only because a replay's input and output are
-plain values — picklable for the pool, JSON-round-trippable for the
-journal.  These tests pin that property down across the field space
-(custom device profiles, unicode app identities, empty and
-budget-starved deltas), then prove the other half of the contract: a
-worker process dying mid-wave costs exactly that path, never the wave.
+plain values — a replay's delta crosses back from its worker pickled.
+These tests pin that property down across the field space (custom
+device profiles, unicode app identities, empty and budget-starved
+deltas), then prove the other half of the contract: a worker process
+dying mid-wave costs exactly that path, never the wave.
 """
 
 import dataclasses
@@ -58,25 +58,19 @@ def _tiny_apk(package: str = "r.tiny") -> Apk:
 def _spec_cases() -> list[ReplaySpec]:
     """A spread of the field space, property-style: every combination a
     scheduler or CLI could realistically build."""
-    apk_bytes = _tiny_apk().to_bytes()
     path = PathFile(
         target=("Lr/Tiny;->onCreate(Landroid/os/Bundle;)V", 2),
         forced_outcome=True,
         decisions=[("Lr/Tiny;->onCreate(Landroid/os/Bundle;)V", 2, True)],
     )
-    index = {"version": 1, "methods": [
-        {"signature": "Lr/Tiny;->onCreate(Landroid/os/Bundle;)V",
-         "generation": 0, "entries": [[0, [18, 313]]]},
-    ]}
     cases = []
     for app_id in ("r.tiny", "приложение.пакет", "アプリ-例", "🎯.target",
                    "a" * 200):
         for device in (NEXUS_5X, TABLET, EMULATOR):
-            cases.append(ReplaySpec(app_id=app_id, apk_bytes=apk_bytes,
-                                    device=device))
-    cases.append(ReplaySpec("r.tiny", apk_bytes, path=path, step_budget=7,
-                            predecode_index=index, collect=False))
-    cases.append(ReplaySpec("r.tiny", b"", path=None, step_budget=1))
+            cases.append(ReplaySpec(app_id=app_id, device=device))
+    cases.append(ReplaySpec("r.tiny", path=path, step_budget=7,
+                            collect=False))
+    cases.append(ReplaySpec("r.tiny", path=None, step_budget=1))
     return cases
 
 
@@ -100,24 +94,12 @@ class TestReplaySpecRoundTrip:
     def test_pickle_round_trip(self, spec):
         assert pickle.loads(pickle.dumps(spec)) == spec
 
-    @pytest.mark.parametrize("spec", _spec_cases(),
-                             ids=lambda s: f"{s.app_id[:12]}-{s.device.name}")
-    def test_dict_round_trip(self, spec):
-        assert ReplaySpec.from_dict(spec.to_dict()) == spec
-
     def test_with_path_is_a_fresh_value(self):
         spec = _spec_cases()[0]
         path = PathFile(target=("m", 4), forced_outcome=False)
         forked = spec.with_path(path)
         assert forked.path is path and spec.path is None
-        assert forked.apk_bytes is spec.apk_bytes  # no copy of the APK
-
-    def test_hydrate_rebuilds_the_app(self):
-        apk = _tiny_apk("r.hydrate")
-        spec = ReplaySpec("r.hydrate", apk.to_bytes())
-        again = spec.hydrate()
-        assert again.package == "r.hydrate"
-        assert again is not apk
+        assert forked.device is spec.device
 
 
 class TestTraceDeltaRoundTrip:
@@ -140,7 +122,7 @@ class TestTraceDeltaRoundTrip:
         # A real starved run, not a hand-built one: the budget dies
         # mid-drive and the delta still carries the executed prefix.
         apk = _tiny_apk("r.starve")
-        spec = ReplaySpec("r.starve", apk.to_bytes(), step_budget=2)
+        spec = ReplaySpec("r.starve", step_budget=2)
         delta = execute_replay(spec, apk=apk)
         assert delta.budget_hit
         assert delta.steps >= 2  # the executed prefix is in the delta

@@ -1,12 +1,12 @@
 """Warm predecode state across the process boundary.
 
 The shared decode store is process memory; :mod:`repro.runtime.predecode`
-serialises it so worker processes and resumed sessions start warm.  The
-contract under test: an exported index adopted by a *different*
-hydration of the same APK yields the same execution; stale entries —
-recorded against bytes that since changed — are rejected by raw-byte
-compare; and foreign format versions are refused loudly, including when
-the index arrives inside a collection archive.
+serialises it so resumed sessions start warm.  The contract under test:
+an exported index adopted by a *different* hydration of the same APK
+yields the same execution; stale entries — recorded against bytes that
+since changed — are rejected by raw-byte compare; and foreign format
+versions are refused loudly, including when the index arrives inside a
+collection archive.
 """
 
 import pytest
@@ -56,7 +56,7 @@ def _apk(package: str = "w.warm") -> Apk:
 
 def _run_once(apk: Apk) -> None:
     """One standard drive, populating the shared decode stores."""
-    spec = ReplaySpec(apk.package, b"", collect=False)
+    spec = ReplaySpec(apk.package, collect=False)
     execute_replay(spec, apk=apk)
 
 
@@ -81,9 +81,9 @@ class TestExportWarmRoundTrip:
         assert adopted == sum(len(m["entries"]) for m in index["methods"])
         # The warmed copy executes identically to a cold one.
         warmed_delta = execute_replay(
-            ReplaySpec(cold.package, b""), apk=cold)
+            ReplaySpec(cold.package), apk=cold)
         cold_delta = execute_replay(
-            ReplaySpec("w.ref", b""), apk=_apk("w.ref"))
+            ReplaySpec("w.ref"), apk=_apk("w.ref"))
         assert warmed_delta.trace == cold_delta.trace
         assert warmed_delta.steps == cold_delta.steps
         assert warmed_delta.collector.delta_dict() == \

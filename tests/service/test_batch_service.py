@@ -70,7 +70,7 @@ class TestBatchBasics:
     def test_worker_count_does_not_change_results(self):
         """Ordering independence: pool size is invisible in the output."""
         jobs = _corpus(5, "svc.order")
-        serial = BatchRevealService(workers=1, backend="serial")
+        serial = BatchRevealService(workers=1)
         pooled = BatchRevealService(workers=4, backend="thread")
         a, b = serial.reveal_batch(jobs), pooled.reveal_batch(jobs)
         assert [o.app_id for o in a.outcomes] == [o.app_id for o in b.outcomes]
