@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: serial/process replay backends bit-identical"
+	@echo "make test-determinism - differential suite: replay backends, worker counts and corpus stores bit-identical"
 	@echo "make test-chaos  - seeded fault schedules vs gateway + worker fleet: exactly-once, byte-identical artifacts"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -45,12 +45,16 @@ test:
 
 # The differential determinism suite on its own: both replay backends
 # (serial, and process at 1..8 workers) must produce bit-identical
-# exploration, collection and archives.  Part of `make test` too; this
-# target exists so CI (and bisects) can run the contract in isolation
-# with verbose per-case output.
+# exploration, collection and archives, and the corpus stores must
+# write the same bytes at any worker count (cluster families) and
+# replay index bodies byte-identically to fresh emission (index dedup).
+# Part of `make test` too; this target exists so CI (and bisects) can
+# run the contract in isolation with verbose per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
-		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py -q
+		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py \
+		tests/cluster/test_cluster_pipeline.py::TestWorkerCountDeterminism \
+		tests/index/test_index_pipeline.py::TestWarmCorpusDedup -q
 
 # The chaos suite on its own: deterministic seeded fault schedules
 # (store I/O, network, worker kills) against a live gateway and a

@@ -21,6 +21,7 @@ output is deterministic for a fixed store + index state.
 from __future__ import annotations
 
 from repro.cluster.store import ClusterStore
+from repro.index.digests import reveal_digests
 
 #: Fuzzy distance at or below which a neighbour counts as a near-miss
 #: variant.  Local edits land well under this; unrelated methods score
@@ -51,24 +52,27 @@ class AutoLabeler:
             return self.index.apps_with_norm(norm)
         return self.store.apps_with_norm(norm)
 
-    def label_records(self, records, app_id: str) -> dict:
+    def label_records(self, records, app_id: str,
+                      digests: dict | None = None) -> dict:
         """Label one reveal's executed records; returns the stats dict.
 
         The returned dict is what flows into
         ``RevealOutcome.cluster_stats`` / ``BatchReport`` — plain JSON
-        types only.
+        types only.  ``digests`` is the reveal's signature -> digests
+        map (:func:`~repro.index.digests.reveal_digests`); without it
+        the digests are computed here.
         """
-        from repro.index.digests import method_digests
-
+        if digests is None:
+            digests = reveal_digests(records)
         votes: dict[str, float] = {}
         evidence: list[tuple[int, tuple, dict]] = []
         methods_total = methods_known = methods_near_miss = 0
         for record in records:
             methods_total += 1
-            digests = method_digests(record)
+            method = digests[record.signature]
             known_apps = []
-            if digests.norm:
-                known_apps = [a for a in self._apps_with_norm(digests.norm)
+            if method.norm:
+                known_apps = [a for a in self._apps_with_norm(method.norm)
                               if a != app_id]
             if known_apps:
                 methods_known += 1
@@ -86,11 +90,11 @@ class AutoLabeler:
                     "kind": "known",
                 }))
                 continue
-            if not digests.fuzzy:
+            if not method.fuzzy:
                 continue
             neighbours = [
                 (distance, member)
-                for distance, member in self.store.nearest(digests.fuzzy,
+                for distance, member in self.store.nearest(method.fuzzy,
                                                            limit=3)
                 if distance <= self.near_distance
                 and member.app_id != app_id

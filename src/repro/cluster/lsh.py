@@ -16,13 +16,19 @@ the whole corpus.
 The header chars are deliberately *not* banded — checksum and length
 band shift on any edit and would only dilute the buckets.
 
+Items are filed by *distinct digest*: a digest shared by many refs (a
+library method revealed in every app) is filed, parsed and scored
+once, and its refs are expanded only when its distance can still reach
+the requested top ``limit``.
+
 Exactness guarantees:
 
 * every returned distance comes from ``fuzzy_distance`` (the LSH only
   prunes candidates, it never approximates scores);
-* when the banded candidate set is smaller than the requested ``limit``
-  (sparse corner of the corpus) the scan silently widens to every item,
-  so small corpora behave exactly like the linear oracle;
+* results are ordered by ``(distance, sort_key)``, then insertion order;
+* when the banded candidates hold fewer refs than the requested
+  ``limit`` (sparse corner of the corpus) the scan silently widens to
+  every item, so small corpora behave exactly like the linear oracle;
 * ``exhaustive=True`` bypasses the buckets entirely — the oracle the
   recall tests and benchmarks compare against.
 
@@ -33,9 +39,10 @@ locks.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable
 
-from repro.index.fuzzy import _DIGEST_LEN, fuzzy_distance
+from repro.index.fuzzy import _DIGEST_LEN, distance_from, parse_digest
 
 _HEADER_CHARS = 6
 _BODY_CHARS = _DIGEST_LEN - _HEADER_CHARS
@@ -61,12 +68,17 @@ class LshIndex:
             )
         self.bands = bands
         self.band_width = _BODY_CHARS // bands
-        #: (band index, band hex) -> item indexes filed there
+        #: (band index, band hex) -> ids of the distinct digests filed there
         self._buckets: dict[tuple[int, str], list[int]] = {}
-        self._items: list[tuple[str, object, tuple]] = []
+        #: digest -> id; per id its parsed form and its
+        #: ``(sort_key, item index, ref)`` entries in insertion order
+        self._ids: dict[str, int] = {}
+        self._parsed: list[tuple] = []
+        self._refs: list[list[tuple[tuple, int, object]]] = []
+        self._items = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._items
 
     def _band_keys(self, digest: str) -> list[tuple[int, str]]:
         body = digest[_HEADER_CHARS:]
@@ -75,23 +87,43 @@ class LshIndex:
                 for band in range(self.bands)]
 
     def add(self, digest: str, ref: object, sort_key: tuple = ()) -> None:
-        """File one item under its band buckets."""
-        if len(digest) != _DIGEST_LEN:
-            raise ValueError(
-                f"fuzzy digests must be {_DIGEST_LEN} hex chars, "
-                f"got {len(digest)}"
-            )
-        index = len(self._items)
-        self._items.append((digest, ref, tuple(sort_key)))
+        """File one item; a digest seen before only gains a ref."""
+        ident = self._ids.get(digest)
+        if ident is None:
+            parsed = parse_digest(digest)  # validates the length
+            ident = len(self._parsed)
+            self._ids[digest] = ident
+            self._parsed.append(parsed)
+            self._refs.append([])
+            for key in self._band_keys(digest):
+                self._buckets.setdefault(key, []).append(ident)
+        self._refs[ident].append((tuple(sort_key), self._items, ref))
+        self._items += 1
+
+    def _candidate_ids(self, digest: str) -> set[int]:
+        ids: set[int] = set()
         for key in self._band_keys(digest):
-            self._buckets.setdefault(key, []).append(index)
+            ids.update(self._buckets.get(key, ()))
+        return ids
 
     def candidates(self, digest: str) -> list[int]:
-        """Item indexes sharing at least one band with ``digest``."""
-        seen: set[int] = set()
-        for key in self._band_keys(digest):
-            seen.update(self._buckets.get(key, ()))
-        return sorted(seen)
+        """Item indexes (insertion order) sharing a band with ``digest``."""
+        refs = self._refs
+        return sorted(index for ident in self._candidate_ids(digest)
+                      for _, index, _ in refs[ident])
+
+    def _holds(self, ids, accept, limit: int) -> bool:
+        """Whether the digests ``ids`` hold ``limit`` accepted refs."""
+        refs = self._refs
+        held = 0
+        for ident in ids:
+            if accept is None:
+                held += len(refs[ident])
+            else:
+                held += sum(1 for _, _, ref in refs[ident] if accept(ref))
+            if held >= limit:
+                return True
+        return False
 
     def nearest(
         self,
@@ -105,37 +137,41 @@ class LshIndex:
         ``accept`` filters refs *before* the sparse-fallback decision,
         so a filtered-out bucket never masks a true neighbour.
         """
-        if len(digest) != _DIGEST_LEN:
-            raise ValueError(
-                f"fuzzy digests must be {_DIGEST_LEN} hex chars, "
-                f"got {len(digest)}"
-            )
+        score = distance_from(digest)  # validates the length
         if limit <= 0:
             return []
-        items = self._items
-        if exhaustive:
-            pool = range(len(items))
-        else:
-            pool = self.candidates(digest)
-            if accept is not None:
-                pool = [i for i in pool if accept(items[i][1])]
-            if len(pool) < limit:
-                pool = range(len(items))  # sparse corner: match the oracle
-        scored = []
-        for i in pool:
-            item_digest, ref, sort_key = items[i]
-            if accept is not None and not accept(ref):
-                continue
-            scored.append((fuzzy_distance(digest, item_digest), sort_key,
-                           ref))
-        scored.sort(key=lambda entry: (entry[0], entry[1]))
-        return [(distance, ref) for distance, _, ref in scored[:limit]]
+        ids = None
+        if not exhaustive:
+            ids = self._candidate_ids(digest)
+            if not self._holds(ids, accept, limit):
+                ids = None  # sparse corner: match the oracle
+        if ids is None:
+            ids = range(len(self._parsed))
+        parsed = self._parsed
+        by_distance: dict[int, list[int]] = {}
+        for ident in ids:
+            by_distance.setdefault(score(parsed[ident]), []).append(ident)
+        refs = self._refs
+        found: list[tuple[int, object]] = []
+        for distance in sorted(by_distance):
+            group = [entry for ident in by_distance[distance]
+                     for entry in refs[ident]
+                     if accept is None or accept(entry[2])]
+            # Item indexes are unique, so refs themselves never compare.
+            best = heapq.nsmallest(limit - len(found), group,
+                                   key=lambda entry: entry[:2])
+            found.extend((distance, ref) for _, _, ref in best)
+            if len(found) >= limit:
+                break
+        return found
 
     def stats(self) -> dict:
+        refs = self._refs
         buckets = self._buckets
-        largest = max((len(v) for v in buckets.values()), default=0)
+        largest = max((sum(len(refs[ident]) for ident in ids)
+                       for ids in buckets.values()), default=0)
         return {
-            "items": len(self._items),
+            "items": self._items,
             "bands": self.bands,
             "band_width": self.band_width,
             "buckets": len(buckets),

@@ -36,7 +36,7 @@ from repro.cluster.families import (
 )
 from repro.cluster.lsh import LshIndex
 from repro.cluster.profiles import build_profiles
-from repro.index.digests import method_digests
+from repro.index.digests import reveal_digests
 
 CLUSTER_FORMAT_VERSION = 1
 
@@ -233,20 +233,28 @@ class ClusterStore:
                 added += 1
         return added
 
-    def register_records(self, app_id: str, records) -> int:
-        """Absorb one reveal's executed method records."""
+    def register_records(self, app_id: str, records,
+                         digests: dict | None = None) -> int:
+        """Absorb one reveal's executed method records.
+
+        ``digests`` is the reveal's signature -> digests map
+        (:func:`~repro.index.digests.reveal_digests`); without it the
+        digests are computed here.
+        """
+        if digests is None:
+            digests = reveal_digests(records)
         added = 0
         for record in records:
-            digests = method_digests(record)
-            if not digests.norm and not digests.fuzzy:
+            method = digests[record.signature]
+            if not method.norm and not method.fuzzy:
                 continue
             member = ClusterMember(
                 kind="method",
                 app_id=app_id,
                 class_desc=record.class_desc,
                 method=record.signature,
-                norm=digests.norm,
-                fuzzy=digests.fuzzy,
+                norm=method.norm,
+                fuzzy=method.fuzzy,
             )
             if self.add_member(member):
                 added += 1

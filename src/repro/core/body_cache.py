@@ -124,11 +124,22 @@ def normalized_method_tokens(record: MethodRecord) -> list:
     return tokens
 
 
+def _tokens_digest(tokens: list) -> str:
+    blob = json.dumps(tokens, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _tokens_fuzzy_bytes(tokens: list) -> bytes:
+    stripped = [
+        token[1:] if isinstance(token[0], int) else token
+        for token in tokens
+    ]
+    return json.dumps(stripped, separators=(",", ":")).encode("utf-8")
+
+
 def normalized_method_digest(record: MethodRecord) -> str:
     """SHA-256 of the normalized token stream (layout-sensitive)."""
-    blob = json.dumps(normalized_method_tokens(record),
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _tokens_digest(normalized_method_tokens(record))
 
 
 def method_fuzzy_bytes(record: MethodRecord) -> bytes:
@@ -138,11 +149,15 @@ def method_fuzzy_bytes(record: MethodRecord) -> bytes:
     removed instructions shifting everything after them — the whole
     point of a locality hash.
     """
-    stripped = [
-        token[1:] if isinstance(token[0], int) else token
-        for token in normalized_method_tokens(record)
-    ]
-    return json.dumps(stripped, separators=(",", ":")).encode("utf-8")
+    return _tokens_fuzzy_bytes(normalized_method_tokens(record))
+
+
+def normalized_digest_and_fuzzy_bytes(record: MethodRecord
+                                      ) -> tuple[str, bytes]:
+    """:func:`normalized_method_digest` and :func:`method_fuzzy_bytes`
+    from one token walk."""
+    tokens = normalized_method_tokens(record)
+    return _tokens_digest(tokens), _tokens_fuzzy_bytes(tokens)
 
 
 # -- recording writer --------------------------------------------------------

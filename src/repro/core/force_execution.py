@@ -168,10 +168,10 @@ class ForceExecutionEngine:
     the engine merges the deltas strictly in pop order — traces into
     the covered-outcome map, replay collectors into ``collector`` —
     so exploration state *and* collection output are identical at any
-    worker count on either backend.  Serial replays read
-    ``collector`` as their known trees and skip re-building the ones it
-    holds; process replays ship every tree, which is what makes them
-    the reference for that skip.  ``shared_listeners`` still attach
+    worker count on either backend.  Replays read ``collector`` as
+    their known trees and skip re-building the ones it holds: serial
+    replays read it live, process workers the copy they inherited when
+    they forked.  ``shared_listeners`` still attach
     live to serial replays (they cannot cross a process boundary;
     combining them with the process backend is an error — ship a
     ``collector`` instead).  Without the ``fork`` start method the
@@ -368,13 +368,15 @@ class ForceExecutionEngine:
         """The lazy worker pool, built after the baseline ran.  ``fork``
         hands the initializer's arguments over without pickling, so the
         workers inherit the engine's APK itself — the model, pool
-        indices and warm decode stores serial replays run on."""
+        indices and warm decode stores serial replays run on — and its
+        collector as the known trees their replays skip."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_process_worker_init,
-                initargs=(self.apk, self._spec(None, self.path_budget)),
+                initargs=(self.apk, self._spec(None, self.path_budget),
+                          self.collector),
             )
         return self._pool
 

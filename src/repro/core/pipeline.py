@@ -37,6 +37,7 @@ from repro.core.stages import (
     RepackStage,
     StageEvent,
     VerifyStage,
+    store_digests,
 )
 from repro.dex.structures import DexFile
 from repro.errors import StageError
@@ -270,6 +271,7 @@ class Pipeline:
         # archive instead of clobbering it with empty collection files.
         collected.archive = CollectionArchive.merged(archive,
                                                      collected.archive)
+        collected.digests = None  # they describe the session's archive
         return self._finish_run(apk, collected, timings)
 
     def _finish_run(self, apk: Apk, collected: CollectResult,
@@ -287,7 +289,8 @@ class Pipeline:
                 archive = CollectionArchive.load(self.config.archive_dir)
             except OSError as exc:
                 raise StageError(STAGE_COLLECT, exc) from exc
-        dex, revealed = self._offline(archive, apk, timings)
+        dex, revealed = self._offline(archive, apk, timings,
+                                      collected.digests)
         return RevealResult(
             revealed_apk=revealed,
             reassembled_dex=dex,
@@ -338,12 +341,14 @@ class Pipeline:
         archive: CollectionArchive,
         apk: Apk | None,
         timings: dict[str, float],
+        digests: dict | None = None,
     ) -> tuple[DexFile, Apk | None]:
-        """Shared reassemble → verify → (repack) suffix."""
+        """Shared reassemble → verify → (repack) suffix; ``digests`` are
+        the archive's method digests when collection computed them."""
         dex = self._timed(STAGE_REASSEMBLE, timings,
                           self.reassemble_stage.run, archive,
                           apk.package if apk is not None else None,
-                          self.config.archive_dir)
+                          self.config.archive_dir, digests)
         dex = self._timed(STAGE_VERIFY, timings, self.verify_stage.run, dex)
         revealed = None
         if apk is not None:
@@ -365,19 +370,24 @@ class Pipeline:
 
         Labeling runs *before* registration so the reveal never matches
         itself; the app-id filter in the labeler guards the re-reveal
-        case.  Advisory like the index probe: failures degrade to no
-        labels, never a failed reveal.
+        case.  Both reuse the digests reassembly used (computed here
+        when no index is attached).  Advisory like the index probe:
+        failures degrade to no labels, never a failed reveal.
         """
         if self.cluster is None:
             return {}
         from repro.cluster.labels import AutoLabeler
 
         app = app_id or "<unknown-app>"
-        records = archive.method_store().executed_records()
+        store = archive.method_store()
+        records = store.executed_records()
         try:
+            digests = self.reassemble_stage.last_digests
+            if digests is None:
+                digests = store_digests(store)
             labeler = AutoLabeler(self.cluster, index=self.index)
-            stats = labeler.label_records(records, app)
-            self.cluster.register_records(app, records)
+            stats = labeler.label_records(records, app, digests)
+            self.cluster.register_records(app, records, digests)
         except (OSError, ValueError):
             return {}
         return stats

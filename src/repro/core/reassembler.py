@@ -61,6 +61,7 @@ class Reassembler:
         store: MethodStore,
         reflection_sites: dict[tuple[str, int], ReflectionSite] | None = None,
         body_cache=None,
+        exact_digests: dict[str, str] | None = None,
     ) -> None:
         self.classes = classes
         self.store = store
@@ -70,8 +71,9 @@ class Reassembler:
         #: bodies whose exact digest is already known are *replayed*
         #: from their recorded op list instead of re-emitted.
         self.body_cache = body_cache
-        #: signature -> exact digest, for every executed cacheable body.
-        self.body_digests: dict[str, str] = {}
+        #: Exact digests the caller already computed, by signature, so
+        #: body-cache lookups do not compute them again.
+        self._exact_digests = exact_digests or {}
         self.bodies_emitted = 0
         self.bodies_replayed = 0
         # Methods holding rewritten reflective invokes are never cached:
@@ -152,8 +154,8 @@ class Reassembler:
         digest = None
         if self.body_cache is not None \
                 and record.signature not in self._uncacheable:
-            digest = exact_method_digest(record)
-            self.body_digests[record.signature] = digest
+            digest = self._exact_digests.get(record.signature) \
+                or exact_method_digest(record)
             ops = self.body_cache.get_body(digest)
             if ops is not None:
                 replay_body(self, class_builder, record, ops)

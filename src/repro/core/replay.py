@@ -17,22 +17,24 @@ a *value*, not a closure over engine state:
   bit-for-bit identical at any worker count on either backend.
 * :func:`execute_replay` — the one replay body both backends share:
   build a fresh runtime + tracer + private collector over the given
-  APK, drive, and return the delta.  The serial backend calls it
-  against the engine's APK and hands the engine its collector live,
-  built against the engine's trees so a frame that repeats one is
-  never built; the process backend calls it in a forked worker, with
-  no known trees, and its collector travels back as
-  :meth:`DexLegoCollector.delta_dict` — the wire format, and the
-  reference the serial skip is diffed against.
+  APK, drive, and return the delta.  Both backends build the private
+  collector against the engine's trees, so a frame that repeats one is
+  never built: the serial backend calls it against the engine's APK
+  and collector and hands the engine its collector live; the process
+  backend calls it in a forked worker, against the collector the
+  worker inherited, and its collector travels back as
+  :meth:`DexLegoCollector.delta_dict` — the wire format.  A replay
+  with no known trees (``known=None``) builds every tree, the
+  reference the skip is diffed against.
 
 The module-level ``_process_worker_*`` functions are the process-pool
 protocol (initializer + task); they live at module scope so the pool
 can pickle references to them.  Workers are created with the ``fork``
 start method, so the initializer's arguments — the engine's live
-:class:`~repro.runtime.apk.Apk` among them — reach each child without
-being pickled, as does the process-wide native-library registry
-(:data:`repro.runtime.apk.NATIVE_LIBRARY_REGISTRY`) that sample and
-packer generation populate in the parent.
+:class:`~repro.runtime.apk.Apk` and collector among them — reach each
+child without being pickled, as does the process-wide native-library
+registry (:data:`repro.runtime.apk.NATIVE_LIBRARY_REGISTRY`) that
+sample and packer generation populate in the parent.
 """
 
 from __future__ import annotations
@@ -197,14 +199,16 @@ def execute_replay(
     Builds an isolated runtime for ``spec`` over ``apk`` and returns
     its delta, the private collector in it live.  ``apk`` is the
     engine's live object, or a forked worker's inherited copy of it;
-    runs on one object share its warm decode stores.  ``drive``,
-    ``extra_listeners`` and ``known`` exist for the serial backend
-    only — a custom drive callable, live listeners and the engine's
-    collector cannot ship to another process, which is why the engine
-    refuses to combine the first two with the process backend.
-    ``known`` is the engine's collector, read-only: frames that repeat
-    one of its trees are skipped, since the merge would drop them as
-    duplicates (see :class:`DexLegoCollector`).
+    runs on one object share its warm decode stores.  ``drive`` and
+    ``extra_listeners`` exist for the serial backend only — a custom
+    drive callable and live listeners cannot ship to another process,
+    which is why the engine refuses to combine them with the process
+    backend.  ``known`` is the engine's collector, or a forked worker's
+    inherited copy of it, read-only: frames that repeat one of its
+    trees are skipped, since the merge would drop them as duplicates
+    (see :class:`DexLegoCollector`).  A worker's copy is the collector
+    as it was when the worker forked, a subset of the trees the merge
+    will hold, so it skips less, never more.
     """
     runtime = AndroidRuntime(spec.device, max_steps=spec.step_budget)
     runtime.tolerate_exceptions = True
@@ -250,22 +254,25 @@ def execute_replay(
 
 
 # -- process-pool protocol --------------------------------------------------
-# The initializer keeps the APK the worker inherited through the fork;
-# one replay per task.  The APK persists across tasks, so its shared
-# decode stores stay warm for every replay the worker executes — the
-# process-level equivalent of the engine reusing its own APK across a
-# wave.
+# The initializer keeps the APK and the known trees the worker inherited
+# through the fork; one replay per task.  The APK persists across tasks,
+# so its shared decode stores stay warm for every replay the worker
+# executes — the process-level equivalent of the engine reusing its own
+# APK across a wave.
 
 _WORKER_APK: Apk | None = None
 _WORKER_SPEC: ReplaySpec | None = None
+_WORKER_KNOWN: DexLegoCollector | None = None
 
 
-def _process_worker_init(apk: Apk, spec: ReplaySpec) -> None:
-    global _WORKER_APK, _WORKER_SPEC
+def _process_worker_init(apk: Apk, spec: ReplaySpec,
+                         known: DexLegoCollector | None) -> None:
+    global _WORKER_APK, _WORKER_SPEC, _WORKER_KNOWN
     _WORKER_APK = apk
     _WORKER_SPEC = spec
+    _WORKER_KNOWN = known
 
 
 def _process_worker_replay(path_json: str) -> TraceDelta:
     spec = _WORKER_SPEC.with_path(PathFile.from_json(path_json))
-    return execute_replay(spec, _WORKER_APK)
+    return execute_replay(spec, _WORKER_APK, known=_WORKER_KNOWN)

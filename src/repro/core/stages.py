@@ -75,10 +75,25 @@ class CollectResult:
     crashed: bool = False
     crash_reason: str = ""
     budget_exhausted: bool = False
+    #: ``archive``'s method digests by signature, when the index probe
+    #: computed them (see :func:`store_digests`); whoever replaces
+    #: ``archive`` must drop them.
+    digests: dict | None = None
 
     @property
     def dump_size_bytes(self) -> int:
         return self.archive.total_size_bytes()
+
+
+def store_digests(store) -> dict:
+    """Signature -> :class:`~repro.index.digests.MethodDigests` for a
+    method store's executed methods: a reveal's one digest pass, shared
+    by the index probe, the reassembler's body cache, index
+    registration, the labeler and the cluster store.  ``repro.index``
+    is imported here, so a reveal without stores never loads it."""
+    from repro.index.digests import reveal_digests
+
+    return reveal_digests(store.executed_records())
 
 
 class CollectStage:
@@ -180,12 +195,16 @@ class CollectStage:
         except Exception as exc:
             raise StageError(self.name, exc) from exc
         archive = CollectionArchive.from_collector(collector)
+        digests = None
         self.last_index_probe = {}
         if self.index is not None:
             try:
+                store = archive.method_store()
+                digests = store_digests(store)
                 self.last_index_probe = \
-                    self.index.probe_method_store(archive.method_store())
+                    self.index.probe_method_store(store, digests)
             except Exception:  # the probe is advisory, never fatal
+                digests = None
                 self.last_index_probe = {}
         if engine is not None:
             # Persist the frontier with the collection files, so the
@@ -203,6 +222,7 @@ class CollectStage:
             crashed=crashed,
             crash_reason=crash_reason,
             budget_exhausted=budget_exhausted,
+            digests=digests,
         )
 
 
@@ -223,23 +243,39 @@ class ReassembleStage:
         #: Savings stats of the most recent :meth:`run` (empty without
         #: an index): bodies emitted vs replayed, corpus known vs new.
         self.last_index_stats: dict = {}
+        #: The method digests the most recent :meth:`run` used (``None``
+        #: without an index), for the cluster store to reuse.
+        self.last_digests: dict | None = None
 
     def run(self, archive: CollectionArchive, app_id: str | None = None,
-            artifact: str | None = None) -> DexFile:
+            artifact: str | None = None,
+            digests: dict | None = None) -> DexFile:
+        """Reassemble ``archive``; ``digests`` are its method digests
+        when the caller already holds them (:func:`store_digests`)."""
         self.last_index_stats = {}
+        self.last_digests = None
         try:
+            store = archive.method_store()
+            exact = None
+            if self.index is not None:
+                if digests is None:
+                    digests = store_digests(store)
+                self.last_digests = digests
+                exact = {signature: method.exact
+                         for signature, method in digests.items()}
             reassembler = Reassembler(
                 archive.collected_class_map(),
-                archive.method_store(),
+                store,
                 archive.reflection_sites(),
                 body_cache=self.index,
+                exact_digests=exact,
             )
             dex = reassembler.reassemble()
             if self.index is not None:
                 try:
                     self.last_index_stats = self.index.register_reassembly(
-                        archive.method_store(), reassembler,
-                        app_id=app_id, artifact=artifact,
+                        archive.method_store(), reassembler, app_id,
+                        digests, artifact=artifact,
                     )
                 except OSError as exc:
                     # The index is an optional subsystem: failing to

@@ -9,7 +9,8 @@ redundancy into lookups:
 * :mod:`repro.index.digests` — per-method / per-class digest bundles
   combining the exact normalized-bytecode hash
   (:func:`repro.core.body_cache.exact_method_digest`), the
-  register/pool-insensitive structural hash and the fuzzy digest;
+  register/pool-insensitive structural hash and the fuzzy digest, and
+  the per-reveal map every store consumer shares;
 * :mod:`repro.index.corpus` — :class:`CorpusIndex`, a persistent,
   shardable digest → ``(app, class, method, artifact)`` map with an
   attached body store that lets the reassembler *replay* an
@@ -21,7 +22,12 @@ is set, keeping the core → index dependency one-way and optional.
 """
 
 from repro.index.corpus import INDEX_FORMAT_VERSION, CorpusIndex, IndexEntry
-from repro.index.digests import MethodDigests, class_fuzzy_digest, method_digests
+from repro.index.digests import (
+    MethodDigests,
+    class_fuzzy_digest,
+    method_digests,
+    reveal_digests,
+)
 from repro.index.fuzzy import fuzzy_digest, fuzzy_distance
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "IndexEntry",
     "MethodDigests",
     "method_digests",
+    "reveal_digests",
     "class_fuzzy_digest",
     "fuzzy_digest",
     "fuzzy_distance",

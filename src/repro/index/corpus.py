@@ -29,8 +29,8 @@ import uuid
 from dataclasses import asdict, dataclass
 
 from repro import faults
-from repro.core.body_cache import BODY_OPS_VERSION, exact_method_digest
-from repro.index.digests import MethodDigests, class_fuzzy_digest, method_digests
+from repro.core.body_cache import BODY_OPS_VERSION
+from repro.index.digests import MethodDigests, class_fuzzy_digest
 from repro.index.fuzzy import fuzzy_distance
 
 INDEX_FORMAT_VERSION = 1
@@ -299,9 +299,12 @@ class CorpusIndex:
         ))
 
     def register_reassembly(self, store, reassembler, app_id: str | None,
+                            digests: dict[str, MethodDigests],
                             artifact: str | None = None) -> dict:
         """Index every executed method of one reveal; return savings stats.
 
+        ``digests`` is the reveal's
+        :func:`~repro.index.digests.reveal_digests` map.
         ``corpus_known`` counts methods whose exact digest the index
         already held (from any app) before this registration —
         the cross-app overlap this reveal could lean on.
@@ -310,17 +313,16 @@ class CorpusIndex:
         known = new = 0
         by_class: dict[str, list] = {}
         for record in store.executed_records():
-            exact = reassembler.body_digests.get(record.signature)
-            digests = method_digests(record, exact=exact)
-            if self.lookup_exact(digests.exact):
+            method = digests[record.signature]
+            if self.lookup_exact(method.exact):
                 known += 1
             else:
                 new += 1
-            self.register_method(record, digests, app, artifact=artifact)
+            self.register_method(record, method, app, artifact=artifact)
             by_class.setdefault(record.class_desc, []).append(record)
         for class_desc in sorted(by_class):
             self.register_class(
-                class_desc, class_fuzzy_digest(by_class[class_desc]),
+                class_desc, class_fuzzy_digest(by_class[class_desc], digests),
                 app, artifact=artifact,
             )
         return {
@@ -330,12 +332,14 @@ class CorpusIndex:
             "corpus_new": new,
         }
 
-    def probe_method_store(self, store) -> dict:
-        """Pre-reassembly probe: how much of this store the corpus knows."""
+    def probe_method_store(self, store,
+                           digests: dict[str, MethodDigests]) -> dict:
+        """Pre-reassembly probe: how much of this store the corpus knows,
+        by the reveal's :func:`~repro.index.digests.reveal_digests` map."""
         executed = store.executed_records()
         known = sum(
             1 for record in executed
-            if self.lookup_exact(exact_method_digest(record))
+            if self.lookup_exact(digests[record.signature].exact)
         )
         return {
             "index_known_methods": known,

@@ -31,6 +31,7 @@ from repro.core import (
     ForceExecutionEngine,
     RevealConfig,
 )
+from repro.core import force_execution, replay
 from repro.core.collection_files import BYTECODE_FILE, PREDECODE_INDEX_FILE
 from repro.dex import assemble
 from repro.dex.instructions import Instruction
@@ -267,6 +268,20 @@ class _MergeCounter(DexLegoCollector):
         super().absorb(other)
 
 
+def _ship_every_tree(monkeypatch) -> None:
+    """Run every replay, in process or in a forked worker, as
+    ``execute_replay(known=None)``: no known trees, so each replay
+    builds and ships every tree — the reference the skip is diffed
+    against.  Workers fork after this, so they inherit the patch."""
+    original = replay.execute_replay
+
+    def without_known(*args, **kwargs):
+        kwargs["known"] = None
+        return original(*args, **kwargs)
+    monkeypatch.setattr(replay, "execute_replay", without_known)
+    monkeypatch.setattr(force_execution, "execute_replay", without_known)
+
+
 def _explore(apk: Apk, backend: str, workers: int,
              collector: DexLegoCollector | None = None,
              max_paths: int | None = None, device=NEXUS_5X) -> dict:
@@ -377,21 +392,42 @@ class TestBackendEquivalence:
         got = _explore(_fdroid_apk(), backend, 2, max_paths=32)
         assert got == reference
 
-    def test_generated_fdroid_app_merges_mostly_duplicates(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workload,max_paths", [
+        (_fdroid_apk, 32), (_known_tree_apk, None), (_packer_apk, None),
+    ], ids=["fdroid", "known-tree", "packer"])
+    def test_process_known_trees_match_shipping_every_tree(
+            self, monkeypatch, workload, max_paths, workers):
+        # Forked workers inherit the engine's collector as known trees;
+        # what they skip must be exactly what the merge would drop.
+        got = _explore(workload(), BACKEND_PROCESS, workers,
+                       max_paths=max_paths)
+        _ship_every_tree(monkeypatch)
+        reference = _explore(workload(), BACKEND_PROCESS, workers,
+                             max_paths=max_paths)
+        assert got == reference
+
+    def test_generated_fdroid_app_merges_mostly_duplicates(self,
+                                                           monkeypatch):
         # Guard against vacuity: replays ran over at least two waves,
-        # and most trees the process backend ships are duplicates —
-        # exactly what the serial replays skip.
-        shipped, skipped = _MergeCounter(), _MergeCounter()
+        # and most trees a replay with no known trees ships are
+        # duplicates — exactly what serial and forked replays skip.
+        serial, forked = _MergeCounter(), _MergeCounter()
+        _explore(_fdroid_apk(), BACKEND_SERIAL, 1,
+                 collector=serial, max_paths=32)
+        _explore(_fdroid_apk(), BACKEND_PROCESS, 2,
+                 collector=forked, max_paths=32)
+        shipped = _MergeCounter()
+        _ship_every_tree(monkeypatch)
         result = _explore(_fdroid_apk(), BACKEND_PROCESS, 2,
                           collector=shipped, max_paths=32)
-        _explore(_fdroid_apk(), BACKEND_SERIAL, 1,
-                 collector=skipped, max_paths=32)
         summary = result["summary"]
         assert summary["iterations"] >= 2
         assert summary["paths_explored"] == 32
         kept = result["collector_stats"]["unique_trees"]
         assert shipped.offered > 2 * kept
-        assert kept <= skipped.offered < shipped.offered
+        assert kept <= serial.offered < shipped.offered
+        assert kept <= forked.offered < shipped.offered
 
     def test_exploration_order_is_meaningful(self):
         # Guard against the suite passing vacuously: the branchy

@@ -7,10 +7,17 @@ byte-identical to the no-index path, because replaying a recorded body
 re-executes the same emission ops the original writer performed.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.benchsuite.shared_corpus import build_shared_corpus
+from repro.benchsuite.shared_corpus import (
+    build_shared_corpus,
+    build_shared_corpus_app,
+)
+from repro.core import body_cache
 from repro.dex import write_dex
+from repro.index import digests as digests_module
 from repro.service import (
     EVENT_INDEX,
     BatchRevealService,
@@ -76,6 +83,45 @@ class TestWarmCorpusDedup:
         assert summary["bodies_replayed"] > 0
         assert summary["corpus_new"] > 0
         assert "index:" in report.render()
+
+
+class TestDigestOnce:
+    def test_a_reveal_digests_each_executed_method_once(
+            self, tmp_path, monkeypatch):
+        # The probe, the body cache, index registration, the labeler
+        # and the cluster store all share one digest pass: one token
+        # walk per executed method, one fuzzy digest per executed
+        # method plus one per class.
+        walks, fuzzy_calls = Counter(), []
+        walk, digest = (body_cache.normalized_method_tokens,
+                        digests_module.fuzzy_digest)
+
+        def counted_walk(record):
+            walks[record.signature] += 1
+            return walk(record)
+
+        def counted_digest(data):
+            fuzzy_calls.append(len(data))
+            return digest(data)
+        monkeypatch.setattr(body_cache, "normalized_method_tokens",
+                            counted_walk)
+        monkeypatch.setattr(digests_module, "fuzzy_digest", counted_digest)
+
+        app = build_shared_corpus_app("com.once.app", corpus_seed=3,
+                                      app_seed=1)
+        service = BatchRevealService(index_dir=str(tmp_path / "index"),
+                                     cluster_dir=str(tmp_path / "cluster"),
+                                     workers=1)
+        outcome = service.reveal_one(RevealJob(app.package, app.apk))
+        assert outcome.status == "ok" and outcome.degraded == []
+        assert outcome.cluster_stats["methods_total"] > 0
+
+        entries = service.stores.index.entries()
+        methods = [e.method for e in entries if e.kind == "method"]
+        classes = [e for e in entries if e.kind == "class"]
+        assert len(methods) == outcome.index_stats["index_executed_methods"]
+        assert walks == Counter(methods)
+        assert len(fuzzy_calls) == len(methods) + len(classes)
 
 
 class TestIndexStatsSurfaces:
