@@ -23,8 +23,8 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts and corpus stores bit-identical"
-	@echo "make test-chaos  - seeded fault schedules vs gateway + worker fleet: exactly-once, byte-identical artifacts"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, corpus stores and resume merge bit-identical"
+	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
 	@echo "make bench-force - force-execution exploration: serial vs process, fifo vs rarity-first"
@@ -45,11 +45,13 @@ test:
 
 # The differential determinism suite on its own: both replay backends
 # (serial, and process at 1..8 workers) must produce bit-identical
-# exploration, collection and archives, and the corpus stores must
-# write the same bytes at any worker count (cluster families) and
-# replay index bodies byte-identically to fresh emission (index dedup).
-# Part of `make test` too; this target exists so CI (and bisects) can
-# run the contract in isolation with verbose per-case output.
+# exploration, collection and archives, resume's absorb-based archive
+# merge must match the JSON-level reference merge, and the corpus
+# stores must write the same bytes at any worker count (cluster
+# families) and replay index bodies byte-identically to fresh emission
+# (index dedup).  Part of `make test` too; this target exists so CI
+# (and bisects) can run the contract in isolation with verbose
+# per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
 		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py \
@@ -60,11 +62,15 @@ test-determinism:
 # (store I/O, network, worker kills) against a live gateway and a
 # two-worker fleet; every schedule must complete every job exactly
 # once with byte-identical artifacts.  Failing runs print the full
-# schedule, seed included, so they can be replayed.  Part of
-# `make test` too; this target exists for CI and for replaying one
+# schedule, seed included, so they can be replayed.  Alongside: every
+# store reopening after crash debris, and the segment log's append,
+# typed-row and compaction contracts under both corpus stores.  Part
+# of `make test` too; this target exists for CI and for replaying one
 # schedule in isolation.
 test-chaos:
-	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/service/test_chaos.py -q
+	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/service/test_chaos.py \
+		tests/service/test_crash_consistency.py \
+		tests/service/test_segment_log.py -q
 
 # bench_*.py does not match pytest's default collection pattern, so the
 # bench targets widen it explicitly.

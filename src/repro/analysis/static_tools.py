@@ -104,10 +104,6 @@ class StaticTool:
         flows = analysis.run()
         return StaticAnalysisResult(self.name, apk.package, flows)
 
-    def analyze_dex(self, dex) -> StaticAnalysisResult:
-        analysis = StaticTaintAnalysis([dex], self.config)
-        return StaticAnalysisResult(self.name, "<dex>", analysis.run())
-
 
 def flowdroid() -> StaticTool:
     return StaticTool(FLOWDROID_LIKE)

@@ -49,11 +49,3 @@ class SampleOutcome:
     sample: Sample
     detected: bool
     flow_count: int = 0
-
-    @property
-    def is_tp(self) -> bool:
-        return self.sample.leaky and self.detected
-
-    @property
-    def is_fp(self) -> bool:
-        return (not self.sample.leaky) and self.detected

@@ -197,98 +197,17 @@ class CollectionArchive:
         A resumed exploration collects only its own session's runs, so
         its archive must be merged with the archive it resumed from or
         code executed only by the earlier session (the baseline drive,
-        prior replays) would vanish from the reveal.  Keys are unioned
-        — classes by descriptor, methods by signature, fields and
-        static values by (class, name), reflection sites by (caller,
-        pc) with targets unioned, bytecode trees with exact duplicates
-        dropped.  On conflicts ``update`` wins, except class-init state
-        and static values, where the side that actually ran ``<clinit>``
-        wins.  The exploration state is ``update``'s (it supersedes the
-        frontier it was resumed from).
+        prior replays) would vanish from the reveal.  The merge is the
+        collector's own: both archives are rebuilt as collectors and
+        ``update`` is :meth:`~DexLegoCollector.absorb`-ed into ``base``,
+        so trees deduplicate by fingerprint and keep their order within
+        each method, and the side that ran ``<clinit>`` carries the
+        static values.  The exploration state is ``update``'s (it
+        supersedes the frontier it was resumed from).
         """
-        base_classes = {e["descriptor"]: e for e in base.classes()}
-        new_classes = {e["descriptor"]: e for e in update.classes()}
-        merged_classes = []
-        for desc in list(base_classes) + \
-                [d for d in new_classes if d not in base_classes]:
-            old = base_classes.get(desc)
-            new = new_classes.get(desc)
-            if old is None or new is None:
-                merged_classes.append(old or new)
-                continue
-            entry = dict(new)
-            entry["initialized"] = old["initialized"] or new["initialized"]
-            known_methods = set(new["methods"])
-            entry["methods"] = list(new["methods"]) + [
-                m for m in old["methods"] if m not in known_methods
-            ]
-            merged_classes.append(entry)
-        # Whichever side initialized a class carries its real static
-        # values; the other side only has link-time defaults.
-        def initialized_side(desc: str) -> str:
-            old = base_classes.get(desc)
-            new = new_classes.get(desc)
-            if new is not None and new["initialized"]:
-                return "update"
-            if old is not None and old["initialized"]:
-                return "base"
-            return "update" if new is not None else "base"
-
-        def merge_keyed(base_entries, update_entries, key_of):
-            chosen = {}
-            order = []
-            for origin, entries in (("base", base_entries),
-                                    ("update", update_entries)):
-                for entry in entries:
-                    key = key_of(entry)
-                    if key not in chosen:
-                        order.append(key)
-                        chosen[key] = entry
-                    elif origin == initialized_side(entry["class"]):
-                        chosen[key] = entry
-            return [chosen[key] for key in order]
-
-        fields = merge_keyed(base.fields(), update.fields(),
-                             lambda e: (e["class"], e["name"]))
-        statics = merge_keyed(base.static_values(), update.static_values(),
-                              lambda e: (e["class"], e["field"]))
-        methods = {}
-        for entry in json.loads(base._payload[METHOD_DATA_FILE]) + \
-                json.loads(update._payload[METHOD_DATA_FILE]):
-            methods[entry["signature"]] = entry
-        seen_trees = set()
-        bytecode = []
-        for tree in json.loads(base._payload[BYTECODE_FILE]) + \
-                json.loads(update._payload[BYTECODE_FILE]):
-            digest = json.dumps(tree, sort_keys=True)
-            if digest not in seen_trees:
-                seen_trees.add(digest)
-                bytecode.append(tree)
-        reflection = {}
-        for entry in json.loads(base._payload[REFLECTION_FILE]) + \
-                json.loads(update._payload[REFLECTION_FILE]):
-            key = (entry["caller"], entry["dex_pc"])
-            site = reflection.get(key)
-            if site is None:
-                reflection[key] = {
-                    "caller": entry["caller"],
-                    "dex_pc": entry["dex_pc"],
-                    "targets": list(entry["targets"]),
-                }
-            else:
-                known = {t["signature"] for t in site["targets"]}
-                site["targets"].extend(
-                    t for t in entry["targets"] if t["signature"] not in known
-                )
-        payload = {
-            CLASS_DATA_FILE: json.dumps(merged_classes, indent=1),
-            FIELD_DATA_FILE: json.dumps(fields, indent=1),
-            METHOD_DATA_FILE: json.dumps(list(methods.values()), indent=1),
-            STATIC_VALUES_FILE: json.dumps(statics, indent=1),
-            BYTECODE_FILE: json.dumps(bytecode, indent=1),
-            REFLECTION_FILE: json.dumps(list(reflection.values()), indent=1),
-        }
-        archive = cls(payload)
+        collector = base._collector()
+        collector.absorb(update._collector())
+        archive = cls.from_collector(collector)
         archive.set_exploration_state(update.exploration_state())
         # Warm decode state: the update session re-exported its stores
         # after running, so its index supersedes; an update without one
@@ -296,6 +215,14 @@ class CollectionArchive:
         archive.set_predecode_index(update.predecode_index()
                                     or base.predecode_index())
         return archive
+
+    def _collector(self) -> DexLegoCollector:
+        """This archive's collection files as a collector."""
+        collector = DexLegoCollector()
+        collector.classes = self.collected_class_map()
+        collector.method_store = self.method_store()
+        collector.reflection_sites = self.reflection_sites()
+        return collector
 
     # -- exploration state (force-execution resume) -------------------------
 
@@ -353,9 +280,6 @@ class CollectionArchive:
 
     def fields(self) -> list[dict]:
         return json.loads(self._payload[FIELD_DATA_FILE])
-
-    def static_values(self) -> list[dict]:
-        return json.loads(self._payload[STATIC_VALUES_FILE])
 
     def method_store(self) -> MethodStore:
         store = MethodStore()

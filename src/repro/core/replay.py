@@ -133,7 +133,7 @@ class TraceDelta:
     the replay's private :class:`DexLegoCollector` (``None`` when the
     spec disabled collection) — live from an in-process replay, rebuilt
     from its :meth:`~DexLegoCollector.delta_dict` when the delta was
-    pickled or read back with :meth:`from_dict` — for the engine to
+    pickled — for the engine to
     :meth:`~DexLegoCollector.absorb`; ``steps`` is the interpreter
     steps the run consumed.  The flags mirror what the engine's in-process
     execution used to observe directly: budget exhaustion, a crash, how
@@ -155,36 +155,6 @@ class TraceDelta:
     def covered_sites(self) -> set[BranchSite]:
         """The branch sites this replay touched (either outcome)."""
         return {(signature, dex_pc) for signature, dex_pc, _ in self.trace}
-
-    # -- JSON round trip ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "trace": [list(d) for d in self.trace],
-            "collector": (None if self.collector is None
-                          else self.collector.delta_dict()),
-            "steps": self.steps,
-            "budget_hit": self.budget_hit,
-            "crashed": self.crashed,
-            "forced": self.forced,
-            "reached_target": self.reached_target,
-            "worker_lost": self.worker_lost,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceDelta":
-        collector = data.get("collector")
-        return cls(
-            trace=[(d[0], d[1], bool(d[2])) for d in data.get("trace", [])],
-            collector=(None if collector is None
-                       else DexLegoCollector.from_delta(collector)),
-            steps=data.get("steps", 0),
-            budget_hit=bool(data.get("budget_hit", False)),
-            crashed=bool(data.get("crashed", False)),
-            forced=data.get("forced", 0),
-            reached_target=bool(data.get("reached_target", False)),
-            worker_lost=bool(data.get("worker_lost", False)),
-        )
 
 
 def execute_replay(

@@ -83,14 +83,6 @@ class TreeNode:
             return 0
         return 1 + max(child.depth() for child in self.children)
 
-    def covered_range(self) -> tuple[int, int]:
-        """(min, max+size) dex_pc extent of this node's own instructions."""
-        if not self.il:
-            return (0, 0)
-        lo = min(c.dex_pc for c in self.il)
-        hi = max(c.dex_pc + len(c.units) for c in self.il)
-        return (lo, hi)
-
     def to_dict(self) -> dict:
         return {
             "sm_start": self.sm_start,

@@ -2,44 +2,34 @@
 
 On-disk layout (all JSON, human-greppable):
 
-* ``index_meta.json`` — ``{"version": 1}``; foreign versions are
-  refused with a one-line ``ValueError`` (the archive/job-store guard
-  pattern).
-* ``segments/seg-<writer>.jsonl`` — append-only entry journal.  Every
-  :class:`CorpusIndex` instance appends to its *own* segment (a fresh
-  writer id per open), so any number of threads, processes or hosts
-  sharing the directory never contend on a file; readers merge all
-  segments at open.  Corrupt or truncated lines are skipped (counted in
-  :meth:`stats`) — a crashed writer costs at most its final line.
+* ``index_meta.json`` and ``segments/seg-<writer>.jsonl`` — the
+  versioned, per-writer entry journal of
+  :class:`~repro.segment_log.SegmentLog` (one segment per open index,
+  merged at open; corrupt lines skipped and counted in :meth:`stats`;
+  :meth:`compact` folds them into one, atomically).
 * ``bodies/<exact-digest>.json`` — recorded body op lists
   (:mod:`repro.core.body_cache`), written atomically, first writer
   wins (contents are digest-determined, so writers agree by
   construction).
-
-:meth:`compact` folds all segments into one, atomically.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
-import uuid
 from dataclasses import asdict, dataclass
 
 from repro import faults
 from repro.core.body_cache import BODY_OPS_VERSION
 from repro.index.digests import MethodDigests, class_fuzzy_digest
 from repro.index.fuzzy import fuzzy_distance
+from repro.segment_log import SegmentLog
 
 INDEX_FORMAT_VERSION = 1
 
 _META_FILE = "index_meta.json"
-_SEGMENTS_DIR = "segments"
 _BODIES_DIR = "bodies"
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,126 +54,44 @@ class IndexEntry:
         data["v"] = INDEX_FORMAT_VERSION
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IndexEntry":
-        return cls(
-            kind=data["kind"],
-            app_id=data["app_id"],
-            class_desc=data["class_desc"],
-            method=data.get("method"),
-            exact=data.get("exact"),
-            norm=data.get("norm"),
-            fuzzy=data.get("fuzzy"),
-            artifact=data.get("artifact"),
-        )
-
 
 class CorpusIndex:
     """Digest-keyed corpus map plus the reassembler's body store.
 
     Thread-safe; multi-process safe through per-writer segments and
     atomic body writes.  Instances opened concurrently see each other's
-    entries only from their open time — acceptable, because replaying a
-    body and re-emitting it produce byte-identical output, so index
-    visibility affects savings, never results.
+    entries only as of their open (or last :meth:`compact`) —
+    acceptable, because replaying a body and re-emitting it produce
+    byte-identical output, so index visibility affects savings, never
+    results.
     """
 
     def __init__(self, root: str | os.PathLike, create: bool = True) -> None:
         self.root = os.fspath(root)
-        self.segments_dir = os.path.join(self.root, _SEGMENTS_DIR)
         self.bodies_dir = os.path.join(self.root, _BODIES_DIR)
         self._lock = threading.Lock()
-        self._entries: list[IndexEntry] = []
-        self._keys: set[tuple] = set()
         self._by_exact: dict[str, list[IndexEntry]] = {}
         self._by_norm: dict[str, list[IndexEntry]] = {}
         self._body_memo: dict[str, list] = {}
         self._lsh = None
-        self.corrupt_lines = 0
-        self._writer_id = uuid.uuid4().hex[:12]
-        self._segment_handle = None
-        self._open(create)
-
-    # -- open / meta --------------------------------------------------------
-
-    def _open(self, create: bool) -> None:
-        meta_path = os.path.join(self.root, _META_FILE)
-        if not os.path.isfile(meta_path):
-            if not create:
-                raise FileNotFoundError(
-                    f"no corpus index at {self.root!r} "
-                    f"(missing {_META_FILE})"
-                )
-            os.makedirs(self.segments_dir, exist_ok=True)
-            os.makedirs(self.bodies_dir, exist_ok=True)
-            # Per-writer tmp name: two processes creating the same
-            # fresh store must not move each other's tmp file away.
-            tmp = f"{meta_path}.{self._writer_id}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"version": INDEX_FORMAT_VERSION}, fh)
-            os.replace(tmp, meta_path)
-            return
-        try:
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(
-                f"corpus index at {self.root!r} has an unreadable "
-                f"{_META_FILE}: {exc}"
-            ) from exc
-        version = meta.get("version") if isinstance(meta, dict) else None
-        if version != INDEX_FORMAT_VERSION:
-            raise ValueError(
-                f"corpus index at {self.root!r} has format version "
-                f"{version!r}; this build supports {INDEX_FORMAT_VERSION}"
-            )
-        os.makedirs(self.segments_dir, exist_ok=True)
+        self._log = SegmentLog(
+            self.root, store="corpus index", meta_file=_META_FILE,
+            version=INDEX_FORMAT_VERSION, site="index", row=IndexEntry,
+            on_row=self._absorb, create=create)
         os.makedirs(self.bodies_dir, exist_ok=True)
-        self._load_segments()
 
-    def _load_segments(self) -> None:
-        for name in sorted(os.listdir(self.segments_dir)):
-            if not name.endswith(".jsonl"):
-                continue
-            path = os.path.join(self.segments_dir, name)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        self._absorb_line(line)
-            except OSError:
-                self.corrupt_lines += 1
+    @property
+    def corrupt_lines(self) -> int:
+        return self._log.corrupt_lines
 
-    def _absorb_line(self, line: str) -> None:
-        try:
-            data = json.loads(line)
-        except ValueError:
-            self.corrupt_lines += 1
-            return
-        if not isinstance(data, dict) \
-                or data.get("v") != INDEX_FORMAT_VERSION \
-                or "kind" not in data or "app_id" not in data \
-                or "class_desc" not in data:
-            self.corrupt_lines += 1
-            return
-        self._absorb(IndexEntry.from_dict(data))
-
-    def _absorb(self, entry: IndexEntry) -> bool:
-        """Index an entry in memory; False when it was a duplicate."""
-        key = entry.key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self._entries.append(entry)
+    def _absorb(self, entry: IndexEntry) -> None:
+        """File a newly held entry under its digests."""
         if entry.exact:
             self._by_exact.setdefault(entry.exact, []).append(entry)
         if entry.norm:
             self._by_norm.setdefault(entry.norm, []).append(entry)
         if entry.fuzzy and self._lsh is not None:
-            self._lsh.add(entry.fuzzy, entry, sort_key=key)
-        return True
+            self._lsh.add(entry.fuzzy, entry, sort_key=entry.key())
 
     def attach_lsh(self, lsh=None):
         """Accelerate :meth:`nearest` with a banded LSH structure.
@@ -199,7 +107,7 @@ class CorpusIndex:
             from repro.cluster.lsh import LshIndex
             lsh = LshIndex()
         with self._lock:
-            for entry in self._entries:
+            for entry in self._log.rows:
                 if entry.fuzzy:
                     lsh.add(entry.fuzzy, entry, sort_key=entry.key())
             self._lsh = lsh
@@ -207,30 +115,14 @@ class CorpusIndex:
 
     # -- writes -------------------------------------------------------------
 
-    def _segment(self):
-        if self._segment_handle is None:
-            path = os.path.join(self.segments_dir,
-                                f"seg-{self._writer_id}.jsonl")
-            self._segment_handle = open(path, "a", encoding="utf-8")
-        return self._segment_handle
-
     def add_entry(self, entry: IndexEntry) -> bool:
-        """Absorb + journal one entry; False when already present."""
+        """Journal + absorb one entry; False when already present."""
         with self._lock:
-            if not self._absorb(entry):
-                return False
-            handle = self._segment()
-            faults.append_line(
-                handle, json.dumps(entry.to_dict(), sort_keys=True) + "\n",
-                site="index.segment.append")
-            handle.flush()
-            return True
+            return self._log.append(entry)
 
     def close(self) -> None:
         with self._lock:
-            if self._segment_handle is not None:
-                self._segment_handle.close()
-                self._segment_handle = None
+            self._log.close()
 
     # -- body store (the reassembler's get_body/put_body duck type) ---------
 
@@ -268,7 +160,7 @@ class CorpusIndex:
         faults.atomic_write_json(
             path, {"version": BODY_OPS_VERSION, "ops": ops},
             site="index.body.write",
-            tmp=f"{path}.{self._writer_id}.{threading.get_ident()}.tmp")
+            tmp=f"{path}.{self._log.writer_id}.{threading.get_ident()}.tmp")
 
     # -- registration (pipeline integration) --------------------------------
 
@@ -359,7 +251,7 @@ class CorpusIndex:
     def lookup_signature(self, signature: str) -> list[IndexEntry]:
         """Every (app, digest) sighting of one method signature."""
         with self._lock:
-            return [e for e in self._entries
+            return [e for e in self._log.rows
                     if e.kind == "method" and e.method == signature]
 
     def apps_with_norm(self, digest: str) -> list[str]:
@@ -383,7 +275,7 @@ class CorpusIndex:
                     return lsh.nearest(fuzzy, limit=limit)
                 return lsh.nearest(fuzzy, limit=limit,
                                    accept=lambda entry: entry.kind == kind)
-            candidates = [e for e in self._entries if e.fuzzy
+            candidates = [e for e in self._log.rows if e.fuzzy
                           and (kind is None or e.kind == kind)]
         scored = [(fuzzy_distance(fuzzy, entry.fuzzy), entry)
                   for entry in candidates]
@@ -392,22 +284,22 @@ class CorpusIndex:
 
     def entries(self) -> list[IndexEntry]:
         with self._lock:
-            return list(self._entries)
+            return list(self._log.rows)
 
     def stats(self) -> dict:
         with self._lock:
-            methods = [e for e in self._entries if e.kind == "method"]
-            classes = [e for e in self._entries if e.kind == "class"]
-            apps = {e.app_id for e in self._entries}
+            entries = self._log.rows
+            methods = [e for e in entries if e.kind == "method"]
+            classes = [e for e in entries if e.kind == "class"]
+            apps = {e.app_id for e in entries}
             exact = len(self._by_exact)
             norm = len(self._by_norm)
+            corrupt = self._log.corrupt_lines
         try:
             bodies = sum(1 for name in os.listdir(self.bodies_dir)
                          if name.endswith(".json"))
-            segments = sum(1 for name in os.listdir(self.segments_dir)
-                           if name.endswith(".jsonl"))
         except OSError:
-            bodies = segments = 0
+            bodies = 0
         return {
             "version": INDEX_FORMAT_VERSION,
             "methods": len(methods),
@@ -416,38 +308,14 @@ class CorpusIndex:
             "exact_digests": exact,
             "norm_digests": norm,
             "bodies": bodies,
-            "segments": segments,
-            "corrupt_lines": self.corrupt_lines,
+            "segments": self._log.segment_count(),
+            "corrupt_lines": corrupt,
         }
 
     # -- maintenance --------------------------------------------------------
 
     def compact(self) -> int:
-        """Fold every segment into one, atomically; returns entry count.
-
-        The merged segment is written to a temp file and renamed into
-        place before the old segments are removed, so a reader opening
-        mid-compaction sees either layout, never neither.
-        """
+        """Fold every segment into one, atomically (see
+        :meth:`SegmentLog.compact`); returns entry count."""
         with self._lock:
-            if self._segment_handle is not None:
-                self._segment_handle.close()
-                self._segment_handle = None
-            old = [name for name in os.listdir(self.segments_dir)
-                   if name.endswith(".jsonl")]
-            merged = f"seg-compact-{uuid.uuid4().hex[:12]}.jsonl"
-            payload = "".join(
-                json.dumps(entry.to_dict(), sort_keys=True) + "\n"
-                for entry in self._entries)
-            faults.atomic_write_text(
-                os.path.join(self.segments_dir, merged), payload,
-                site="index.compact")
-            for name in old:
-                if name == merged:
-                    continue
-                try:
-                    os.unlink(os.path.join(self.segments_dir, name))
-                except OSError:
-                    logger.warning("compact: could not remove segment %s",
-                                   name)
-            return len(self._entries)
+            return self._log.compact()

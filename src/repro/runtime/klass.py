@@ -187,8 +187,5 @@ class RuntimeClass:
             klass = klass.superclass
         return False
 
-    def own_bytecode_methods(self) -> list[RuntimeMethod]:
-        return [m for m in self.methods.values() if m.code is not None]
-
     def __repr__(self) -> str:
         return f"<class {self.descriptor}>"

@@ -94,17 +94,6 @@ def apk_content_key(apk: Apk) -> str:
     return digest.hexdigest()
 
 
-def pipeline_config_fingerprint(config) -> dict:
-    """The identity-relevant slice of a pipeline configuration.
-
-    The whole device profile participates, not just its name: device
-    state (IMEI, location, emulator-ness) feeds sources and
-    emulator-detection branches, so two profiles sharing a name must
-    not share reveal results.
-    """
-    return as_reveal_config(config).fingerprint()
-
-
 def pipeline_config_key(config) -> str:
     return as_reveal_config(config).config_hash()
 

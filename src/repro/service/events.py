@@ -135,11 +135,6 @@ class JobEvent:
 
     # -- wire frames ---------------------------------------------------------
 
-    def to_frame(self) -> bytes:
-        """One newline-delimited JSON frame — the shape the journal
-        stores and the gateway's ``/events`` endpoint streams."""
-        return event_to_frame(self.to_dict())
-
     @classmethod
     def from_frame(cls, line: bytes | str) -> "JobEvent | None":
         """Parse one frame; ``None`` for a torn/undecodable line (a
@@ -274,11 +269,6 @@ class EventBus:
     def add_observer(self, callback: JobEventObserver) -> None:
         with self._lock:
             self._observers.append(callback)
-
-    def remove_observer(self, callback: JobEventObserver) -> None:
-        with self._lock:
-            if callback in self._observers:
-                self._observers.remove(callback)
 
     def subscribe(self) -> EventStream:
         stream = EventStream(self)

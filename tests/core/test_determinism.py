@@ -12,6 +12,10 @@ These tests run the same workloads through both backends and diff the
 results structurally: exploration order, coverage curve, covered-UCB
 sets, report counters, collector statistics, and the serialised
 collection-archive payload byte for byte.
+
+:class:`TestResumeMerge` holds a resumed reveal to the same standard:
+its archive merge, now the collector's own ``absorb``, is diffed
+against the JSON-level merge it replaced.
 """
 
 import json
@@ -19,8 +23,10 @@ import json
 import pytest
 
 from repro.benchsuite import sample_by_name
+from repro.benchsuite.categories import dynload, reflection
 from repro.benchsuite.categories.selfmod import samples as selfmod_samples
 from repro.benchsuite.codegen import AppProfile, generate_app
+from repro.benchsuite.smali_lib import multi_class_apk
 from repro.core import (
     BACKEND_PROCESS,
     BACKEND_SERIAL,
@@ -29,11 +35,20 @@ from repro.core import (
     CollectStage,
     DexLegoCollector,
     ForceExecutionEngine,
+    ReassembleStage,
     RevealConfig,
 )
 from repro.core import force_execution, replay
-from repro.core.collection_files import BYTECODE_FILE, PREDECODE_INDEX_FILE
-from repro.dex import assemble
+from repro.core.collection_files import (
+    BYTECODE_FILE,
+    CLASS_DATA_FILE,
+    FIELD_DATA_FILE,
+    METHOD_DATA_FILE,
+    PREDECODE_INDEX_FILE,
+    REFLECTION_FILE,
+    STATIC_VALUES_FILE,
+)
+from repro.dex import assemble, write_dex
 from repro.dex.instructions import Instruction
 from repro.errors import VmCrash
 from repro.runtime import Apk, register_native_library
@@ -494,3 +509,257 @@ class TestPipelineEquivalence:
                 RevealConfig(explore_backend=backend)
             with pytest.raises(ValueError, match="backend"):
                 ForceExecutionEngine(_branchy_apk(), backend=backend)
+
+
+# -- resume merge ------------------------------------------------------------
+
+
+def _json_merged(base: CollectionArchive,
+                 update: CollectionArchive) -> CollectionArchive:
+    """Resume's merge as it was written over the collection files' JSON
+    before it became the collector's own ``absorb``: the same union
+    rules, with JSON equality as tree identity and one flat tree list.
+    Kept as the reference :meth:`CollectionArchive.merged` is diffed
+    against."""
+    def rows(archive, name):
+        return json.loads(archive._payload[name])
+
+    base_classes = {e["descriptor"]: e for e in rows(base, CLASS_DATA_FILE)}
+    new_classes = {e["descriptor"]: e
+                   for e in rows(update, CLASS_DATA_FILE)}
+    merged_classes = []
+    for desc in list(base_classes) + \
+            [d for d in new_classes if d not in base_classes]:
+        old = base_classes.get(desc)
+        new = new_classes.get(desc)
+        if old is None or new is None:
+            merged_classes.append(old or new)
+            continue
+        entry = dict(new)
+        entry["initialized"] = old["initialized"] or new["initialized"]
+        known_methods = set(new["methods"])
+        entry["methods"] = list(new["methods"]) + [
+            m for m in old["methods"] if m not in known_methods
+        ]
+        merged_classes.append(entry)
+
+    def initialized_side(desc: str) -> str:
+        old = base_classes.get(desc)
+        new = new_classes.get(desc)
+        if new is not None and new["initialized"]:
+            return "update"
+        if old is not None and old["initialized"]:
+            return "base"
+        return "update" if new is not None else "base"
+
+    def merge_keyed(name, key_of):
+        chosen = {}
+        order = []
+        for origin, archive in (("base", base), ("update", update)):
+            for entry in rows(archive, name):
+                key = key_of(entry)
+                if key not in chosen:
+                    order.append(key)
+                    chosen[key] = entry
+                elif origin == initialized_side(entry["class"]):
+                    chosen[key] = entry
+        return [chosen[key] for key in order]
+
+    fields = merge_keyed(FIELD_DATA_FILE, lambda e: (e["class"], e["name"]))
+    statics = merge_keyed(STATIC_VALUES_FILE,
+                          lambda e: (e["class"], e["field"]))
+    methods = {}
+    for entry in rows(base, METHOD_DATA_FILE) + \
+            rows(update, METHOD_DATA_FILE):
+        methods[entry["signature"]] = entry
+    seen_trees = set()
+    bytecode = []
+    for tree in rows(base, BYTECODE_FILE) + rows(update, BYTECODE_FILE):
+        digest = json.dumps(tree, sort_keys=True)
+        if digest not in seen_trees:
+            seen_trees.add(digest)
+            bytecode.append(tree)
+    reflection_sites = {}
+    for entry in rows(base, REFLECTION_FILE) + rows(update, REFLECTION_FILE):
+        key = (entry["caller"], entry["dex_pc"])
+        site = reflection_sites.get(key)
+        if site is None:
+            reflection_sites[key] = {
+                "caller": entry["caller"],
+                "dex_pc": entry["dex_pc"],
+                "targets": list(entry["targets"]),
+            }
+        else:
+            known = {t["signature"] for t in site["targets"]}
+            site["targets"].extend(
+                t for t in entry["targets"] if t["signature"] not in known
+            )
+    archive = CollectionArchive({
+        CLASS_DATA_FILE: json.dumps(merged_classes, indent=1),
+        FIELD_DATA_FILE: json.dumps(fields, indent=1),
+        METHOD_DATA_FILE: json.dumps(list(methods.values()), indent=1),
+        STATIC_VALUES_FILE: json.dumps(statics, indent=1),
+        BYTECODE_FILE: json.dumps(bytecode, indent=1),
+        REFLECTION_FILE: json.dumps(list(reflection_sites.values()),
+                                    indent=1),
+    })
+    archive.set_exploration_state(update.exploration_state())
+    archive.set_predecode_index(update.predecode_index()
+                                or base.predecode_index())
+    return archive
+
+
+def _resume_pair(apk: Apk, then: int, device=NEXUS_5X):
+    """A collect at ``max_paths=1``, then a session resumed from its
+    exploration state with ``then`` more paths: the two archives a
+    resumed reveal merges."""
+    config = RevealConfig(use_force_execution=True, max_paths=1,
+                          device=device)
+    base = CollectStage(config).run(apk).archive
+    session = CollectStage(config.replace(max_paths=then)).run(
+        apk, resume_state=base.exploration_state(),
+        predecode_index=base.predecode_index())
+    return base, session.archive
+
+
+def _trees_by_method(archive: CollectionArchive) -> dict:
+    trees = {}
+    for tree in json.loads(archive._payload[BYTECODE_FILE]):
+        trees.setdefault(tree["method"], []).append(tree)
+    return trees
+
+
+def _assert_merges_agree(base: CollectionArchive,
+                         update: CollectionArchive) -> CollectionArchive:
+    """``merged`` against the JSON reference: every file but
+    ``bytecode.json`` byte for byte, the same trees in the same order
+    within each method, and the same reassembled DEX."""
+    got = CollectionArchive.merged(base, update)
+    want = _json_merged(base, update)
+    assert set(got._payload) == set(want._payload)
+    for name, text in want._payload.items():
+        if name != BYTECODE_FILE:
+            assert got._payload[name] == text, name
+    assert _trees_by_method(got) == _trees_by_method(want)
+    assert write_dex(ReassembleStage().run(got)) == \
+        write_dex(ReassembleStage().run(want))
+    return got
+
+
+LAZY_CLS = "Ld/Lazy;"
+
+
+def _lazy_apk() -> Apk:
+    """Three gates whose forced sides split state across sessions: one
+    initializes ``InitA``, one ``InitB`` (each carries a static value),
+    and one swaps the name a reflective call resolves.  Whichever gate
+    the first session's single replay forces, the resumed session
+    forces the others."""
+    main = f"""
+.class public {LAZY_CLS}
+.super Landroid/app/Activity;
+
+.method public onCreate(Landroid/os/Bundle;)V
+    .registers 8
+    const-class v1, Ld/InitA;
+    const-class v1, Ld/InitB;
+    const/4 v0, 0
+    if-nez v0, :gate_a
+    :after_a
+    const/4 v0, 0
+    if-nez v0, :gate_b
+    :after_b
+    const-string v2, "hit"
+    const/4 v0, 0
+    if-nez v0, :gate_name
+    :call
+    invoke-virtual {{p0}}, Ljava/lang/Object;->getClass()Ljava/lang/Class;
+    move-result-object v1
+    invoke-virtual {{v1, v2}}, Ljava/lang/Class;->getMethod(Ljava/lang/String;)Ljava/lang/reflect/Method;
+    move-result-object v1
+    const/4 v3, 0
+    new-array v4, v3, [Ljava/lang/Object;
+    invoke-virtual {{v1, p0, v4}}, Ljava/lang/reflect/Method;->invoke(Ljava/lang/Object;[Ljava/lang/Object;)Ljava/lang/Object;
+    return-void
+    :gate_a
+    sget v1, Ld/InitA;->n:I
+    goto :after_a
+    :gate_b
+    sget v1, Ld/InitB;->n:I
+    goto :after_b
+    :gate_name
+    const-string v2, "miss"
+    goto :call
+.end method
+
+.method public hit()V
+    .registers 1
+    return-void
+.end method
+
+.method public miss()V
+    .registers 1
+    return-void
+.end method
+"""
+    holders = [f"""
+.class public Ld/Init{name};
+.super Ljava/lang/Object;
+.field public static n:I = {value}
+""" for name, value in (("A", 7), ("B", 9))]
+    return multi_class_apk("d.lazy", LAZY_CLS, [main] + holders)
+
+
+#: The DroidBench categories whose collection is the hardest to merge:
+#: self-modifying code, dynamically loaded code and reflective calls.
+RESUME_SAMPLES = tuple(
+    s.name for s in selfmod_samples() + dynload.samples()
+    + reflection.samples())
+
+
+class TestResumeMerge:
+    """Resume merges with the collector's ``absorb``; the old JSON
+    merge is the reference."""
+
+    def test_branchy_app(self):
+        apk = _branchy_apk("d.resume")
+        base, update = _resume_pair(apk, then=32)
+        merged = _assert_merges_agree(base, update)
+        # Not vacuous: each side holds trees the other lacks.
+        kept = sum(map(len, _trees_by_method(merged).values()))
+        assert kept > sum(map(len, _trees_by_method(base).values()))
+        assert kept > sum(map(len, _trees_by_method(update).values()))
+
+    def test_class_init_and_reflection_split_across_sessions(self):
+        base, update = _resume_pair(_lazy_apk(), then=32)
+        merged = _assert_merges_agree(base, update)
+
+        def initialized(archive):
+            return {c["descriptor"] for c in archive.classes()
+                    if c["initialized"]}
+
+        # Not vacuous: each session initialized a class the other did
+        # not, and the reflective site resolved a different target.
+        assert initialized(base) ^ initialized(update) == \
+            {"Ld/InitA;", "Ld/InitB;"}
+        assert initialized(merged) >= {"Ld/InitA;", "Ld/InitB;"}
+        sites = json.loads(merged._payload[REFLECTION_FILE])
+        assert [len(site["targets"]) for site in sites] == [2]
+
+    def test_self_merge_keeps_every_file(self):
+        base, _ = _resume_pair(_branchy_apk("d.self"), then=1)
+        merged = _assert_merges_agree(base, base)
+        assert merged._payload == base._payload
+
+    @pytest.mark.parametrize("seed", [1, 4409])
+    def test_generated_fdroid_app(self, seed):
+        profile = AppProfile(gated=0.50, dead=0.08, crash=0.0, handler=0.05)
+        apk = generate_app(f"d.resume{seed}", 1500, seed=seed,
+                           profile=profile).apk
+        _assert_merges_agree(*_resume_pair(apk, then=32))
+
+    @pytest.mark.parametrize("name", RESUME_SAMPLES)
+    def test_droidbench_sample(self, name):
+        sample = sample_by_name(name)
+        _assert_merges_agree(*_resume_pair(sample.build_apk(), then=8,
+                                           device=sample.device))

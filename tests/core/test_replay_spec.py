@@ -102,21 +102,23 @@ class TestReplaySpecRoundTrip:
         assert forked.device is spec.device
 
 
+def _delta_value(delta: TraceDelta) -> dict:
+    """A delta's fields, its collector through the wire form: a
+    collector has no value equality (it is a live listener)."""
+    value = dataclasses.asdict(
+        dataclasses.replace(delta, collector=None))
+    value["collector"] = (None if delta.collector is None
+                          else delta.collector.delta_dict())
+    return value
+
+
 class TestTraceDeltaRoundTrip:
     @pytest.mark.parametrize("delta", _delta_cases(),
                              ids=["empty", "forced", "starved", "lost"])
     def test_pickle_round_trip(self, delta):
-        # A collector has no value equality (it is a live listener);
-        # compare deltas through their wire form, collector included.
         again = pickle.loads(pickle.dumps(delta))
-        assert again.to_dict() == delta.to_dict()
+        assert _delta_value(again) == _delta_value(delta)
         assert again.covered_sites() == delta.covered_sites()
-
-    @pytest.mark.parametrize("delta", _delta_cases(),
-                             ids=["empty", "forced", "starved", "lost"])
-    def test_dict_round_trip(self, delta):
-        assert TraceDelta.from_dict(delta.to_dict()).to_dict() == \
-            delta.to_dict()
 
     def test_budget_starved_replay_produces_a_starved_delta(self):
         # A real starved run, not a hand-built one: the budget dies
@@ -127,7 +129,7 @@ class TestTraceDeltaRoundTrip:
         assert delta.budget_hit
         assert delta.steps >= 2  # the executed prefix is in the delta
         again = pickle.loads(pickle.dumps(delta))
-        assert again.to_dict() == delta.to_dict()
+        assert _delta_value(again) == _delta_value(delta)
         assert again.collector.instructions_observed == \
             delta.collector.instructions_observed > 0
 
