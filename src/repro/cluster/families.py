@@ -31,6 +31,7 @@ from repro.cluster.profiles import (
     digest_weights,
     profile_similarity,
 )
+from repro.jsonshape import check_shape
 
 #: Weighted-Jaccard similarity at or above which two apps are kin.
 DEFAULT_FAMILY_THRESHOLD = 0.5
@@ -98,6 +99,10 @@ class FamilyAssignment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FamilyAssignment":
+        """Rebuild a :meth:`to_dict` snapshot; ``ValueError`` when
+        ``data`` is not one (a wrong shape or a wrongly typed field)."""
+        check_shape(data, {"threshold?": (int, float), "families?": [
+            {"family": str, "apps": [str], "size": int}]})
         families = tuple(dict(f) for f in data.get("families", ()))
         app_to_family = {app: f["family"]
                          for f in families for app in f["apps"]}

@@ -98,17 +98,17 @@ class ClusterStore:
         return self._log.corrupt_lines
 
     def _load_families(self) -> None:
+        """Read the ``families.json`` snapshot; one that does not parse
+        as a :class:`FamilyAssignment` counts as one corrupt line and
+        the store opens with no families."""
         path = os.path.join(self.root, _FAMILIES_FILE)
         try:
             with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+                self._families = FamilyAssignment.from_dict(json.load(fh))
         except OSError:
             return
         except ValueError:
             self._log.corrupt_lines += 1
-            return
-        if isinstance(data, dict):
-            self._families = FamilyAssignment.from_dict(data)
 
     def _absorb(self, member: ClusterMember) -> None:
         """File a newly held member under its digests."""

@@ -1,12 +1,14 @@
-"""Collection files: the on-disk intermediate of Figure 2.
+"""Collection files: the on-disk format of Figure 2's intermediate.
 
 The paper's modified ART writes five kinds of files during execution —
 class data, field data, method data, static values and bytecode — which
-the offline reassembler later combines.  :class:`CollectionArchive`
-implements that boundary: it serialises a collector's state to a
-directory (or measures its size in memory for Table VI) and loads it back
-for offline reassembly, proving collection and reassembly share no
-in-process state.
+the offline reassembler later combines.  In process the stages hand
+over the collector: :class:`CollectionArchive` holds it and renders the
+files from :meth:`~repro.core.collector.DexLegoCollector.rows` once,
+when the archive is saved, sized (Table VI) or zipped;
+:meth:`CollectionArchive.load` parses them once, into a collector, and
+refuses a file that is not the JSON a collector writes with one
+``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -17,34 +19,22 @@ import os
 
 from repro import faults
 from repro.core.collector import (
-    CollectedClass,
-    CollectedField,
+    ALL_FILES,
+    BYTECODE_FILE,
+    CLASS_DATA_FILE,
+    FIELD_DATA_FILE,
+    METHOD_DATA_FILE,
+    REFLECTION_FILE,
+    STATIC_VALUES_FILE,
     DexLegoCollector,
-    ReflectionSite,
 )
-from repro.core.method_store import MethodRecord, MethodStore
-from repro.core.tree import CollectionTree
+from repro.jsonshape import NULL, check_shape
 from repro.runtime.predecode import validate_predecode_index
 
-CLASS_DATA_FILE = "class_data.json"
-FIELD_DATA_FILE = "field_data.json"
-METHOD_DATA_FILE = "method_data.json"
-STATIC_VALUES_FILE = "static_values.json"
-BYTECODE_FILE = "bytecode.json"
-REFLECTION_FILE = "reflection.json"
 EXPLORATION_STATE_FILE = "exploration_state.json"
 PREDECODE_INDEX_FILE = "predecode_index.json"
 
 logger = logging.getLogger(__name__)
-
-ALL_FILES = (
-    CLASS_DATA_FILE,
-    FIELD_DATA_FILE,
-    METHOD_DATA_FILE,
-    STATIC_VALUES_FILE,
-    BYTECODE_FILE,
-    REFLECTION_FILE,
-)
 
 #: Files an archive may carry but reassembly does not require.
 #: ``exploration_state.json`` is the force-execution frontier snapshot
@@ -56,74 +46,129 @@ ALL_FILES = (
 OPTIONAL_FILES = (EXPLORATION_STATE_FILE, PREDECODE_INDEX_FILE)
 
 #: Exploration-state format versions this build can hydrate.  Checked
-#: eagerly on load (and again on access): a frontier written by a
-#: different format must fail with one clear line *before* any
-#: exploration state is rebuilt from it, not corrupt a resumed run.
+#: on load: a frontier written by a different format must fail with
+#: one clear line *before* any exploration state is rebuilt from it,
+#: not corrupt a resumed run.
 SUPPORTED_EXPLORATION_STATE_VERSIONS = (1,)
+
+#: What each file holds, as :func:`~repro.jsonshape.check_shape` reads it.
+_STATIC_VALUE = [(str, bool, int, float, NULL)]
+_TRY = {"start": int, "count": int, "handlers": [[str, int]],
+        "catch_all": (int, NULL)}
+_NODE = {"sm_start": int, "sm_end": int,
+         "il": [{"dex_pc": int, "units": [int], "payload?": [int],
+                 "symbol?": str}]}
+_NODE["children"] = [_NODE]
+
+_SHAPES = {
+    CLASS_DATA_FILE: [{"descriptor": str, "superclass": (str, NULL),
+                       "interfaces": [str], "access": int,
+                       "initialized": bool, "methods": [str]}],
+    FIELD_DATA_FILE: [{"class": str, "name": str, "type": str,
+                       "access": int, "value": _STATIC_VALUE}],
+    METHOD_DATA_FILE: [{"signature": str, "class": str, "name": str,
+                        "params": [str], "return": str, "access": int,
+                        "native": bool, "registers": int, "ins": int,
+                        "outs": int, "tries": [_TRY]}],
+    STATIC_VALUES_FILE: [{"class": str, "field": str,
+                          "value": _STATIC_VALUE}],
+    BYTECODE_FILE: [{"method": str, "registers_size": int, "ins_size": int,
+                     "outs_size": int, "root": _NODE}],
+    REFLECTION_FILE: [{"caller": str, "dex_pc": int,
+                       "targets": [{"signature": str, "static": bool}]}],
+    # Checked after their format version (see _parse).
+    EXPLORATION_STATE_FILE: {"scheduler": dict, "outcomes?": list,
+                             "traces?": list, "site_traces?": list,
+                             "report?": dict,
+                             "apk_main_activity?": (str, NULL)},
+    PREDECODE_INDEX_FILE: {"methods": [{"signature": str,
+                                        "generation": int,
+                                        "entries": [[int, [int]]]}]},
+}
+
+
+def _parse(name: str, data: str | bytes):
+    """One file's content (text, or UTF-8 bytes as read from disk) as
+    the JSON value a collector writes; one ``ValueError`` naming the
+    file otherwise."""
+    try:
+        value = json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                           else data)
+        if name in OPTIONAL_FILES:
+            # A foreign format version says so before any shape check.
+            check_shape(value, dict)
+            if name == PREDECODE_INDEX_FILE:
+                validate_predecode_index(value)
+            elif value.get("version") not in \
+                    SUPPORTED_EXPLORATION_STATE_VERSIONS:
+                raise ValueError(
+                    f"unsupported exploration state version "
+                    f"{value.get('version')!r} (this build reads "
+                    f"{SUPPORTED_EXPLORATION_STATE_VERSIONS})")
+        check_shape(value, _SHAPES[name])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    return value
 
 
 class CollectionArchive:
-    """Serialised collection output (the paper's "Collected Files")."""
+    """The paper's "Collected Files", held as the collector that
+    produced them.
 
-    def __init__(self, payload: dict[str, str]) -> None:
-        self._payload = payload  # filename -> JSON text
+    ``collector`` is the archive's content and never changes once the
+    archive is built (readers must not change it either), so
+    :meth:`files` renders it once and keeps the texts.
+    """
+
+    def __init__(self, collector: DexLegoCollector,
+                 exploration_state: dict | None = None,
+                 predecode_index: dict | None = None) -> None:
+        self.collector = collector
+        self._optional = {EXPLORATION_STATE_FILE: exploration_state,
+                          PREDECODE_INDEX_FILE: predecode_index}
+        self._files: dict[str, str] | None = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_collector(cls, collector: DexLegoCollector) -> "CollectionArchive":
-        class_data = []
-        field_data = []
-        static_values = []
-        for collected in collector.classes.values():
-            class_data.append(
-                {
-                    "descriptor": collected.descriptor,
-                    "superclass": collected.superclass_desc,
-                    "interfaces": list(collected.interface_descs),
-                    "access": collected.access_flags,
-                    "initialized": collected.initialized,
-                    "methods": collected.method_signatures,
-                }
-            )
-            for collected_field in collected.fields:
-                field_data.append(
-                    {
-                        "class": collected.descriptor,
-                        **collected_field.to_dict(),
-                    }
-                )
-                static_values.append(
-                    {
-                        "class": collected.descriptor,
-                        "field": collected_field.name,
-                        "value": list(collected_field.static_value),
-                    }
-                )
-        method_data = []
-        bytecode = []
-        for record in collector.method_store.records.values():
-            method_data.append(record.to_dict())
-            for tree in record.trees:
-                bytecode.append(tree.to_dict())
-        reflection = [
-            site.to_dict() for site in collector.reflection_sites.values()
-        ]
-        payload = {
-            CLASS_DATA_FILE: json.dumps(class_data, indent=1),
-            FIELD_DATA_FILE: json.dumps(field_data, indent=1),
-            METHOD_DATA_FILE: json.dumps(method_data, indent=1),
-            STATIC_VALUES_FILE: json.dumps(static_values, indent=1),
-            BYTECODE_FILE: json.dumps(bytecode, indent=1),
-            REFLECTION_FILE: json.dumps(reflection, indent=1),
-        }
-        return cls(payload)
+        return cls(collector)
+
+    @classmethod
+    def from_files(cls, files: dict,
+                   strict: bool = True) -> "CollectionArchive":
+        """Parse collection files (name -> text or UTF-8 bytes, all of
+        :data:`ALL_FILES` required) once; ``strict`` as in :meth:`load`."""
+        values = {}
+        for name, data in files.items():
+            try:
+                values[name] = _parse(name, data)
+            except ValueError as exc:
+                if strict or name != PREDECODE_INDEX_FILE:
+                    raise
+                logger.warning("dropping unreadable predecode index (%s); "
+                               "cold decode instead of warm start", exc)
+        return cls(DexLegoCollector.from_rows(values),
+                   values.get(EXPLORATION_STATE_FILE),
+                   values.get(PREDECODE_INDEX_FILE))
+
+    def files(self) -> dict[str, str]:
+        """File name -> JSON text: the collection files, then the
+        optional files this archive carries; rendered on first use."""
+        if self._files is None:
+            self._files = {
+                name: json.dumps(value, indent=1)
+                for name, value in (*self.collector.rows().items(),
+                                    *self._optional.items())
+                if value is not None}
+        return self._files
 
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
-        for name, text in self._payload.items():
+        files = self.files()
+        for name, text in files.items():
             # Atomic per file: a crash mid-save can lose whole files
             # (load will say which) but never leaves a half-written one
             # masquerading as collected data.
@@ -133,7 +178,7 @@ class CollectionArchive:
         # from an earlier save — a stale exploration_state.json would
         # resurrect a foreign frontier on the next load/resume.
         for name in OPTIONAL_FILES:
-            if name not in self._payload:
+            if name not in files:
                 path = os.path.join(directory, name)
                 if os.path.exists(path):
                     os.remove(path)
@@ -141,51 +186,27 @@ class CollectionArchive:
     @classmethod
     def load(cls, directory: str,
              strict: bool = True) -> "CollectionArchive":
+        """Read and parse a saved archive, checking every file.
+
+        The exploration frontier is correctness-bearing and always
+        strict; the predecode index is a pure warm-start optimisation,
+        so ``strict=False`` (the service's degradation mode) drops a
+        foreign or unreadable one with a warning instead of failing.
+        """
         faults.check("archive.load")
-        payload = {}
-        for name in ALL_FILES:
+        files = {}
+        for name in ALL_FILES + OPTIONAL_FILES:
             path = os.path.join(directory, name)
-            with open(path, encoding="utf-8") as fh:
-                payload[name] = fh.read()
-        for name in OPTIONAL_FILES:
-            path = os.path.join(directory, name)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    payload[name] = fh.read()
-        archive = cls(payload)
-        # Version-validate the stateful optional files *now*: every
-        # consumer that hydrates exploration state (reassemble CLI,
-        # resume, reveal_from_archive) goes through load, so a foreign
-        # format fails here with one line instead of deep in a resume.
-        # The exploration frontier is correctness-bearing and always
-        # strict; the predecode index is a pure warm-start optimisation,
-        # so ``strict=False`` (the service's degradation mode) drops a
-        # foreign or unreadable one with a warning instead of failing
-        # the load.
-        archive.exploration_state()
-        try:
-            archive.predecode_index()
-        except ValueError:
-            if strict:
-                raise
-            logger.warning(
-                "dropping unreadable predecode index from archive at %s "
-                "(cold decode instead of warm start)", directory)
-            archive._payload.pop(PREDECODE_INDEX_FILE, None)
-        return archive
+            if name in ALL_FILES or os.path.exists(path):
+                with open(path, "rb") as fh:
+                    files[name] = fh.read()
+        return cls.from_files(files, strict=strict)
 
     def total_size_bytes(self) -> int:
-        """Dump-file size (Table VI's "Dump File Size" column).
-
-        Counts only the Figure-2 collection files; optional
-        bookkeeping (the exploration-state snapshot) is not part of the
-        paper's metric.
-        """
-        return sum(
-            len(text.encode("utf-8"))
-            for name, text in self._payload.items()
-            if name not in OPTIONAL_FILES
-        )
+        """Dump-file size (Table VI's "Dump File Size" column): the
+        Figure-2 collection files only, not the optional bookkeeping."""
+        files = self.files()
+        return sum(len(files[name].encode("utf-8")) for name in ALL_FILES)
 
     # -- merging (resume) ---------------------------------------------------
 
@@ -197,127 +218,38 @@ class CollectionArchive:
         A resumed exploration collects only its own session's runs, so
         its archive must be merged with the archive it resumed from or
         code executed only by the earlier session (the baseline drive,
-        prior replays) would vanish from the reveal.  The merge is the
-        collector's own: both archives are rebuilt as collectors and
-        ``update`` is :meth:`~DexLegoCollector.absorb`-ed into ``base``,
-        so trees deduplicate by fingerprint and keep their order within
-        each method, and the side that ran ``<clinit>`` carries the
-        static values.  The exploration state is ``update``'s (it
-        supersedes the frontier it was resumed from).
+        prior replays) would vanish from the reveal.  ``update``'s
+        collector is :meth:`~DexLegoCollector.absorb`-ed into a copy of
+        ``base``'s (neither input changes): trees deduplicate by
+        fingerprint, the side that ran ``<clinit>`` carries the static
+        values, and ``update``'s exploration state supersedes.
         """
-        collector = base._collector()
-        collector.absorb(update._collector())
-        archive = cls.from_collector(collector)
-        archive.set_exploration_state(update.exploration_state())
+        collector = DexLegoCollector.from_rows(base.collector.rows())
+        collector.absorb(update.collector)
         # Warm decode state: the update session re-exported its stores
         # after running, so its index supersedes; an update without one
         # (e.g. a no-op resume) keeps the base's warmth.
-        archive.set_predecode_index(update.predecode_index()
-                                    or base.predecode_index())
-        return archive
-
-    def _collector(self) -> DexLegoCollector:
-        """This archive's collection files as a collector."""
-        collector = DexLegoCollector()
-        collector.classes = self.collected_class_map()
-        collector.method_store = self.method_store()
-        collector.reflection_sites = self.reflection_sites()
-        return collector
+        return cls(collector, update.exploration_state(),
+                   update.predecode_index() or base.predecode_index())
 
     # -- exploration state (force-execution resume) -------------------------
 
     def exploration_state(self) -> dict | None:
-        """The serialised force-execution frontier, or None.
-
-        Raises ``ValueError`` (one line) when the archive carries a
-        frontier in a format version this build cannot hydrate.
-        """
-        text = self._payload.get(EXPLORATION_STATE_FILE)
-        if text is None:
-            return None
-        state = json.loads(text)
-        version = state.get("version")
-        if version not in SUPPORTED_EXPLORATION_STATE_VERSIONS:
-            raise ValueError(
-                f"unsupported exploration state version {version!r} in "
-                f"{EXPLORATION_STATE_FILE} (this build reads "
-                f"{SUPPORTED_EXPLORATION_STATE_VERSIONS})"
-            )
-        return state
+        """The force-execution frontier snapshot, or None."""
+        return self._optional[EXPLORATION_STATE_FILE]
 
     def set_exploration_state(self, state: dict | None) -> None:
         """Attach (or clear) the frontier snapshot carried by save/load."""
-        if state is None:
-            self._payload.pop(EXPLORATION_STATE_FILE, None)
-        else:
-            self._payload[EXPLORATION_STATE_FILE] = json.dumps(state, indent=1)
+        self._optional[EXPLORATION_STATE_FILE] = state
+        self._files = None
 
     # -- predecode index (warm decode state) --------------------------------
 
     def predecode_index(self) -> dict | None:
-        """The serialised warm decode state, or None.
-
-        Raises ``ValueError`` on a foreign index format version — warm
-        state is an optimisation, but silently adopting entries whose
-        layout this build misreads would be a correctness bug.
-        """
-        text = self._payload.get(PREDECODE_INDEX_FILE)
-        if text is None:
-            return None
-        return validate_predecode_index(json.loads(text))
+        """The warm decode state, or None."""
+        return self._optional[PREDECODE_INDEX_FILE]
 
     def set_predecode_index(self, index: dict | None) -> None:
         """Attach (or clear) the warm decode state carried by save/load."""
-        if index is None:
-            self._payload.pop(PREDECODE_INDEX_FILE, None)
-        else:
-            self._payload[PREDECODE_INDEX_FILE] = json.dumps(index, indent=1)
-
-    # -- deserialisation into reassembler inputs ----------------------------------
-
-    def classes(self) -> list[dict]:
-        return json.loads(self._payload[CLASS_DATA_FILE])
-
-    def fields(self) -> list[dict]:
-        return json.loads(self._payload[FIELD_DATA_FILE])
-
-    def method_store(self) -> MethodStore:
-        store = MethodStore()
-        for entry in json.loads(self._payload[METHOD_DATA_FILE]):
-            store.ensure(MethodRecord.from_dict(entry))
-        for tree_data in json.loads(self._payload[BYTECODE_FILE]):
-            tree = CollectionTree.from_dict(tree_data)
-            store.add_tree(tree.method_signature, tree)
-        return store
-
-    def reflection_sites(self) -> dict[tuple[str, int], ReflectionSite]:
-        sites: dict[tuple[str, int], ReflectionSite] = {}
-        for entry in json.loads(self._payload[REFLECTION_FILE]):
-            site = ReflectionSite.from_dict(entry)
-            sites[(site.caller_signature, site.dex_pc)] = site
-        return sites
-
-    def collected_class_map(self) -> dict[str, CollectedClass]:
-        """Rebuild CollectedClass objects (metadata + fields + values)."""
-        by_desc: dict[str, CollectedClass] = {}
-        for entry in self.classes():
-            by_desc[entry["descriptor"]] = CollectedClass(
-                descriptor=entry["descriptor"],
-                superclass_desc=entry["superclass"],
-                interface_descs=tuple(entry["interfaces"]),
-                access_flags=entry["access"],
-                initialized=entry["initialized"],
-                method_signatures=list(entry["methods"]),
-            )
-        for entry in self.fields():
-            collected = by_desc.get(entry["class"])
-            if collected is not None:
-                collected.fields.append(
-                    CollectedField(
-                        entry["name"],
-                        entry["type"],
-                        entry["access"],
-                        tuple(entry["value"]),
-                    )
-                )
-        return by_desc
+        self._optional[PREDECODE_INDEX_FILE] = index
+        self._files = None

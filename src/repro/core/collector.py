@@ -12,6 +12,10 @@ collects, the moment ART touches them:
 
 Only application classes (those backed by a DEX file) are collected —
 framework classes are boot-classpath noise, exactly as on ART.
+
+A collector has one encoding, :meth:`DexLegoCollector.rows`, the rows
+of its collection files: the archive renders them to disk and the
+process backend ships them, plus the instruction count.
 """
 
 from __future__ import annotations
@@ -32,6 +36,18 @@ from repro.dex.payloads import payload_unit_count
 from repro.runtime.hooks import RuntimeListener
 from repro.runtime.values import VmString
 
+CLASS_DATA_FILE = "class_data.json"
+FIELD_DATA_FILE = "field_data.json"
+METHOD_DATA_FILE = "method_data.json"
+STATIC_VALUES_FILE = "static_values.json"
+BYTECODE_FILE = "bytecode.json"
+REFLECTION_FILE = "reflection.json"
+
+#: The collection files (Figure 2's five plus reflection records), in
+#: the order :meth:`DexLegoCollector.rows` lists them.
+ALL_FILES = (CLASS_DATA_FILE, FIELD_DATA_FILE, METHOD_DATA_FILE,
+             STATIC_VALUES_FILE, BYTECODE_FILE, REFLECTION_FILE)
+
 
 @dataclass
 class CollectedField:
@@ -39,23 +55,6 @@ class CollectedField:
     type_desc: str
     access_flags: int
     static_value: tuple = ("null",)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.type_desc,
-            "access": self.access_flags,
-            "value": list(self.static_value),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CollectedField":
-        return cls(
-            data["name"],
-            data["type"],
-            data["access"],
-            tuple(data["value"]),
-        )
 
 
 @dataclass
@@ -69,29 +68,6 @@ class CollectedClass:
     fields: list[CollectedField] = field(default_factory=list)
     method_signatures: list[str] = field(default_factory=list)
     initialized: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "superclass": self.superclass_desc,
-            "interfaces": list(self.interface_descs),
-            "access": self.access_flags,
-            "fields": [f.to_dict() for f in self.fields],
-            "methods": self.method_signatures,
-            "initialized": self.initialized,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CollectedClass":
-        return cls(
-            descriptor=data["descriptor"],
-            superclass_desc=data["superclass"],
-            interface_descs=tuple(data["interfaces"]),
-            access_flags=data["access"],
-            fields=[CollectedField.from_dict(f) for f in data["fields"]],
-            method_signatures=list(data["methods"]),
-            initialized=bool(data["initialized"]),
-        )
 
 
 @dataclass
@@ -353,46 +329,83 @@ class DexLegoCollector(RuntimeListener):
 
     # -- merging replays (force execution) ----------------------------------
 
-    def delta_dict(self) -> dict:
-        """Everything this collector holds, as a JSON-safe value.
-
-        The process backend's wire format: a replay in a worker process
-        ships its collector this way (pickling a collector calls this),
-        and the engine rebuilds it with :meth:`from_delta` before the
-        same :meth:`absorb` an in-process replay's live collector goes
-        through.  Instruction counts still sitting in per-frame state
-        (a frame that never exited because the run crashed) are
-        deliberately excluded, matching what a directly-attached
-        collector would have folded in.
-        """
+    def rows(self) -> dict[str, list]:
+        """Everything this collector holds, as the rows of its
+        collection files: file name -> JSON-safe list, in
+        :data:`ALL_FILES` order (static values are in both
+        ``field_data.json``, which :meth:`from_rows` reads, and
+        ``static_values.json``)."""
+        classes, fields, statics = [], [], []
+        for collected in self.classes.values():
+            desc = collected.descriptor
+            classes.append({
+                "descriptor": desc, "superclass": collected.superclass_desc,
+                "interfaces": list(collected.interface_descs),
+                "access": collected.access_flags,
+                "initialized": collected.initialized,
+                "methods": collected.method_signatures})
+            for f in collected.fields:
+                fields.append({"class": desc, "name": f.name,
+                               "type": f.type_desc, "access": f.access_flags,
+                               "value": list(f.static_value)})
+                statics.append({"class": desc, "field": f.name,
+                                "value": list(f.static_value)})
+        records = self.method_store.records.values()
         return {
-            "classes": [c.to_dict() for c in self.classes.values()],
-            "methods": [
-                {**record.to_dict(),
-                 "trees": [t.to_dict() for t in record.trees]}
-                for record in self.method_store.records.values()
-            ],
-            "reflection": [
-                site.to_dict() for site in self.reflection_sites.values()
-            ],
-            "instructions_observed": self.instructions_observed,
+            CLASS_DATA_FILE: classes,
+            FIELD_DATA_FILE: fields,
+            METHOD_DATA_FILE: [record.to_dict() for record in records],
+            STATIC_VALUES_FILE: statics,
+            BYTECODE_FILE: [tree.to_dict() for record in records
+                            for tree in record.trees],
+            REFLECTION_FILE: [site.to_dict()
+                              for site in self.reflection_sites.values()],
         }
+
+    @classmethod
+    def from_rows(cls, rows: dict[str, list]) -> "DexLegoCollector":
+        """Rebuild a collector from :meth:`rows` (other keys ignored);
+        trees go through their method records, as during collection."""
+        collector = cls()
+        classes = collector.classes
+        for entry in rows[CLASS_DATA_FILE]:
+            classes[entry["descriptor"]] = CollectedClass(
+                entry["descriptor"], entry["superclass"],
+                tuple(entry["interfaces"]), entry["access"], [],
+                list(entry["methods"]), entry["initialized"])
+        for entry in rows[FIELD_DATA_FILE]:
+            collected = classes.get(entry["class"])
+            if collected is not None:
+                collected.fields.append(CollectedField(
+                    entry["name"], entry["type"], entry["access"],
+                    tuple(entry["value"])))
+        store = collector.method_store
+        for entry in rows[METHOD_DATA_FILE]:
+            store.ensure(MethodRecord.from_dict(entry))
+        for entry in rows[BYTECODE_FILE]:
+            tree = CollectionTree.from_dict(entry)
+            store.add_tree(tree.method_signature, tree)
+        for entry in rows[REFLECTION_FILE]:
+            site = ReflectionSite.from_dict(entry)
+            collector.reflection_sites[(site.caller_signature,
+                                        site.dex_pc)] = site
+        return collector
+
+    def delta_dict(self) -> dict:
+        """The process backend's wire format: :meth:`rows` plus
+        ``instructions_observed``.  A worker's replay ships its
+        collector this way (pickling a collector calls this) and the
+        engine rebuilds it with :meth:`from_delta` for :meth:`absorb`.
+        Instruction counts still in per-frame state (a frame a crash
+        never exited) are excluded, as a directly-attached collector
+        would have."""
+        return {**self.rows(),
+                "instructions_observed": self.instructions_observed}
 
     @classmethod
     def from_delta(cls, data: dict) -> "DexLegoCollector":
         """Rebuild a collector from :meth:`delta_dict`'s value."""
-        collector = cls()
-        for entry in data["classes"]:
-            collected = CollectedClass.from_dict(entry)
-            collector.classes[collected.descriptor] = collected
-        for entry in data["methods"]:
-            record = collector.method_store.ensure(MethodRecord.from_dict(entry))
-            for tree_data in entry["trees"]:
-                record.add_tree(CollectionTree.from_dict(tree_data))
-        for entry in data["reflection"]:
-            site = ReflectionSite.from_dict(entry)
-            collector.reflection_sites[(site.caller_signature,
-                                        site.dex_pc)] = site
+        collector = cls.from_rows(data)
         collector.instructions_observed = data["instructions_observed"]
         return collector
 

@@ -114,8 +114,8 @@ class RevealResult:
       ``None`` for archive-only runs with no original APK to repack.
     * ``reassembled_dex`` — the offline-reassembled DEX after a binary
       round-trip and verification.
-    * ``archive`` — the collection files (Figure 2's five on-disk
-      intermediates plus reflection records).
+    * ``archive`` — the collection output (Figure 2's five on-disk
+      intermediates plus reflection records), holding its collector.
     * ``collector_stats`` — :meth:`DexLegoCollector.stats` snapshot:
       classes/methods/instructions observed during the drive (empty for
       archive-only runs, where no collector was live).
@@ -279,7 +279,7 @@ class Pipeline:
         """Shared archive-persistence + offline suffix after collection."""
         archive = collected.archive
         if self.config.archive_dir is not None:
-            # Prove the offline boundary: serialise to disk, reload.
+            # The offline boundary: reassemble from the saved files.
             # Persistence failures belong to the collect stage (its
             # output could not be written) and surface as a StageError;
             # no extra observer event — the stage itself already
@@ -379,7 +379,7 @@ class Pipeline:
         from repro.cluster.labels import AutoLabeler
 
         app = app_id or "<unknown-app>"
-        store = archive.method_store()
+        store = archive.collector.method_store
         records = store.executed_records()
         try:
             digests = self.reassemble_stage.last_digests

@@ -16,6 +16,10 @@ reassembler fix, without re-driving the application.
   structured :class:`~repro.errors.StageError`
 * :class:`RepackStage` — APK + DEX → revealed APK
 
+In process the archive holds the live collector and reassembly reads it
+directly; ``archive_dir`` and ``reveal_from_archive`` run the same
+reassembly over the collection files alone.
+
 Failures inside a stage surface as :class:`~repro.errors.StageError`
 carrying the stage name and the original cause; drive-level VM crashes
 and budget exhaustion are *not* failures — collection up to that point
@@ -64,8 +68,8 @@ class StageEvent:
 class CollectResult:
     """What JIT collection produced: the archive plus the drive outcome.
 
-    Carries only what the collect stage actually knows — the serialised
-    collection files and how the drive ended.  Downstream artefacts
+    Carries only what the collect stage actually knows — the collected
+    state, as an archive, and how the drive ended.  Downstream artefacts
     (reassembled DEX, revealed APK) belong to later stages.
     """
 
@@ -199,7 +203,7 @@ class CollectStage:
         self.last_index_probe = {}
         if self.index is not None:
             try:
-                store = archive.method_store()
+                store = collector.method_store
                 digests = store_digests(store)
                 self.last_index_probe = \
                     self.index.probe_method_store(store, digests)
@@ -255,7 +259,7 @@ class ReassembleStage:
         self.last_index_stats = {}
         self.last_digests = None
         try:
-            store = archive.method_store()
+            store = archive.collector.method_store
             exact = None
             if self.index is not None:
                 if digests is None:
@@ -264,9 +268,9 @@ class ReassembleStage:
                 exact = {signature: method.exact
                          for signature, method in digests.items()}
             reassembler = Reassembler(
-                archive.collected_class_map(),
+                archive.collector.classes,
                 store,
-                archive.reflection_sites(),
+                archive.collector.reflection_sites,
                 body_cache=self.index,
                 exact_digests=exact,
             )
@@ -274,7 +278,7 @@ class ReassembleStage:
             if self.index is not None:
                 try:
                     self.last_index_stats = self.index.register_reassembly(
-                        archive.method_store(), reassembler, app_id,
+                        store, reassembler, app_id,
                         digests, artifact=artifact,
                     )
                 except OSError as exc:

@@ -1159,7 +1159,7 @@ def _run_cluster_label(args) -> int:
             return EXIT_USAGE
     try:
         archive = CollectionArchive.load(args.archive)
-        records = archive.method_store().executed_records()
+        records = archive.collector.method_store.executed_records()
     except OSError as exc:
         return usage_error(f"cannot read archive {args.archive!r}: {exc}")
     except ValueError as exc:
@@ -1239,11 +1239,9 @@ def _run_cluster_stats(args) -> int:
 def _run_reassemble(args) -> int:
     """The ``reassemble`` subcommand: archive dir → verified DEX file.
 
-    Bad input never escapes as a traceback: a missing or unreadable
-    archive directory, undecodable collection files
-    (``UnicodeDecodeError`` is a ``ValueError``, not an ``OSError``)
-    and stage-level reassembly failures all exit non-zero with a
-    one-line diagnostic.
+    Bad input never escapes as a traceback: an archive that cannot be
+    read or does not parse exits 2, a reassembly failure exits 1, each
+    with a one-line diagnostic.
     """
     from repro.core import reveal_from_archive
     from repro.dex.writer import write_dex

@@ -11,9 +11,9 @@ here instead of re-invented per subcommand:
   store, a ``watch --follow`` that timed out with jobs still pending.
 * :data:`EXIT_USAGE` (2) — the command never got to the work: usage
   errors and corrupt or missing input (no store at the path, a
-  foreign-format journal, an unreadable archive, a malformed digest).
-  Always accompanied by a **one-line** diagnostic on stderr — never a
-  traceback.
+  foreign-format journal, an unreadable or malformed archive, a
+  malformed digest).  Always accompanied by a **one-line** diagnostic
+  on stderr — never a traceback.
 
 Guard paths return ``usage_error(...)`` / ``failure(...)`` so the
 stderr line and the status code cannot drift apart; happy paths return

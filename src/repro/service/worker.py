@@ -31,7 +31,6 @@ import io
 import logging
 import os
 import socket
-import tempfile
 import threading
 import time
 import uuid
@@ -429,16 +428,13 @@ class RevealWorker:
 
 def collection_zip_bytes(archive) -> bytes:
     """One collection archive as a deterministic zip (sorted names,
-    fixed timestamps) — equal archives hash to equal artifacts."""
-    with tempfile.TemporaryDirectory() as tmpdir:
-        archive.save(tmpdir)
-        buf = io.BytesIO()
-        with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name in sorted(os.listdir(tmpdir)):
-                with open(os.path.join(tmpdir, name), "rb") as fh:
-                    data = fh.read()
-                info = zipfile.ZipInfo(name, date_time=(1980, 1, 1,
-                                                        0, 0, 0))
-                info.compress_type = zipfile.ZIP_DEFLATED
-                zf.writestr(info, data)
-        return buf.getvalue()
+    fixed timestamps) — equal archives hash to equal artifacts.  The
+    files are zipped from memory, as :meth:`CollectionArchive.files`
+    renders them; nothing touches the disk."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, text in sorted(archive.files().items()):
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            zf.writestr(info, text.encode("utf-8"))
+    return buf.getvalue()

@@ -30,7 +30,7 @@ _SMALI = """
 def _records(package, main_cls):
     apk = Apk(package, main_cls, [assemble(_SMALI.format(cls=main_cls))])
     return CollectStage(RevealConfig()).run(apk) \
-        .archive.method_store().executed_records()
+        .archive.collector.method_store.executed_records()
 
 
 def _kin_store(tmp_path):
@@ -142,7 +142,7 @@ class TestNearMisses:
 .end method
 """)])
         far = CollectStage(RevealConfig()).run(far_apk) \
-            .archive.method_store().executed_records()
+            .archive.collector.method_store.executed_records()
         labeler = AutoLabeler(store, near_distance=1)
         labeler._apps_with_norm = lambda norm: []
         verdict = labeler.label_records(far, "far.app")

@@ -54,7 +54,7 @@ def _records(package="s.app", main_cls="Ls/App;"):
 .end method
 """)])
     result = CollectStage(RevealConfig()).run(apk)
-    return result.archive.method_store().executed_records()
+    return result.archive.collector.method_store.executed_records()
 
 
 class TestOpenGuards:
@@ -237,3 +237,47 @@ class TestQueriesAndFamilies:
             with open(os.path.join(root, "families.json"), "rb") as fh:
                 snapshots.append(fh.read())
         assert snapshots[0] == snapshots[1]
+
+
+#: ``families.json`` snapshots that are JSON but not a family assignment.
+BAD_FAMILIES = [
+    {"families": [{"apps": ["a"]}]},
+    {"families": 5},
+    {"threshold": "x"},
+]
+
+
+class TestFamiliesSnapshotGuard:
+    """A ``families.json`` that does not parse as a family assignment is
+    one corrupt line: the store opens with no families."""
+
+    def _store_with_families(self, tmp_path, data) -> str:
+        root = str(tmp_path / "store")
+        store = ClusterStore(root)
+        store.add_member(_member("app.a"))
+        store.close()
+        with open(os.path.join(root, "families.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(data, fh)
+        return root
+
+    @pytest.mark.parametrize("data", BAD_FAMILIES,
+                             ids=["no-family", "not-a-list", "threshold"])
+    def test_opens_with_no_families(self, tmp_path, data):
+        store = ClusterStore(self._store_with_families(tmp_path, data),
+                             create=False)
+        assert store.families() is None
+        assert store.family_of("app.a") == ""
+        stats = store.stats()
+        assert stats["corrupt_lines"] == 1
+        assert stats["families"] == 0 and stats["members"] == 1
+        store.close()
+
+    def test_service_opens_the_store(self, tmp_path):
+        from repro.core.pipeline import open_optional_stores
+
+        root = self._store_with_families(tmp_path, BAD_FAMILIES[0])
+        stores = open_optional_stores(RevealConfig(cluster_dir=root))
+        assert stores.degraded == {}
+        assert stores.cluster.corrupt_lines == 1
+        stores.cluster.close()

@@ -2,7 +2,20 @@
 
 import os
 
-from repro.core import CollectionArchive, DexLego, DexLegoCollector
+import pytest
+
+from repro.core import (
+    CollectionArchive,
+    CollectStage,
+    DexLego,
+    DexLegoCollector,
+    RevealConfig,
+    resume_exploration,
+)
+from repro.core.collection_files import (
+    EXPLORATION_STATE_FILE,
+    PREDECODE_INDEX_FILE,
+)
 from repro.runtime import AndroidRuntime, AppDriver
 
 from tests.conftest import build_simple_apk
@@ -83,7 +96,7 @@ class TestCollectionArchive:
             assert os.path.exists(os.path.join(target, name))
         again = CollectionArchive.load(target)
         assert again.total_size_bytes() == archive.total_size_bytes()
-        store = again.method_store()
+        store = again.collector.method_store
         assert store.get(
             "Lcom/fix/Simple;->onCreate(Landroid/os/Bundle;)V"
         ).executed
@@ -104,3 +117,102 @@ class TestCollectionArchive:
         result = lego.reveal(build_simple_apk("c.boundary"))
         assert os.path.isdir(str(tmp_path / "files"))
         assert result.reassembled_dex.find_class("Lcom/fix/Simple;") is not None
+
+    def test_files_parse_back_to_the_same_texts(self):
+        collector = _collect(build_simple_apk("c.codec"))
+        archive = CollectionArchive.from_collector(collector)
+        again = CollectionArchive.from_files(archive.files())
+        assert again.files() == archive.files()
+        assert again.collector.rows() == collector.rows()
+
+    def test_archive_never_ships_the_replay_wire(self, monkeypatch,
+                                                 tmp_path):
+        # perfbench times delta_dict as the process backend's wire
+        # (explore.delta_serialize); the archive has its own rows.
+        def wire(self):
+            raise AssertionError("the archive called delta_dict")
+        monkeypatch.setattr(DexLegoCollector, "delta_dict", wire)
+        archive = CollectionArchive.from_collector(
+            _collect(build_simple_apk("c.wire")))
+        archive.save(str(tmp_path))
+        CollectionArchive.merged(archive, CollectionArchive.load(
+            str(tmp_path))).total_size_bytes()
+
+    def test_merged_changes_neither_input(self):
+        from tests.core.test_determinism import _branchy_apk, _resume_pair
+
+        base, update = _resume_pair(_branchy_apk("c.merge"), then=32)
+        before = (base.collector.rows(), update.collector.rows())
+        merged = CollectionArchive.merged(base, update)
+        assert merged.collector.rows() != before[0]  # update added trees
+        assert (base.collector.rows(), update.collector.rows()) == before
+
+
+#: (file, content) pairs that are not what a collector writes: not an
+#: object or list, missing keys, a wrong type, zero bytes, truncated.
+MALFORMED = [
+    (EXPLORATION_STATE_FILE, "[]"),
+    (PREDECODE_INDEX_FILE, "[]"),
+    ("class_data.json", "{}"),
+    ("bytecode.json", '[{"method": "Lcom/fix/Simple;->f()V"}]'),
+    ("method_data.json", '[{"signature": 5}]'),
+    ("static_values.json", ""),
+    ("field_data.json", '[{"class": "Lcom/fix/Simple;", "na'),
+    ("reflection.json",
+     '[{"caller": "Lcom/fix/Simple;->f()V", "dex_pc": 0, "targets": [1]}]'),
+]
+
+
+def _saved_force_archive(tmp_path, package="c.bad") -> str:
+    """A saved archive carrying both optional files."""
+    directory = str(tmp_path / "archive")
+    config = RevealConfig(use_force_execution=True, force_iterations=2)
+    archive = CollectStage(config).run(build_simple_apk(package)).archive
+    assert set(archive.files()) >= {EXPLORATION_STATE_FILE,
+                                    PREDECODE_INDEX_FILE}
+    archive.save(directory)
+    return directory
+
+
+def _overwrite(directory: str, name: str, text: str) -> None:
+    with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+class TestMalformedArchive:
+    """``load`` parses every file once and refuses one that is not the
+    JSON a collector writes with one ``ValueError`` naming it."""
+
+    @pytest.mark.parametrize("name,text", MALFORMED,
+                             ids=[name for name, _ in MALFORMED])
+    def test_load_refuses_naming_the_file(self, tmp_path, name, text):
+        directory = _saved_force_archive(tmp_path)
+        _overwrite(directory, name, text)
+        with pytest.raises(ValueError) as caught:
+            CollectionArchive.load(directory)
+        message = str(caught.value)
+        assert message.startswith(f"{name}: ")
+        assert "\n" not in message
+
+    def test_non_strict_load_drops_only_the_predecode_index(self, tmp_path):
+        directory = _saved_force_archive(tmp_path)
+        _overwrite(directory, PREDECODE_INDEX_FILE, "[]")
+        archive = CollectionArchive.load(directory, strict=False)
+        assert archive.predecode_index() is None
+        assert archive.exploration_state() is not None
+        _overwrite(directory, EXPLORATION_STATE_FILE, "[]")
+        with pytest.raises(ValueError, match=EXPLORATION_STATE_FILE):
+            CollectionArchive.load(directory, strict=False)
+
+    def test_non_strict_resume_degrades_a_list_predecode_index(self,
+                                                              tmp_path):
+        directory = _saved_force_archive(tmp_path, "c.resume")
+        _overwrite(directory, PREDECODE_INDEX_FILE, "[]")
+        config = RevealConfig(use_force_execution=True, force_iterations=2)
+        lego = DexLego(config=config)
+        result = lego.pipeline.resume(build_simple_apk("c.resume"),
+                                      directory, strict=False)
+        assert result.reassembled_dex.class_defs
+        assert "predecode" in lego.pipeline.degraded
+        assert resume_exploration(directory, build_simple_apk("c.resume"),
+                                  config=config, strict=False) is not None

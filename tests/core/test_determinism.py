@@ -16,16 +16,22 @@ collection-archive payload byte for byte.
 :class:`TestResumeMerge` holds a resumed reveal to the same standard:
 its archive merge, now the collector's own ``absorb``, is diffed
 against the JSON-level merge it replaced.
+
+:class:`TestOfflineBoundary` diffs the two sides of the paper's offline
+boundary: a reveal reassembles from the live collector in process, and
+``reveal_from_archive`` from the collection files alone; both must give
+the same bytes.
 """
 
 import json
 
 import pytest
 
-from repro.benchsuite import sample_by_name
+from repro.benchsuite import build_market_app, droidbench_samples, sample_by_name
 from repro.benchsuite.categories import dynload, reflection
 from repro.benchsuite.categories.selfmod import samples as selfmod_samples
 from repro.benchsuite.codegen import AppProfile, generate_app
+from repro.benchsuite.market_apps import MARKET_APP_SPECS
 from repro.benchsuite.smali_lib import multi_class_apk
 from repro.core import (
     BACKEND_PROCESS,
@@ -33,15 +39,19 @@ from repro.core import (
     EXPLORE_BACKENDS,
     CollectionArchive,
     CollectStage,
+    DexLego,
     DexLegoCollector,
     ForceExecutionEngine,
     ReassembleStage,
     RevealConfig,
+    resume_exploration,
+    reveal_from_archive,
 )
 from repro.core import force_execution, replay
 from repro.core.collection_files import (
     BYTECODE_FILE,
     CLASS_DATA_FILE,
+    EXPLORATION_STATE_FILE,
     FIELD_DATA_FILE,
     METHOD_DATA_FILE,
     PREDECODE_INDEX_FILE,
@@ -322,7 +332,7 @@ def _explore(apk: Apk, backend: str, workers: int,
                     if len(seen) == 2},
         "collector_stats": collector.stats(),
         # The serialised collection files, byte for byte.
-        "archive": CollectionArchive.from_collector(collector)._payload,
+        "archive": CollectionArchive.from_collector(collector).files(),
     }
 
 
@@ -469,7 +479,7 @@ def _collect_payloads(apk_factory, tmp_path, **knobs) -> dict:
             **knobs,
         )
         result = CollectStage(config).run(apk_factory())
-        payload = dict(result.archive._payload)
+        payload = dict(result.archive.files())
         payload.pop(PREDECODE_INDEX_FILE, None)
         payloads[backend] = payload
     return payloads
@@ -515,14 +525,14 @@ class TestPipelineEquivalence:
 
 
 def _json_merged(base: CollectionArchive,
-                 update: CollectionArchive) -> CollectionArchive:
+                 update: CollectionArchive) -> dict:
     """Resume's merge as it was written over the collection files' JSON
     before it became the collector's own ``absorb``: the same union
     rules, with JSON equality as tree identity and one flat tree list.
     Kept as the reference :meth:`CollectionArchive.merged` is diffed
-    against."""
+    against; it reads and returns file texts only."""
     def rows(archive, name):
-        return json.loads(archive._payload[name])
+        return json.loads(archive.files()[name])
 
     base_classes = {e["descriptor"]: e for e in rows(base, CLASS_DATA_FILE)}
     new_classes = {e["descriptor"]: e
@@ -594,7 +604,7 @@ def _json_merged(base: CollectionArchive,
             site["targets"].extend(
                 t for t in entry["targets"] if t["signature"] not in known
             )
-    archive = CollectionArchive({
+    files = {
         CLASS_DATA_FILE: json.dumps(merged_classes, indent=1),
         FIELD_DATA_FILE: json.dumps(fields, indent=1),
         METHOD_DATA_FILE: json.dumps(list(methods.values()), indent=1),
@@ -602,11 +612,15 @@ def _json_merged(base: CollectionArchive,
         BYTECODE_FILE: json.dumps(bytecode, indent=1),
         REFLECTION_FILE: json.dumps(list(reflection_sites.values()),
                                     indent=1),
-    })
-    archive.set_exploration_state(update.exploration_state())
-    archive.set_predecode_index(update.predecode_index()
-                                or base.predecode_index())
-    return archive
+    }
+    if EXPLORATION_STATE_FILE in update.files():
+        files[EXPLORATION_STATE_FILE] = \
+            update.files()[EXPLORATION_STATE_FILE]
+    predecode = update.files().get(PREDECODE_INDEX_FILE) \
+        or base.files().get(PREDECODE_INDEX_FILE)
+    if predecode is not None:
+        files[PREDECODE_INDEX_FILE] = predecode
+    return files
 
 
 def _resume_pair(apk: Apk, then: int, device=NEXUS_5X):
@@ -622,9 +636,9 @@ def _resume_pair(apk: Apk, then: int, device=NEXUS_5X):
     return base, session.archive
 
 
-def _trees_by_method(archive: CollectionArchive) -> dict:
+def _trees_by_method(files: dict) -> dict:
     trees = {}
-    for tree in json.loads(archive._payload[BYTECODE_FILE]):
+    for tree in json.loads(files[BYTECODE_FILE]):
         trees.setdefault(tree["method"], []).append(tree)
     return trees
 
@@ -636,13 +650,13 @@ def _assert_merges_agree(base: CollectionArchive,
     within each method, and the same reassembled DEX."""
     got = CollectionArchive.merged(base, update)
     want = _json_merged(base, update)
-    assert set(got._payload) == set(want._payload)
-    for name, text in want._payload.items():
+    assert set(got.files()) == set(want)
+    for name, text in want.items():
         if name != BYTECODE_FILE:
-            assert got._payload[name] == text, name
-    assert _trees_by_method(got) == _trees_by_method(want)
+            assert got.files()[name] == text, name
+    assert _trees_by_method(got.files()) == _trees_by_method(want)
     assert write_dex(ReassembleStage().run(got)) == \
-        write_dex(ReassembleStage().run(want))
+        write_dex(ReassembleStage().run(CollectionArchive.from_files(want)))
     return got
 
 
@@ -726,16 +740,18 @@ class TestResumeMerge:
         base, update = _resume_pair(apk, then=32)
         merged = _assert_merges_agree(base, update)
         # Not vacuous: each side holds trees the other lacks.
-        kept = sum(map(len, _trees_by_method(merged).values()))
-        assert kept > sum(map(len, _trees_by_method(base).values()))
-        assert kept > sum(map(len, _trees_by_method(update).values()))
+        kept = sum(map(len, _trees_by_method(merged.files()).values()))
+        assert kept > sum(map(len, _trees_by_method(base.files()).values()))
+        assert kept > sum(map(len,
+                              _trees_by_method(update.files()).values()))
 
     def test_class_init_and_reflection_split_across_sessions(self):
         base, update = _resume_pair(_lazy_apk(), then=32)
         merged = _assert_merges_agree(base, update)
 
         def initialized(archive):
-            return {c["descriptor"] for c in archive.classes()
+            return {c["descriptor"]
+                    for c in json.loads(archive.files()[CLASS_DATA_FILE])
                     if c["initialized"]}
 
         # Not vacuous: each session initialized a class the other did
@@ -743,13 +759,13 @@ class TestResumeMerge:
         assert initialized(base) ^ initialized(update) == \
             {"Ld/InitA;", "Ld/InitB;"}
         assert initialized(merged) >= {"Ld/InitA;", "Ld/InitB;"}
-        sites = json.loads(merged._payload[REFLECTION_FILE])
+        sites = json.loads(merged.files()[REFLECTION_FILE])
         assert [len(site["targets"]) for site in sites] == [2]
 
     def test_self_merge_keeps_every_file(self):
         base, _ = _resume_pair(_branchy_apk("d.self"), then=1)
         merged = _assert_merges_agree(base, base)
-        assert merged._payload == base._payload
+        assert merged.files() == base.files()
 
     @pytest.mark.parametrize("seed", [1, 4409])
     def test_generated_fdroid_app(self, seed):
@@ -763,3 +779,71 @@ class TestResumeMerge:
         sample = sample_by_name(name)
         _assert_merges_agree(*_resume_pair(sample.build_apk(), then=8,
                                            device=sample.device))
+
+
+# -- offline boundary --------------------------------------------------------
+
+
+def _assert_offline_boundary(apk_factory, config: RevealConfig,
+                             tmp_path) -> None:
+    """The in-process reveal (reassembly reads the live collector) and
+    ``reveal_from_archive`` over its archive saved to disk give the same
+    reassembled DEX and revealed APK, and the files parse back into an
+    archive that renders the same texts."""
+    live = DexLego(config=config).reveal(apk_factory())
+    _assert_files_carry(live, apk_factory, tmp_path)
+
+
+def _assert_files_carry(live, apk_factory, tmp_path) -> None:
+    directory = str(tmp_path / "archive")
+    live.archive.save(directory)
+    offline = reveal_from_archive(directory, apk=apk_factory())
+    assert write_dex(offline.reassembled_dex) == \
+        write_dex(live.reassembled_dex)
+    assert offline.revealed_apk.to_bytes() == live.revealed_apk.to_bytes()
+    files = live.archive.files()
+    assert CollectionArchive.from_files(files).files() == files
+
+
+def _fdroid_profile_app(seed: int, size: int):
+    profile = AppProfile(gated=0.50, dead=0.08, crash=0.0, handler=0.05)
+    return generate_app(f"d.offline{seed}.s{size}", size, seed=seed,
+                        profile=profile).apk
+
+
+def _first_sample_per_category() -> tuple:
+    first = {}
+    for sample in droidbench_samples():
+        first.setdefault(sample.category, sample.name)
+    return tuple(first.values())
+
+
+class TestOfflineBoundary:
+    """Reassembly reads only what the collection files carry."""
+
+    @pytest.mark.parametrize("seed", [1, 4409])
+    @pytest.mark.parametrize("size", [1000, 6000, 15000])
+    def test_generated_fdroid_app(self, seed, size, tmp_path):
+        _assert_offline_boundary(lambda: _fdroid_profile_app(seed, size),
+                                 RevealConfig(), tmp_path)
+
+    @pytest.mark.parametrize("name", _first_sample_per_category())
+    def test_droidbench_sample_with_force_execution(self, name, tmp_path):
+        sample = sample_by_name(name)
+        config = RevealConfig(use_force_execution=True, max_paths=8,
+                              device=sample.device)
+        _assert_offline_boundary(sample.build_apk, config, tmp_path)
+
+    @pytest.mark.parametrize("package",
+                             [spec[0] for spec in MARKET_APP_SPECS])
+    def test_packed_market_app(self, package, tmp_path):
+        _assert_offline_boundary(lambda: build_market_app(package).packed_apk,
+                                 RevealConfig(), tmp_path)
+
+    def test_resumed_reveal(self, tmp_path):
+        config = RevealConfig(use_force_execution=True, max_paths=1)
+        base = CollectStage(config).run(_branchy_apk("d.offres")).archive
+        live = resume_exploration(base, _branchy_apk("d.offres"),
+                                  config=config.replace(max_paths=32))
+        assert live.archive.collector is not base.collector
+        _assert_files_carry(live, lambda: _branchy_apk("d.offres"), tmp_path)

@@ -348,12 +348,11 @@ class TestResume:
         config = RevealConfig(use_force_execution=True, max_paths=1,
                               force_iterations=8)
         collected = CollectStage(config).run(apk)
-        prior_classes = {e["descriptor"] for e in collected.archive.classes()}
+        prior_classes = set(collected.archive.collector.classes)
         assert prior_classes  # baseline drive collected the app
         collected.archive.save(str(tmp_path))
         result = resume_exploration(str(tmp_path), apk, config=config)
-        resumed_classes = {e["descriptor"]
-                           for e in result.archive.classes()}
+        resumed_classes = set(result.archive.collector.classes)
         assert prior_classes <= resumed_classes
         assert result.reassembled_dex.class_defs
 
@@ -366,15 +365,14 @@ class TestResume:
                               archive_dir=str(tmp_path))
         first = DexLego(config=config).reveal(apk)
         assert first.force_report.frontier_pending == 0
-        classes_before = {e["descriptor"] for e in first.archive.classes()}
+        classes_before = set(first.archive.collector.classes)
 
         again = resume_exploration(str(tmp_path), apk, config=config)
         assert again.force_report.runs == first.force_report.runs  # no re-run
-        assert {e["descriptor"] for e in again.archive.classes()} == \
-            classes_before
+        assert set(again.archive.collector.classes) == classes_before
         # The on-disk archive still reassembles to the same classes.
         on_disk = CollectionArchive.load(str(tmp_path))
-        assert {e["descriptor"] for e in on_disk.classes()} == classes_before
+        assert set(on_disk.collector.classes) == classes_before
         assert again.reassembled_dex.class_defs
 
     def test_merged_archive_dedupes_bytecode_trees(self):
@@ -382,8 +380,8 @@ class TestResume:
             RevealConfig(use_force_execution=True, force_iterations=8)
         ).run(_multi_apk("x.treedup"))
         once = CollectionArchive.merged(collected.archive, collected.archive)
-        assert len(json.loads(once._payload["bytecode.json"])) == \
-            len(json.loads(collected.archive._payload["bytecode.json"]))
+        assert len(json.loads(once.files()["bytecode.json"])) == \
+            len(json.loads(collected.archive.files()["bytecode.json"]))
 
     def test_resume_with_bigger_path_budget_retries_starved_paths(self):
         # Session 1 starves every replay before its flip; resuming with

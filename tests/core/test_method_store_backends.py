@@ -115,7 +115,7 @@ def _collect_store(backend: str, workers: int):
         explore_workers=workers,
         explore_backend=backend,
     )
-    return CollectStage(config).run(_gated_apk()).archive.method_store()
+    return CollectStage(config).run(_gated_apk()).archive.collector.method_store
 
 
 def _snapshot(store: MethodStore) -> dict:

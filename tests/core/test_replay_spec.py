@@ -82,8 +82,8 @@ def _delta_cases() -> list[TraceDelta]:
                    steps=11, forced=1, reached_target=True),
         TraceDelta(trace=[(sig, 2, True)], steps=3, budget_hit=True,
                    collector=DexLegoCollector.from_delta(
-                       {"classes": [], "methods": [],
-                        "reflection": [], "instructions_observed": 3})),
+                       {**DexLegoCollector().rows(),
+                        "instructions_observed": 3})),
         TraceDelta(crashed=True, worker_lost=True),
     ]
 

@@ -23,7 +23,7 @@ from repro.runtime import Apk
 
 
 def _collect_store(apk):
-    return CollectStage(RevealConfig()).run(apk).archive.method_store()
+    return CollectStage(RevealConfig()).run(apk).archive.collector.method_store
 
 
 def _record(smali: str, main_cls: str, package: str):

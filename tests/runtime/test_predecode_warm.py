@@ -177,7 +177,7 @@ class TestArchiveCarriesWarmth:
         result.archive.save(str(tmp_path / "b"))
         again = CollectionArchive.load(str(tmp_path / "b"))
         assert again.predecode_index() == result.archive.predecode_index()
-        assert PREDECODE_INDEX_FILE in again._payload
+        assert PREDECODE_INDEX_FILE in again.files()
 
     def test_resume_under_process_backend(self, tmp_path):
         # Session one: explore with a hard path cap so the frontier

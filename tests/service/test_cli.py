@@ -282,11 +282,11 @@ class TestReassembleRobustness:
         assert "corrupt archive" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_invalid_json_is_exit_1_one_line(self, tmp_path, capsys):
+    def test_invalid_json_is_exit_2_one_line(self, tmp_path, capsys):
         archive = self._fill(tmp_path / "txt", b"not json {{")
-        assert main(["reassemble", archive]) == 1
+        assert main(["reassemble", archive]) == 2
         err = capsys.readouterr().err
-        assert "reassembly failed" in err
+        assert "corrupt archive" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_archive_path_that_is_a_file_is_exit_2(self, tmp_path, capsys):
@@ -294,6 +294,59 @@ class TestReassembleRobustness:
         target.write_text("x")
         assert main(["reassemble", str(target)]) == 2
         assert "cannot read archive" in capsys.readouterr().err
+
+
+#: (file, content) pairs that are not what a collector writes.
+MALFORMED_FILES = [
+    ("exploration_state.json", "[]"),
+    ("predecode_index.json", "[]"),
+    ("class_data.json", "{}"),
+    ("bytecode.json", '[{"method": "Lcom/fix/Simple;->f()V"}]'),
+    ("method_data.json", ""),
+    ("field_data.json", '[{"class": "Lcom/fix/Simple;", "na'),
+    ("reflection.json",
+     '[{"caller": "Lcom/fix/Simple;->f()V", "dex_pc": "0", "targets": []}]'),
+]
+
+
+class TestMalformedArchive:
+    """An archive file that is not the JSON a collector writes is
+    refused at load: every CLI that reads an archive exits 2 with one
+    line naming the file."""
+
+    def _argv(self, tmp_path, command, name, text):
+        import os
+
+        from repro.cluster.store import ClusterStore
+        from repro.core import CollectStage, RevealConfig
+        from tests.conftest import build_simple_apk
+
+        archive = str(tmp_path / "archive")
+        config = RevealConfig(use_force_execution=True, force_iterations=2)
+        CollectStage(config).run(build_simple_apk("cli.bad")).archive \
+            .save(archive)
+        with open(os.path.join(archive, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if command == "reassemble":
+            return ["reassemble", archive]
+        if command == "index":
+            return ["index", "build", "--index-dir", str(tmp_path / "idx"),
+                    archive]
+        cluster_dir = str(tmp_path / "fam")
+        ClusterStore(cluster_dir).close()
+        return ["cluster", "label", "--cluster-dir", cluster_dir, archive]
+
+    @pytest.mark.parametrize("name,text", MALFORMED_FILES,
+                             ids=[name for name, _ in MALFORMED_FILES])
+    @pytest.mark.parametrize("command", ["reassemble", "index", "cluster"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, command,
+                                    name, text):
+        argv = self._argv(tmp_path, command, name, text)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "corrupt archive" in err and name in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestExplorationFlags:

@@ -8,7 +8,10 @@ import os
 
 import pytest
 
+from repro import faults
 from repro.cluster.store import ClusterMember, ClusterStore
+from repro.core import CollectionArchive, CollectStage
+from repro.core.collection_files import ALL_FILES
 from repro.index.corpus import CorpusIndex, IndexEntry
 from repro.service import ArtifactStore, JobStore, RevealCache
 from repro.service.outcomes import STATUS_OK, RevealOutcome
@@ -200,3 +203,54 @@ class TestDiskRevealCache:
         assert hit is not None and hit.status == STATUS_OK
         assert reopened.get("victim") is None  # a miss, never an error
         assert reopened.corrupt_entries == 1
+
+
+class TestCollectionArchive:
+    """A saved archive survives torn ``.tmp`` debris; a damaged
+    collection file is refused with one line naming it; and a save
+    torn at ``archive.save`` never publishes a half-written file."""
+
+    def _archive(self) -> CollectionArchive:
+        return CollectStage().run(build_simple_apk("crash.archive")).archive
+
+    def test_torn_tmp_debris_loads_as_the_same_archive(self, tmp_path):
+        root = str(tmp_path / "archive")
+        archive = self._archive()
+        archive.save(root)
+        for name in ALL_FILES:
+            with open(os.path.join(root, name + ".tmp"), "w") as fh:
+                fh.write('[{"half')
+        assert CollectionArchive.load(root).files() == archive.files()
+
+    @pytest.mark.parametrize("damage", (TRUNCATED, ZERO_BYTE))
+    @pytest.mark.parametrize("name", ALL_FILES)
+    def test_damaged_file_is_refused_by_name(self, tmp_path, damage, name):
+        root = str(tmp_path / "archive")
+        self._archive().save(root)
+        path = os.path.join(root, name)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) // 2] if damage == TRUNCATED else b"")
+        with pytest.raises(ValueError) as caught:
+            CollectionArchive.load(root)
+        message = str(caught.value)
+        assert message.startswith(f"{name}: ") and "\n" not in message
+
+    def test_torn_save_publishes_no_half_written_file(self, tmp_path):
+        root = str(tmp_path / "archive")
+        archive = self._archive()
+        faults.arm(faults.FaultPlan([faults.FaultRule(
+            "archive.save", faults.FAULT_TORN_TMP, after=2)]))
+        try:
+            with pytest.raises(faults.FaultInjected):
+                archive.save(root)
+        finally:
+            faults.disarm()
+        whole, torn = ALL_FILES[:2], ALL_FILES[2]
+        assert sorted(os.listdir(root)) == sorted(whole + (torn + ".tmp",))
+        for name in whole:
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                assert fh.read() == archive.files()[name]
+        archive.save(root)  # the retry publishes every file
+        assert CollectionArchive.load(root).files() == archive.files()
