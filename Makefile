@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts, corpus stores, resume merge and the offline boundary bit-identical"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, corpus stores, resume merge, the offline boundary, front ends and repack bit-identical"
 	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -48,12 +48,14 @@ test:
 # exploration, collection and archives, resume's absorb-based archive
 # merge must match the JSON-level reference merge, a reveal must give
 # the same DEX and APK from the live collector as from its saved
-# collection files (the offline boundary), and the corpus stores must
-# write the same bytes at any worker count (cluster families) and
-# replay index bodies byte-identically to fresh emission (index
-# dedup).  Part of `make test` too; this target exists so CI (and
-# bisects) can run the contract in isolation with verbose per-case
-# output.
+# collection files (the offline boundary), the library and the service
+# must reveal the same APK bytes, with repack building what the
+# serialise-and-reread copy it replaced built (front ends and repack),
+# and the corpus stores must write the same bytes at any worker count
+# (cluster families) and replay index bodies byte-identically to fresh
+# emission (index dedup).  Part of `make test` too; this target exists
+# so CI (and bisects) can run the contract in isolation with verbose
+# per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
 		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py \

@@ -305,14 +305,22 @@ class VerifyStage:
 
 
 class RepackStage:
-    """Swap the reassembled DEX into a copy of the original APK."""
+    """Swap the reassembled DEX into a copy of the original APK: its
+    manifest, assets and native libraries in fresh containers, without
+    re-serialising it."""
 
     name = STAGE_REPACK
 
     def run(self, apk: Apk, dex: DexFile) -> Apk:
         try:
-            revealed = apk.clone()
-            revealed.dex_files = [dex]  # merged: includes dynamically-loaded code
-            return revealed
+            return Apk(
+                package=apk.package,
+                main_activity=apk.main_activity,
+                dex_files=[dex],  # merged: includes dynamically-loaded code
+                assets=dict(apk.assets),
+                native_libraries=list(apk.native_libraries),
+                activities=list(apk.activities),
+                version=apk.version,
+            )
         except Exception as exc:
             raise StageError(self.name, exc) from exc

@@ -20,6 +20,7 @@ from repro.dex.opcodes import (
     opcode_at,
     opcode_for,
 )
+from repro.dex.payloads import payload_unit_count
 from repro.errors import DexFormatError
 
 # Decode table indexed by opcode byte: ``(info, operand decoder, unit
@@ -158,41 +159,29 @@ def iter_instructions(units: list[int]) -> list[tuple[int, Instruction]]:
 
     Returns ``(dex_pc, instruction)`` pairs.  Payload regions referenced by
     switch / fill-array-data instructions are skipped (they are data).
+    One walk decodes each instruction once and finds the payloads on the
+    way: a 31t instruction records its payload's extent for the walk to
+    skip when it gets there, and a payload ident met at an instruction
+    boundary (an unreferenced payload) is skipped by its own extent.
     """
-    payload_positions = _payload_positions(units)
     out: list[tuple[int, Instruction]] = []
+    payloads: dict[int, int] = {}  # payload start -> unit count
+    end = len(units)
     pos = 0
-    while pos < len(units):
-        if pos in payload_positions:
-            pos += payload_positions[pos]
+    while pos < end:
+        skip = payloads.get(pos)
+        if skip is None:
+            unit = units[pos]
+            if pos > 0 and (unit & 0xFF) == 0 and unit in PAYLOAD_IDENTS:
+                skip = payload_unit_count(units, pos)
+        if skip is not None:
+            pos += skip
             continue
         ins = Instruction.decode_at(units, pos)
         out.append((pos, ins))
-        pos += ins.unit_count
-    return out
-
-
-def _payload_positions(units: list[int]) -> dict[int, int]:
-    """Map payload start position -> unit count, found via 31t references."""
-    from repro.dex.payloads import payload_unit_count
-
-    positions: dict[int, int] = {}
-    pos = 0
-    while pos < len(units):
-        if pos in positions:
-            pos += positions[pos]
-            continue
-        unit = units[pos]
-        if unit in PAYLOAD_IDENTS and (unit & 0xFF) == 0 and pos > 0:
-            # Reached an unreferenced payload region directly; treat the
-            # remainder conservatively by decoding it as a payload.
-            positions[pos] = payload_unit_count(units, pos)
-            pos += positions[pos]
-            continue
-        ins = Instruction.decode_at(units, pos)
         if ins.opcode.fmt == "31t":
             target = pos + ins.branch_target
-            if 0 <= target < len(units):
-                positions[target] = payload_unit_count(units, target)
+            if 0 <= target < end:
+                payloads[target] = payload_unit_count(units, target)
         pos += ins.unit_count
-    return positions
+    return out

@@ -402,7 +402,10 @@ class DexFile:
 
         The DEX format requires: string_ids sorted by content, type_ids by
         string index, proto/field/method ids by their component indices and
-        class_defs with superclasses before subclasses.
+        class_defs with superclasses before subclasses.  Instructions
+        are remapped only when the string, type, field or method pool
+        moved, so a file already in that order (one read from bytes)
+        costs the pool sorts alone.
         """
         string_perm = _permutation(self.strings, key=lambda s: s)
         self.strings = _apply(self.strings, string_perm)
@@ -478,9 +481,11 @@ class DexFile:
             IndexKind.FIELD: field_perm,
             IndexKind.METHOD: method_perm,
         }
-        for _cls, method, _ref in self.iter_methods():
-            if method.code is not None:
-                _remap_code(method.code, remap)
+        # Code indexes only these pools: identities would rewrite nothing.
+        if any(perm != list(range(len(perm))) for perm in remap.values()):
+            for _cls, method, _ref in self.iter_methods():
+                if method.code is not None:
+                    _remap_code(method.code, remap)
         self._rebuild_indexes()
 
     def _sort_class_defs(self) -> None:

@@ -25,7 +25,9 @@ from repro.errors import DexEncodeError
 
 
 def write_dex(dex: DexFile) -> bytes:
-    """Serialise ``dex`` to binary, canonicalizing its pools in place."""
+    """Serialise ``dex`` to binary, canonicalizing its pools in place.
+    A file already in binary-format order (one read from bytes) is
+    written without decoding any instruction."""
     # Shorty strings live in the string pool; intern them before layout so
     # offsets computed in the writer stay valid.
     from repro.dex.constants import shorty_of

@@ -12,6 +12,8 @@ Key construction
 
 ``reveal_cache_key`` = SHA-256 over:
 
+* the manifest: package, main activity, activities and version (the
+  launch drives the main activity),
 * each DEX file's serialised bytes (which embed the header's Adler-32
   checksum and SHA-1 signature, so this is "the APK dex checksum" in
   the strongest sense),
@@ -77,9 +79,14 @@ def as_reveal_config(config) -> RevealConfig:
 
 
 def apk_content_key(apk: Apk) -> str:
-    """SHA-256 over the APK's executable content (DEX + assets + JNI)."""
+    """SHA-256 over the APK's content: the manifest, each DEX, the
+    assets and the JNI libraries.  Writing a DEX canonicalizes its
+    pools in place."""
     digest = hashlib.sha256()
-    digest.update(apk.package.encode("utf-8"))
+    # The launch drives main_activity; the revealed APK carries them all.
+    manifest = json.dumps([apk.package, apk.main_activity, apk.activities,
+                           apk.version])
+    digest.update(manifest.encode("utf-8"))
     for dex in apk.dex_files:
         payload = write_dex(dex)
         digest.update(len(payload).to_bytes(8, "little"))
@@ -99,7 +106,7 @@ def pipeline_config_key(config) -> str:
 
 
 def reveal_cache_key(apk: Apk, config, salt: str = "") -> str:
-    """Content-addressed key: dex checksum × ``config_hash()`` × salt."""
+    """Content-addressed key: APK content × ``config_hash()`` × salt."""
     digest = hashlib.sha256()
     digest.update(apk_content_key(apk).encode("ascii"))
     digest.update(as_reveal_config(config).config_hash().encode("ascii"))

@@ -21,6 +21,11 @@ against the JSON-level merge it replaced.
 boundary: a reveal reassembles from the live collector in process, and
 ``reveal_from_archive`` from the collection files alone; both must give
 the same bytes.
+
+:class:`TestFrontEndsAndRepack` diffs the front ends: the library's
+``reveal_apk`` and the service's ``reveal_one`` must reveal the same
+bytes, and ``RepackStage`` must build what the serialise-and-reread
+copy it replaced built.
 """
 
 import json
@@ -45,6 +50,7 @@ from repro.core import (
     ReassembleStage,
     RevealConfig,
     resume_exploration,
+    reveal_apk,
     reveal_from_archive,
 )
 from repro.core import force_execution, replay
@@ -63,6 +69,7 @@ from repro.dex.instructions import Instruction
 from repro.errors import VmCrash
 from repro.runtime import Apk, register_native_library
 from repro.runtime.device import NEXUS_5X
+from repro.service import BatchRevealService, RevealJob
 
 #: Fields of the report summary that *declare* how the run executed;
 #: they differ across backends by construction and are excluded from
@@ -847,3 +854,54 @@ class TestOfflineBoundary:
                                   config=config.replace(max_paths=32))
         assert live.archive.collector is not base.collector
         _assert_files_carry(live, lambda: _branchy_apk("d.offres"), tmp_path)
+
+
+# -- front ends and repack ---------------------------------------------------
+
+
+def _cloned_repack(apk: Apk, dex) -> Apk:
+    """The repack ``RepackStage`` replaced: serialise the input APK, read
+    it back and swap the reassembled DEX in."""
+    revealed = apk.clone()
+    revealed.dex_files = [dex]
+    return revealed
+
+
+def _assert_front_ends_agree(apk_factory, device=None) -> None:
+    """``reveal_apk`` and the service's ``reveal_one``, each over a fresh
+    APK, reveal the same bytes; the revealed APK is what the
+    serialise-and-reread repack built, and shares no list or dict with
+    its input."""
+    apk = apk_factory()
+    library = reveal_apk(apk, device=device)
+    service = BatchRevealService().reveal_one(
+        RevealJob("front-end", apk_factory(), device=device))
+    revealed = library.revealed_apk
+    assert service.revealed_apk.to_bytes() == revealed.to_bytes()
+
+    reference = _cloned_repack(apk, library.reassembled_dex)
+    assert revealed.to_bytes() == reference.to_bytes()
+    assert vars(revealed) == vars(reference)
+    assert revealed.primary_dex is library.reassembled_dex
+    for name, value in vars(apk).items():
+        if isinstance(value, (list, dict)):
+            assert getattr(revealed, name) is not value, name
+
+
+class TestFrontEndsAndRepack:
+    """The library and the service reveal the same bytes, and repack
+    copies the input without re-serialising it."""
+
+    @pytest.mark.parametrize("name", _first_sample_per_category())
+    def test_droidbench_sample(self, name):
+        sample = sample_by_name(name)
+        _assert_front_ends_agree(sample.build_apk, sample.device)
+
+    @pytest.mark.parametrize("package",
+                             [spec[0] for spec in MARKET_APP_SPECS])
+    def test_packed_market_app(self, package):
+        _assert_front_ends_agree(
+            lambda: build_market_app(package).packed_apk)
+
+    def test_generated_fdroid_app(self):
+        _assert_front_ends_agree(lambda: _fdroid_profile_app(1, 6000))

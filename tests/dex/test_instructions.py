@@ -1,9 +1,23 @@
 """Instruction model tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dex import OPCODES, Instruction, iter_instructions
-from repro.dex.opcodes import IndexKind, opcode_for
+from repro.dex.formats import FORMAT_UNITS
+from repro.dex.opcodes import (
+    OPCODE_TABLE,
+    PAYLOAD_IDENTS,
+    IndexKind,
+    opcode_for,
+)
+from repro.dex.payloads import (
+    FillArrayDataPayload,
+    PackedSwitchPayload,
+    SparseSwitchPayload,
+    payload_unit_count,
+)
 from repro.errors import DexFormatError
 
 
@@ -140,3 +154,166 @@ class TestIterInstructions:
         units += PackedSwitchPayload(0, [4, 4]).encode()
         names = [ins.name for _pc, ins in iter_instructions(units)]
         assert names == ["packed-switch", "return-void"]
+
+
+# -- one walk vs the two-pass reference ---------------------------------------
+
+
+def _two_pass_reference(units: list[int]) -> list[tuple[int, Instruction]]:
+    """The walk ``iter_instructions`` replaced: a first pass decodes every
+    instruction to find the payloads 31t instructions reference (and any
+    payload met at an instruction boundary), a second decodes them all
+    again, skipping those payloads."""
+    positions: dict[int, int] = {}
+    pos = 0
+    while pos < len(units):
+        if pos in positions:
+            pos += positions[pos]
+            continue
+        unit = units[pos]
+        if unit in PAYLOAD_IDENTS and (unit & 0xFF) == 0 and pos > 0:
+            positions[pos] = payload_unit_count(units, pos)
+            pos += positions[pos]
+            continue
+        ins = Instruction.decode_at(units, pos)
+        if ins.opcode.fmt == "31t":
+            target = pos + ins.branch_target
+            if 0 <= target < len(units):
+                positions[target] = payload_unit_count(units, target)
+        pos += ins.unit_count
+    out: list[tuple[int, Instruction]] = []
+    pos = 0
+    while pos < len(units):
+        if pos in positions:
+            pos += positions[pos]
+            continue
+        ins = Instruction.decode_at(units, pos)
+        out.append((pos, ins))
+        pos += ins.unit_count
+    return out
+
+
+def _outcome(walk, units):
+    """A walk's result, or the type and message of what it raised."""
+    try:
+        return walk(units)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def _decodes(units) -> tuple[list, int]:
+    """``iter_instructions(units)`` and how many times it decoded."""
+    calls = []
+    decode_at = Instruction.decode_at
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Instruction, "decode_at", classmethod(
+            lambda cls, u, pos: calls.append(pos) or decode_at(u, pos)))
+        out = iter_instructions(units)
+    return out, len(calls)
+
+
+_OPCODES = [info for info in OPCODE_TABLE if info is not None]
+_S32 = st.integers(-(1 << 31), (1 << 31) - 1)
+
+
+@st.composite
+def _sparse_payloads(draw) -> SparseSwitchPayload:
+    keys = draw(st.lists(_S32, max_size=4, unique=True))
+    targets = draw(st.lists(_S32, min_size=len(keys), max_size=len(keys)))
+    return SparseSwitchPayload(sorted(keys), targets)
+
+
+@st.composite
+def _fill_payloads(draw) -> FillArrayDataPayload:
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+    count = draw(st.integers(0, 4))
+    return FillArrayDataPayload(
+        width, draw(st.binary(min_size=width * count, max_size=width * count)))
+
+
+_PAYLOADS = st.one_of(
+    st.builds(PackedSwitchPayload, _S32, st.lists(_S32, max_size=4)),
+    _sparse_payloads(),
+    _fill_payloads(),
+)
+
+
+@st.composite
+def _code_bodies(draw) -> list[int]:
+    """Instructions of every opcode with drawn operands, then the
+    payloads their 31t instructions point at: some shared, some behind
+    a nop that aligns them, and some never referenced at all."""
+    units: list[int] = []
+    switches: list[int] = []
+    for info in draw(st.lists(st.sampled_from(_OPCODES), min_size=1,
+                              max_size=16)):
+        # A nop's high byte stays 0: 0x0100-0x0300 are payload idents.
+        high = 0 if info.value == 0 else draw(st.integers(0, 0xFF))
+        if info.fmt == "31t":
+            switches.append(len(units))
+        units.append(info.value | high << 8)
+        need = FORMAT_UNITS[info.fmt] - 1
+        units += draw(st.lists(st.integers(0, 0xFFFF), min_size=need,
+                               max_size=need))
+    starts: list[int] = []
+    for pc in switches:
+        if starts and draw(st.booleans()):
+            target = draw(st.sampled_from(starts))
+        else:
+            if len(units) % 2 and draw(st.booleans()):
+                units.append(0)  # nop pad to a 4-byte boundary
+            target = len(units)
+            starts.append(target)
+            units += draw(_PAYLOADS).encode()
+        offset = (target - pc) & 0xFFFFFFFF
+        units[pc + 1], units[pc + 2] = offset & 0xFFFF, offset >> 16
+    for payload in draw(st.lists(_PAYLOADS, max_size=2)):
+        units += payload.encode()
+    return units
+
+
+class TestOneWalk:
+    """``iter_instructions`` finds payloads in the walk that decodes:
+    the same pairs, or the same error, as the two-pass walk it
+    replaced, with each instruction decoded once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_code_bodies())
+    def test_matches_two_pass_on_generated_bodies(self, units):
+        out, decodes = _decodes(units)
+        assert out == _two_pass_reference(units)
+        assert decodes == len(out)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_code_bodies(), st.data())
+    def test_matches_two_pass_under_one_unit_mutations(self, units, data):
+        at = data.draw(st.integers(0, len(units) - 1))
+        units[at] = data.draw(st.one_of(
+            st.integers(0, 0xFFFF),
+            st.sampled_from(sorted(PAYLOAD_IDENTS)),
+            st.sampled_from(_OPCODES).map(lambda info: info.value),
+        ))
+        expected = _outcome(_two_pass_reference, units)
+        assert _outcome(iter_instructions, units) == expected
+        if isinstance(expected, list):
+            out, decodes = _decodes(units)
+            assert decodes == len(out)
+
+    def test_matches_two_pass_on_real_method_bodies(self):
+        from repro.benchsuite import droidbench_samples
+        from repro.benchsuite.codegen import generate_app
+
+        apks = [generate_app("d.walk", 3000, seed=7).apk]
+        apks += [sample.build_apk() for sample in droidbench_samples()]
+        bodies = 0
+        for apk in apks:
+            for dex in apk.dex_files:
+                for _cls, method, _ref in dex.iter_methods():
+                    if method.code is None:
+                        continue
+                    units = list(method.code.insns)
+                    out, decodes = _decodes(units)
+                    assert out == _two_pass_reference(units)
+                    assert decodes == len(out)
+                    bodies += 1
+        assert bodies > 1000

@@ -5,14 +5,23 @@ becomes bytes: it sorts the pools into binary-format order first, so an
 in-memory file whose classes declare fields and methods in any order
 still encodes (``class_data`` stores index deltas, which must ascend).
 For every input, the bytes must read back into a file that verifies
-and writes out to the very same bytes.
+and writes out to the very same bytes.  A file read back is already in
+binary-format order, so writing it decodes no instruction.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchsuite.codegen import AppProfile, generate_app
-from repro.dex import assemble, assert_valid, read_dex, write_dex
+from repro.dex import (
+    Instruction,
+    assemble,
+    assert_valid,
+    disassemble_code,
+    read_dex,
+    write_dex,
+)
 
 
 def _assert_round_trips(dex) -> None:
@@ -38,6 +47,24 @@ def test_generated_app_round_trips(size, seed, profile):
     app = generate_app("p.gen", size, seed=seed, profile=profile)
     for dex in app.apk.dex_files:
         _assert_round_trips(dex)
+
+
+@settings(max_examples=10, deadline=None)
+@given(size=st.integers(150, 2500), seed=st.integers(0, 2**16),
+       profile=_profiles)
+def test_canonical_file_writes_without_decoding(size, seed, profile):
+    app = generate_app("p.gen", size, seed=seed, profile=profile)
+    for dex in app.apk.dex_files:
+        data = write_dex(dex)
+        again = read_dex(data)
+        calls = []
+        decode_at = Instruction.decode_at
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Instruction, "decode_at", classmethod(
+                lambda cls, units, pos: calls.append(pos)
+                or decode_at(units, pos)))
+            assert write_dex(again) == data
+        assert calls == []
 
 
 _names = st.lists(st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True),
@@ -80,6 +107,17 @@ def _unordered_class(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _method_bodies(dex) -> dict:
+    """Each method's body with its pool references resolved to text."""
+    return {ref.signature: disassemble_code(dex, method.code)
+            for _cls, method, ref in dex.iter_methods()
+            if method.code is not None}
+
+
 @given(_unordered_class())
 def test_out_of_pool_order_class_round_trips(text):
-    _assert_round_trips(assemble(text))
+    # Sorting the pools moves indices: the instructions must follow.
+    dex = assemble(text)
+    bodies = _method_bodies(dex)
+    _assert_round_trips(dex)
+    assert _method_bodies(dex) == bodies

@@ -5,11 +5,14 @@ import os
 
 import pytest
 
+from repro.benchsuite.smali_lib import multi_class_apk
 from repro.core import DexLego
 from repro.dex import assemble
+from repro.runtime import Apk
 from repro.service import (
     STATUS_ERROR,
     STATUS_OK,
+    BatchRevealService,
     RevealCache,
     RevealOutcome,
     apk_content_key,
@@ -18,6 +21,33 @@ from repro.service import (
 )
 
 from tests.conftest import build_simple_apk
+
+
+def _two_activity_apk(main_activity: str) -> Apk:
+    """Two activities, one doing more work than the other; only which
+    of them is the main activity varies."""
+    texts = ["""
+.class public Lcom/fix/Main;
+.super Landroid/app/Activity;
+.method public onCreate(Landroid/os/Bundle;)V
+    .registers 3
+    invoke-virtual {p0}, Lcom/fix/Main;->work()V
+    return-void
+.end method
+.method public work()V
+    .registers 1
+    return-void
+.end method
+""", """
+.class public Lcom/fix/Other;
+.super Landroid/app/Activity;
+.method public onCreate(Landroid/os/Bundle;)V
+    .registers 2
+    return-void
+.end method
+"""]
+    return multi_class_apk("c.k.launch", main_activity, texts,
+                           activities=["Lcom/fix/Main;", "Lcom/fix/Other;"])
 
 
 def _outcome(app_id="app", status=STATUS_OK, apk=None, **kwargs):
@@ -54,6 +84,33 @@ class TestKeys:
         other = build_simple_apk("c.k.asset")
         other.assets["payload.bin"] = b"\x00\x01"
         assert apk_content_key(apk) != apk_content_key(other)
+
+    @pytest.mark.parametrize("field, value", [
+        ("main_activity", "Lcom/fix/Other;"),
+        ("activities", ["Lcom/fix/Simple;", "Lcom/fix/Other;"]),
+        ("version", "2.0"),
+    ])
+    def test_manifest_changes_key(self, field, value):
+        # The revealed APK carries every manifest field, and the launch
+        # drives the main activity.
+        apk = build_simple_apk("c.k.manifest")
+        other = build_simple_apk("c.k.manifest")
+        setattr(other, field, value)
+        assert apk_content_key(apk) != apk_content_key(other)
+
+    def test_main_activity_is_not_a_cache_hit(self):
+        main = _two_activity_apk("Lcom/fix/Main;")
+        other = _two_activity_apk("Lcom/fix/Other;")
+        service = BatchRevealService()
+        first = service.reveal_one(main)
+        second = service.reveal_one(other)
+        assert first.status == second.status == STATUS_OK
+        assert not second.cache_hit
+        assert second.revealed_apk.main_activity == "Lcom/fix/Other;"
+        assert second.collector_stats != first.collector_stats
+        assert second.collector_stats == \
+            BatchRevealService().reveal_one(
+                _two_activity_apk("Lcom/fix/Other;")).collector_stats
 
     def test_config_changes_key(self):
         apk = build_simple_apk("c.k.cfg")
