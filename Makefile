@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts, corpus stores, resume merge, the offline boundary, front ends and repack bit-identical"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical"
 	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -51,7 +51,10 @@ test:
 # collection files (the offline boundary), the library and the service
 # must reveal the same APK bytes, with repack building what the
 # serialise-and-reread copy it replaced built (front ends and repack),
-# and the corpus stores must write the same bytes at any worker count
+# runtimes sharing the one read-only boot classpath must reveal and
+# unpack what runtimes building their own framework specs did (the
+# shared boot classpath), and the corpus stores must write the same
+# bytes at any worker count
 # (cluster families) and replay index bodies byte-identically to fresh
 # emission (index dedup).  Part of `make test` too; this target exists
 # so CI (and bisects) can run the contract in isolation with verbose

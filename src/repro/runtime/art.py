@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import BudgetExceeded
+from repro.runtime.bootclasspath import register_boot_classes
 from repro.runtime.class_linker import ClassLinker
 from repro.runtime.device import NEXUS_5X, DeviceProfile
 from repro.runtime.hooks import BranchController, ListenerFanout, RuntimeListener
@@ -74,8 +75,6 @@ class AndroidRuntime:
         self.sink_log: list[SinkEvent] = []
         self.source_log: list[SourceEvent] = []
         self.current_apk = None
-        from repro.runtime.bootclasspath import register_boot_classes
-
         register_boot_classes(self)
 
     # -- listeners -----------------------------------------------------------

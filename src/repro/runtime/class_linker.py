@@ -11,39 +11,55 @@ the same flow".
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 from repro.dex.constants import NO_INDEX, AccessFlags, EncodedValueType
-from repro.dex.structures import ClassDef, DexFile
+from repro.dex.structures import ClassDef, DexFile, MethodRef
 from repro.errors import ClassLinkError
 from repro.runtime.klass import RuntimeClass, RuntimeField, RuntimeMethod
 from repro.runtime.values import VmString
 
+_PUBLIC_NATIVE = int(AccessFlags.PUBLIC | AccessFlags.NATIVE)
+_STATIC = int(AccessFlags.STATIC)
+_PUBLIC_STATIC = int(AccessFlags.PUBLIC | AccessFlags.STATIC)
 
-@dataclass
+
+@dataclass(frozen=True)
 class NativeMethodSpec:
-    """Declaration of one framework-implemented method."""
+    """Declaration of one framework-implemented method.
 
-    name: str
-    param_descs: tuple[str, ...]
-    return_desc: str
+    ``ref`` and ``access`` (PUBLIC | NATIVE, and STATIC for a static
+    method) are made once, when the spec is built, so every runtime
+    links the method from the same table.
+    """
+
+    ref: MethodRef
+    access: int
     impl: Callable
-    static: bool = False
-    access: int = int(AccessFlags.PUBLIC)
 
 
 @dataclass
 class NativeClassSpec:
-    """Declaration of one framework (boot classpath) class."""
+    """Declaration of one framework (boot classpath) class.
+
+    Built with :meth:`method` and ``static_fields``, then made read-only
+    with :meth:`freeze`: the boot classpath shares one frozen spec per
+    class among every runtime in the process (``bootclasspath``).
+    """
 
     descriptor: str
     superclass: str | None = "Ljava/lang/Object;"
     interfaces: tuple[str, ...] = ()
-    methods: list[NativeMethodSpec] = field(default_factory=list)
-    instance_fields: list[tuple[str, str]] = field(default_factory=list)
-    # name -> (type_desc, factory(runtime) -> value)
-    static_fields: dict[str, tuple[str, Callable]] = field(default_factory=dict)
+    methods: Sequence[NativeMethodSpec] = field(default_factory=list)
+    instance_fields: Sequence[tuple[str, str]] = field(default_factory=list)
+    # name -> (type_desc, factory(runtime) -> value); a factory runs per
+    # runtime when the class links, so a value may follow the device.
+    static_fields: Mapping[str, tuple[str, Callable]] = field(
+        default_factory=dict
+    )
     access: int = int(AccessFlags.PUBLIC)
 
     def method(
@@ -55,8 +71,21 @@ class NativeClassSpec:
         static: bool = False,
     ) -> "NativeClassSpec":
         self.methods.append(
-            NativeMethodSpec(name, tuple(param_descs), return_desc, impl, static)
+            NativeMethodSpec(
+                MethodRef(self.descriptor, name, tuple(param_descs),
+                          return_desc),
+                _PUBLIC_NATIVE | (_STATIC if static else 0),
+                impl,
+            )
         )
+        return self
+
+    def freeze(self) -> "NativeClassSpec":
+        """Turn the member lists into tuples and the static-field map
+        into a read-only view; returns ``self``."""
+        self.methods = tuple(self.methods)
+        self.instance_fields = tuple(self.instance_fields)
+        self.static_fields = MappingProxyType(dict(self.static_fields))
         return self
 
 
@@ -132,31 +161,16 @@ class ClassLinker:
             spec.descriptor, superclass, interfaces, access_flags=spec.access
         )
         self.loaded[spec.descriptor] = klass
-        from repro.dex.structures import MethodRef
-
         for method_spec in spec.methods:
-            access = method_spec.access | int(AccessFlags.NATIVE)
-            if method_spec.static:
-                access |= int(AccessFlags.STATIC)
-            ref = MethodRef(
-                spec.descriptor,
-                method_spec.name,
-                method_spec.param_descs,
-                method_spec.return_desc,
-            )
             klass.add_method(
-                RuntimeMethod(klass, ref, access, native_impl=method_spec.impl)
+                RuntimeMethod(klass, method_spec.ref, method_spec.access,
+                              native_impl=method_spec.impl)
             )
         for name, type_desc in spec.instance_fields:
             klass.add_field(RuntimeField(spec.descriptor, name, type_desc))
         for name, (type_desc, factory) in spec.static_fields.items():
             klass.add_field(
-                RuntimeField(
-                    spec.descriptor,
-                    name,
-                    type_desc,
-                    int(AccessFlags.PUBLIC | AccessFlags.STATIC),
-                )
+                RuntimeField(spec.descriptor, name, type_desc, _PUBLIC_STATIC)
             )
             klass.statics[name] = factory(self.runtime)
         klass.initialized = True  # boot classes need no <clinit>

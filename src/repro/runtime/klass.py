@@ -5,7 +5,9 @@ The class linker turns DEX structures into :class:`RuntimeClass` /
 *own mutable copy* of the code-unit array (``RuntimeMethod.code``): this
 is the in-memory instruction array the interpreter fetches from and the
 array self-modifying native code rewrites — the exact memory DexLego's
-JIT collection reads.
+JIT collection reads.  It is the one copy: ``RuntimeMethod.loaded_code``
+is the DEX body the method was linked from, which the runtime never
+writes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from typing import Callable
 
 from repro.dex.constants import AccessFlags
 from repro.dex.structures import CodeItem, MethodRef
+
+_STATIC = int(AccessFlags.STATIC)
+_NATIVE = int(AccessFlags.NATIVE)
+_ABSTRACT = int(AccessFlags.ABSTRACT)
 
 
 @dataclass
@@ -36,7 +42,15 @@ class RuntimeField:
 
 
 class RuntimeMethod:
-    """One linked method; bytecode methods own a live mutable code item."""
+    """One linked method; bytecode methods own a live mutable code item.
+
+    ``code`` is the live copy, the only body the runtime writes:
+    self-modifying natives patch ``code.insns`` in place.
+    ``loaded_code`` is the DEX body the method was linked from, never
+    written — the snapshot the DexHunter-like baseline dumps "as
+    loaded".  ``is_static``, ``is_abstract`` and the flag half of
+    ``is_native`` are fixed at link time from ``access_flags``.
+    """
 
     def __init__(
         self,
@@ -49,26 +63,18 @@ class RuntimeMethod:
         self.declaring_class = declaring_class
         self.ref = ref
         self.access_flags = access_flags
-        # Live copy: self-modifying natives mutate code.insns in place.
+        self.is_static = bool(access_flags & _STATIC)
+        self.is_abstract = bool(access_flags & _ABSTRACT)
+        self._native_flag = bool(access_flags & _NATIVE)
         self.code = code.copy() if code is not None else None
         self.native_impl = native_impl
-        # Pristine snapshot used by unpacker baselines ("dump at timing").
-        self.loaded_code = code.copy() if code is not None else None
-
-    @property
-    def is_static(self) -> bool:
-        return bool(self.access_flags & AccessFlags.STATIC)
+        self.loaded_code = code
 
     @property
     def is_native(self) -> bool:
-        return (
-            bool(self.access_flags & AccessFlags.NATIVE)
-            or (self.code is None and self.native_impl is not None)
+        return self._native_flag or (
+            self.code is None and self.native_impl is not None
         )
-
-    @property
-    def is_abstract(self) -> bool:
-        return bool(self.access_flags & AccessFlags.ABSTRACT)
 
     @property
     def is_constructor(self) -> bool:

@@ -26,12 +26,18 @@ the same bytes.
 ``reveal_apk`` and the service's ``reveal_one`` must reveal the same
 bytes, and ``RepackStage`` must build what the serialise-and-reread
 copy it replaced built.
+
+:class:`TestSharedBootClasspath` diffs the runtime's construction:
+every runtime registering the one read-only boot classpath, with one
+body copy per method, must reveal and unpack what runtimes that each
+built their own framework specs and copied ``loaded_code`` did.
 """
 
 import json
 
 import pytest
 
+from repro.analysis.unpacker_baselines import AppSpearLike, DexHunterLike
 from repro.benchsuite import build_market_app, droidbench_samples, sample_by_name
 from repro.benchsuite.categories import dynload, reflection
 from repro.benchsuite.categories.selfmod import samples as selfmod_samples
@@ -68,7 +74,10 @@ from repro.dex import assemble, write_dex
 from repro.dex.instructions import Instruction
 from repro.errors import VmCrash
 from repro.runtime import Apk, register_native_library
+from repro.runtime import android_api, art, intrinsics
+from repro.runtime import reflection as reflection_api
 from repro.runtime.device import NEXUS_5X
+from repro.runtime.klass import RuntimeMethod
 from repro.service import BatchRevealService, RevealJob
 
 #: Fields of the report summary that *declare* how the run executed;
@@ -905,3 +914,87 @@ class TestFrontEndsAndRepack:
 
     def test_generated_fdroid_app(self):
         _assert_front_ends_agree(lambda: _fdroid_profile_app(1, 6000))
+
+
+# -- shared boot classpath ---------------------------------------------------
+
+
+def _per_runtime_boot(mp) -> None:
+    """The runtime before the boot classpath was shared: each runtime
+    builds its own framework specs, and each method keeps a copy of its
+    DEX body as ``loaded_code``.  Forked replay workers inherit it."""
+    def fresh_boot_classes(runtime) -> None:
+        for spec in (*intrinsics.all_specs(), *reflection_api.all_specs(),
+                     *android_api.all_specs()):
+            runtime.class_linker.register_boot_class(spec)
+
+    init = RuntimeMethod.__init__
+
+    def copying_init(self, declaring_class, ref, access_flags, code=None,
+                     native_impl=None) -> None:
+        init(self, declaring_class, ref, access_flags, code, native_impl)
+        self.loaded_code = code.copy() if code is not None else None
+
+    mp.setattr(art, "register_boot_classes", fresh_boot_classes)
+    mp.setattr(RuntimeMethod, "__init__", copying_init)
+
+
+def _force_reveal_bytes(apk_factory, device, backend: str) -> dict:
+    workers = 2 if backend == BACKEND_PROCESS else 1
+    config = RevealConfig(use_force_execution=True, max_paths=32,
+                          device=device, explore_backend=backend,
+                          explore_workers=workers)
+    result = reveal_apk(apk_factory(), config=config)
+    return {**result.archive.files(),
+            "revealed.apk": result.revealed_apk.to_bytes()}
+
+
+def _unpack_bytes(apk_factory, device) -> dict:
+    out = {}
+    for tool in (DexHunterLike, AppSpearLike):
+        result = tool(device).unpack(apk_factory())
+        out[tool.name] = (write_dex(result.dumped_dex),
+                          result.unpacked_apk.to_bytes())
+    return out
+
+
+def _assert_matches_per_runtime_boot(measure) -> None:
+    shared = measure()
+    with pytest.MonkeyPatch.context() as mp:
+        _per_runtime_boot(mp)
+        reference = measure()
+    assert shared.keys() == reference.keys()
+    for name in shared:
+        assert shared[name] == reference[name], name
+
+
+_SHARED_BOOT_SAMPLES = tuple(
+    sample.name for sample in droidbench_samples()
+    if sample.category in ("selfmod", "reflection", "dynload")
+)
+
+
+class TestSharedBootClasspath:
+    """One read-only boot classpath per process, and one body copy per
+    method, change no output byte."""
+
+    @pytest.mark.parametrize("backend", EXPLORE_BACKENDS)
+    @pytest.mark.parametrize("name", _SHARED_BOOT_SAMPLES)
+    def test_droidbench_force_reveal(self, name, backend):
+        sample = sample_by_name(name)
+        _assert_matches_per_runtime_boot(
+            lambda: _force_reveal_bytes(sample.build_apk, sample.device,
+                                        backend))
+
+    @pytest.mark.parametrize("backend", EXPLORE_BACKENDS)
+    @pytest.mark.parametrize("seed", [1, 4409])
+    def test_generated_fdroid_force_reveal(self, seed, backend):
+        _assert_matches_per_runtime_boot(
+            lambda: _force_reveal_bytes(
+                lambda: _fdroid_profile_app(seed, 1000), NEXUS_5X, backend))
+
+    @pytest.mark.parametrize("sample", selfmod_samples(),
+                             ids=lambda s: s.name)
+    def test_selfmod_unpacks(self, sample):
+        _assert_matches_per_runtime_boot(
+            lambda: _unpack_bytes(sample.build_apk, sample.device))

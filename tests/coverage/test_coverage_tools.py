@@ -1,5 +1,6 @@
 """Coverage collector, fuzzer and CF-Bench tests."""
 
+import time
 
 from repro.benchsuite import AppProfile, generate_app
 from repro.coverage import (
@@ -126,3 +127,39 @@ class TestCfBench:
         inst = measure_launch_time(apk, lambda: [DexLegoCollector()], launches=5)
         assert base.mean_ms > 0
         assert inst.mean_ms > base.mean_ms * 0.8  # sanity: comparable scale
+
+    def test_no_timed_launch_decodes(self, monkeypatch):
+        """The first launch on an APK decodes every instruction it runs
+        into the APK's shared decode stores; timed, it would charge that
+        decoding to whichever configuration is measured first."""
+        from repro.core import DexLegoCollector
+        from repro.coverage import cfbench
+        from repro.dex.instructions import Instruction
+
+        class Clock:
+            """``cfbench.time`` stand-in: a launch is timed between two
+            ``perf_counter`` reads."""
+
+            timing = False
+
+            def perf_counter(self):
+                self.timing = not self.timing
+                return time.perf_counter()
+
+        clock = Clock()
+        timed_decodes = []
+        decode_at = Instruction.decode_at
+
+        def counting_decode_at(cls, units, pos):
+            if clock.timing:
+                timed_decodes.append(pos)
+            return decode_at(units, pos)
+
+        monkeypatch.setattr(cfbench, "time", clock)
+        monkeypatch.setattr(Instruction, "decode_at",
+                            classmethod(counting_decode_at))
+        apk = build_simple_apk("cov.launch.warm")
+        measure_launch_time(apk, None, launches=3)
+        measure_launch_time(apk, lambda: [DexLegoCollector()], launches=3)
+        assert not clock.timing
+        assert timed_decodes == []
