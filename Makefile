@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical"
 	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -45,8 +45,9 @@ test:
 
 # The differential determinism suite on its own: both replay backends
 # (serial, and process at 1..8 workers) must produce bit-identical
-# exploration, collection and archives, resume's absorb-based archive
-# merge must match the JSON-level reference merge, a reveal must give
+# exploration, collection and archives, a resume on the process
+# backend must explore as a serial resume does, resume's absorb-based
+# archive merge must match the JSON-level reference merge, a reveal must give
 # the same DEX and APK from the live collector as from its saved
 # collection files (the offline boundary), the library and the service
 # must reveal the same APK bytes, with repack building what the
@@ -61,7 +62,7 @@ test:
 # per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
-		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py \
+		tests/core/test_replay_spec.py tests/core/test_resume_backends.py \
 		tests/cluster/test_cluster_pipeline.py::TestWorkerCountDeterminism \
 		tests/index/test_index_pipeline.py::TestWarmCorpusDedup -q
 

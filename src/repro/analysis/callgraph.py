@@ -22,18 +22,6 @@ class CallGraph:
     def successors(self, signature: str) -> list[str]:
         return sorted(callee for caller, callee in self.edges if caller == signature)
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def app_edges(self, internal_only: bool = False) -> set[tuple[str, str]]:
-        if not internal_only:
-            return set(self.edges)
-        return {
-            (caller, callee)
-            for caller, callee in self.edges
-            if not callee.startswith(("Ljava/", "Landroid/", "Ldalvik/"))
-        }
-
 
 def build_call_graph(dex_files: list[DexFile] | DexFile) -> CallGraph:
     """Build the CHA call graph of one or more DEX files."""

@@ -22,10 +22,10 @@ is app-specific.  This module makes the emission portable:
   intern calls emission would, which is what makes the byte-identity
   guarantee hold by construction.
 
-:class:`InMemoryBodyCache` is the minimal ``get_body``/``put_body``
-store; :class:`repro.index.corpus.CorpusIndex` provides the persistent
-one.  Bodies containing reflective-invoke rewrites are never cached —
-bridge method numbering is app-global.
+The ``get_body``/``put_body`` store is
+:class:`repro.index.corpus.CorpusIndex`.  Bodies containing
+reflective-invoke rewrites are never cached — bridge method numbering
+is app-global.
 """
 
 from __future__ import annotations
@@ -342,18 +342,3 @@ def replay_body(reassembler, class_builder, record: MethodRecord,
             raise ValueError(f"unknown body op {tag!r}")
     mb.build()
 
-
-class InMemoryBodyCache:
-    """Minimal ``get_body``/``put_body`` store (tests, single session)."""
-
-    def __init__(self) -> None:
-        self._bodies: dict[str, list] = {}
-
-    def get_body(self, digest: str) -> list | None:
-        return self._bodies.get(digest)
-
-    def put_body(self, digest: str, ops: list) -> None:
-        self._bodies.setdefault(digest, ops)
-
-    def __len__(self) -> int:
-        return len(self._bodies)

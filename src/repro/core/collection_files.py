@@ -14,7 +14,6 @@ refuses a file that is not the JSON a collector writes with one
 from __future__ import annotations
 
 import json
-import logging
 import os
 
 from repro import faults
@@ -29,21 +28,12 @@ from repro.core.collector import (
     DexLegoCollector,
 )
 from repro.jsonshape import NULL, check_shape
-from repro.runtime.predecode import validate_predecode_index
 
+#: The one file an archive may carry but reassembly does not require:
+#: the force-execution frontier snapshot (scheduler state,
+#: covered-outcome map, counters) that lets a resumed run continue an
+#: interrupted exploration instead of restarting.
 EXPLORATION_STATE_FILE = "exploration_state.json"
-PREDECODE_INDEX_FILE = "predecode_index.json"
-
-logger = logging.getLogger(__name__)
-
-#: Files an archive may carry but reassembly does not require.
-#: ``exploration_state.json`` is the force-execution frontier snapshot
-#: (scheduler state, covered-outcome map, counters) that lets a resumed
-#: run continue an interrupted exploration instead of restarting.
-#: ``predecode_index.json`` is the serialised warm decode state
-#: (:mod:`repro.runtime.predecode`) so the resuming session — and its
-#: replay worker processes — warm-start instead of re-decoding.
-OPTIONAL_FILES = (EXPLORATION_STATE_FILE, PREDECODE_INDEX_FILE)
 
 #: Exploration-state format versions this build can hydrate.  Checked
 #: on load: a frontier written by a different format must fail with
@@ -76,14 +66,11 @@ _SHAPES = {
                      "outs_size": int, "root": _NODE}],
     REFLECTION_FILE: [{"caller": str, "dex_pc": int,
                        "targets": [{"signature": str, "static": bool}]}],
-    # Checked after their format version (see _parse).
+    # Checked after its format version (see _parse).
     EXPLORATION_STATE_FILE: {"scheduler": dict, "outcomes?": list,
                              "traces?": list, "site_traces?": list,
                              "report?": dict,
                              "apk_main_activity?": (str, NULL)},
-    PREDECODE_INDEX_FILE: {"methods": [{"signature": str,
-                                        "generation": int,
-                                        "entries": [[int, [int]]]}]},
 }
 
 
@@ -94,12 +81,10 @@ def _parse(name: str, data: str | bytes):
     try:
         value = json.loads(data.decode("utf-8") if isinstance(data, bytes)
                            else data)
-        if name in OPTIONAL_FILES:
+        if name == EXPLORATION_STATE_FILE:
             # A foreign format version says so before any shape check.
             check_shape(value, dict)
-            if name == PREDECODE_INDEX_FILE:
-                validate_predecode_index(value)
-            elif value.get("version") not in \
+            if value.get("version") not in \
                     SUPPORTED_EXPLORATION_STATE_VERSIONS:
                 raise ValueError(
                     f"unsupported exploration state version "
@@ -113,54 +98,45 @@ def _parse(name: str, data: str | bytes):
 
 class CollectionArchive:
     """The paper's "Collected Files", held as the collector that
-    produced them.
+    produced them, plus a force-execution run's exploration frontier.
 
-    ``collector`` is the archive's content and never changes once the
-    archive is built (readers must not change it either), so
-    :meth:`files` renders it once and keeps the texts.
+    An archive is built whole and never changes once built (readers
+    must not change ``collector`` either), so :meth:`files` renders it
+    once and keeps the texts.
     """
 
     def __init__(self, collector: DexLegoCollector,
-                 exploration_state: dict | None = None,
-                 predecode_index: dict | None = None) -> None:
+                 exploration_state: dict | None = None) -> None:
         self.collector = collector
-        self._optional = {EXPLORATION_STATE_FILE: exploration_state,
-                          PREDECODE_INDEX_FILE: predecode_index}
+        self._exploration_state = exploration_state
         self._files: dict[str, str] | None = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_collector(cls, collector: DexLegoCollector) -> "CollectionArchive":
-        return cls(collector)
+    def from_collector(cls, collector: DexLegoCollector,
+                       exploration_state: dict | None = None,
+                       ) -> "CollectionArchive":
+        return cls(collector, exploration_state)
 
     @classmethod
-    def from_files(cls, files: dict,
-                   strict: bool = True) -> "CollectionArchive":
+    def from_files(cls, files: dict) -> "CollectionArchive":
         """Parse collection files (name -> text or UTF-8 bytes, all of
-        :data:`ALL_FILES` required) once; ``strict`` as in :meth:`load`."""
-        values = {}
-        for name, data in files.items():
-            try:
-                values[name] = _parse(name, data)
-            except ValueError as exc:
-                if strict or name != PREDECODE_INDEX_FILE:
-                    raise
-                logger.warning("dropping unreadable predecode index (%s); "
-                               "cold decode instead of warm start", exc)
+        :data:`ALL_FILES` required) once."""
+        values = {name: _parse(name, data) for name, data in files.items()}
         return cls(DexLegoCollector.from_rows(values),
-                   values.get(EXPLORATION_STATE_FILE),
-                   values.get(PREDECODE_INDEX_FILE))
+                   values.get(EXPLORATION_STATE_FILE))
 
     def files(self) -> dict[str, str]:
         """File name -> JSON text: the collection files, then the
-        optional files this archive carries; rendered on first use."""
+        exploration state if this archive carries one; rendered on
+        first use."""
         if self._files is None:
-            self._files = {
-                name: json.dumps(value, indent=1)
-                for name, value in (*self.collector.rows().items(),
-                                    *self._optional.items())
-                if value is not None}
+            self._files = {name: json.dumps(rows, indent=1)
+                           for name, rows in self.collector.rows().items()}
+            if self._exploration_state is not None:
+                self._files[EXPLORATION_STATE_FILE] = json.dumps(
+                    self._exploration_state, indent=1)
         return self._files
 
     # -- persistence --------------------------------------------------------
@@ -174,37 +150,33 @@ class CollectionArchive:
             # masquerading as collected data.
             faults.atomic_write_text(os.path.join(directory, name), text,
                                      site="archive.save")
-        # Optional files this archive does not carry must not survive
-        # from an earlier save — a stale exploration_state.json would
+        # A frontier this archive does not carry must not survive from
+        # an earlier save: a stale exploration_state.json would
         # resurrect a foreign frontier on the next load/resume.
-        for name in OPTIONAL_FILES:
-            if name not in files:
-                path = os.path.join(directory, name)
-                if os.path.exists(path):
-                    os.remove(path)
+        if EXPLORATION_STATE_FILE not in files:
+            path = os.path.join(directory, EXPLORATION_STATE_FILE)
+            if os.path.exists(path):
+                os.remove(path)
 
     @classmethod
-    def load(cls, directory: str,
-             strict: bool = True) -> "CollectionArchive":
+    def load(cls, directory: str) -> "CollectionArchive":
         """Read and parse a saved archive, checking every file.
 
-        The exploration frontier is correctness-bearing and always
-        strict; the predecode index is a pure warm-start optimisation,
-        so ``strict=False`` (the service's degradation mode) drops a
-        foreign or unreadable one with a warning instead of failing.
+        Reads only the files an archive holds: the collection files,
+        and the exploration state when present.
         """
         faults.check("archive.load")
         files = {}
-        for name in ALL_FILES + OPTIONAL_FILES:
+        for name in ALL_FILES + (EXPLORATION_STATE_FILE,):
             path = os.path.join(directory, name)
             if name in ALL_FILES or os.path.exists(path):
                 with open(path, "rb") as fh:
                     files[name] = fh.read()
-        return cls.from_files(files, strict=strict)
+        return cls.from_files(files)
 
     def total_size_bytes(self) -> int:
         """Dump-file size (Table VI's "Dump File Size" column): the
-        Figure-2 collection files only, not the optional bookkeeping."""
+        Figure-2 collection files only, not the exploration state."""
         files = self.files()
         return sum(len(files[name].encode("utf-8")) for name in ALL_FILES)
 
@@ -226,30 +198,10 @@ class CollectionArchive:
         """
         collector = DexLegoCollector.from_rows(base.collector.rows())
         collector.absorb(update.collector)
-        # Warm decode state: the update session re-exported its stores
-        # after running, so its index supersedes; an update without one
-        # (e.g. a no-op resume) keeps the base's warmth.
-        return cls(collector, update.exploration_state(),
-                   update.predecode_index() or base.predecode_index())
+        return cls(collector, update.exploration_state())
 
     # -- exploration state (force-execution resume) -------------------------
 
     def exploration_state(self) -> dict | None:
         """The force-execution frontier snapshot, or None."""
-        return self._optional[EXPLORATION_STATE_FILE]
-
-    def set_exploration_state(self, state: dict | None) -> None:
-        """Attach (or clear) the frontier snapshot carried by save/load."""
-        self._optional[EXPLORATION_STATE_FILE] = state
-        self._files = None
-
-    # -- predecode index (warm decode state) --------------------------------
-
-    def predecode_index(self) -> dict | None:
-        """The warm decode state, or None."""
-        return self._optional[PREDECODE_INDEX_FILE]
-
-    def set_predecode_index(self, index: dict | None) -> None:
-        """Attach (or clear) the warm decode state carried by save/load."""
-        self._optional[PREDECODE_INDEX_FILE] = index
-        self._files = None
+        return self._exploration_state

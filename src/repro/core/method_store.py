@@ -123,16 +123,6 @@ class MethodStore:
     def get(self, signature: str) -> MethodRecord | None:
         return self.records.get(signature)
 
-    def evict(self, signature: str) -> bool:
-        """Drop one record entirely; True when something was removed.
-
-        Used by corpus maintenance (an indexed method whose body now
-        lives in the :class:`~repro.index.corpus.CorpusIndex` can be
-        dropped from a long-lived store); a later re-link simply
-        re-creates the record via :meth:`ensure`.
-        """
-        return self.records.pop(signature, None) is not None
-
     def __len__(self) -> int:
         return len(self.records)
 

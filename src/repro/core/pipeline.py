@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.collection_files import PREDECODE_INDEX_FILE, CollectionArchive
+from repro.core.collection_files import CollectionArchive
 from repro.core.config import RevealConfig, resolve_config
 from repro.core.force_execution import ForceExecutionReport
 from repro.core.stages import (
@@ -174,9 +174,7 @@ class Pipeline:
             stores = open_optional_stores(self.config)
         self.index = stores.index
         self.cluster = stores.cluster
-        #: Optional subsystems this pipeline had to bypass (name ->
-        #: reason): stores that failed to open, and a foreign predecode
-        #: index dropped by a non-strict archive load.
+        #: Optional stores this pipeline had to bypass (name -> reason).
         self.degraded: dict[str, str] = dict(stores.degraded)
         self.collect_stage = CollectStage(self.config,
                                           wave_observer=wave_observer,
@@ -184,22 +182,6 @@ class Pipeline:
         self.reassemble_stage = ReassembleStage(index=self.index)
         self.verify_stage = VerifyStage()
         self.repack_stage = RepackStage()
-
-    def _load_archive(self, directory: str,
-                      strict: bool) -> CollectionArchive:
-        """Load an archive directory; in non-strict (service) mode a
-        foreign predecode index — pure warm-start state — degrades to a
-        cold start instead of failing the run.  The exploration
-        frontier is correctness-bearing and stays strict either way."""
-        archive = CollectionArchive.load(directory, strict=strict)
-        if not strict:
-            predecode_path = os.path.join(directory, PREDECODE_INDEX_FILE)
-            if os.path.exists(predecode_path) \
-                    and archive.predecode_index() is None:
-                _note_degraded(
-                    self.degraded, "predecode",
-                    f"foreign predecode index at {predecode_path} dropped")
-        return archive
 
     # -- stage execution ----------------------------------------------------
 
@@ -238,7 +220,7 @@ class Pipeline:
         return self._finish_run(apk, collected, timings)
 
     def resume(self, apk: Apk, source: "CollectionArchive | str | os.PathLike",
-               drive=None, strict: bool = True) -> RevealResult:
+               drive=None) -> RevealResult:
         """Continue an interrupted force-execution exploration.
 
         ``source`` is a saved collection archive (or directory) whose
@@ -246,12 +228,10 @@ class Pipeline:
         run; collection restarts *from that frontier* — no baseline
         re-drive, dedup set intact — then the offline half runs as
         usual.  Raises ``ValueError`` when the archive has no
-        exploration state to resume.  ``strict=False`` is the service's
-        degradation mode: a foreign predecode index is dropped (cold
-        decode, ``degraded`` noted) instead of failing the resume.
+        exploration state to resume.
         """
         if isinstance(source, (str, os.PathLike)):
-            archive = self._load_archive(os.fspath(source), strict)
+            archive = CollectionArchive.load(os.fspath(source))
         else:
             archive = source
         state = archive.exploration_state()
@@ -262,8 +242,7 @@ class Pipeline:
             )
         timings: dict[str, float] = {}
         collected = self._timed(STAGE_COLLECT, timings,
-                                self.collect_stage.run, apk, drive, state,
-                                archive.predecode_index())
+                                self.collect_stage.run, apk, drive, state)
         # The session's collector saw only this session's replays; merge
         # with the archive being resumed so code executed only by the
         # earlier session (baseline drive, prior replays) stays revealed
@@ -309,18 +288,16 @@ class Pipeline:
         self,
         source: CollectionArchive | str | os.PathLike,
         apk: Apk | None = None,
-        strict: bool = True,
     ) -> RevealResult:
         """The offline half only: saved collection files → verified DEX.
 
         ``source`` is a :class:`CollectionArchive` or a directory it was
         saved to.  When ``apk`` is provided the DEX is also repacked
         into a revealed application; otherwise ``revealed_apk`` is
-        ``None`` and the reassembled DEX is the product.  ``strict``
-        as in :meth:`resume`.
+        ``None`` and the reassembled DEX is the product.
         """
         if isinstance(source, (str, os.PathLike)):
-            archive = self._load_archive(os.fspath(source), strict)
+            archive = CollectionArchive.load(os.fspath(source))
         else:
             archive = source
         timings: dict[str, float] = {}
@@ -443,10 +420,8 @@ class DexLego:
         self,
         source: CollectionArchive | str | os.PathLike,
         apk: Apk | None = None,
-        strict: bool = True,
     ) -> RevealResult:
-        return self.pipeline.reveal_from_archive(source, apk,
-                                                 strict=strict)
+        return self.pipeline.reveal_from_archive(source, apk)
 
 
 def reveal_apk(apk: Apk, **kwargs) -> RevealResult:
@@ -459,15 +434,11 @@ def reveal_from_archive(
     apk: Apk | None = None,
     config: RevealConfig | None = None,
     observer: PipelineObserver | None = None,
-    strict: bool = True,
 ) -> RevealResult:
     """Standalone offline entry point: saved collection files in,
-    verified (optionally repacked) DEX out — no runtime, no drive.
-    ``strict=False`` opts into the graceful-degradation policy for the
-    archive's *optional* payloads (a foreign predecode index is dropped
-    instead of raising); exploration state is always validated."""
+    verified (optionally repacked) DEX out — no runtime, no drive."""
     return Pipeline(config, observer=observer).reveal_from_archive(
-        source, apk, strict=strict)
+        source, apk)
 
 
 def resume_exploration(
@@ -476,7 +447,6 @@ def resume_exploration(
     config: RevealConfig | None = None,
     drive=None,
     observer: PipelineObserver | None = None,
-    strict: bool = True,
 ) -> RevealResult:
     """Continue an interrupted force-execution run from a saved archive.
 
@@ -485,5 +455,4 @@ def resume_exploration(
     the previous session's budget stopped them (``config.max_paths``
     applies afresh to this session).
     """
-    return Pipeline(config, observer=observer).resume(apk, source, drive,
-                                                      strict=strict)
+    return Pipeline(config, observer=observer).resume(apk, source, drive)

@@ -66,10 +66,9 @@ class Reassembler:
         self.classes = classes
         self.store = store
         self.reflection_sites = reflection_sites or {}
-        #: Optional ``get_body``/``put_body`` store (corpus index or
-        #: :class:`~repro.core.body_cache.InMemoryBodyCache`): executed
-        #: bodies whose exact digest is already known are *replayed*
-        #: from their recorded op list instead of re-emitted.
+        #: Optional ``get_body``/``put_body`` store (the corpus index):
+        #: executed bodies whose exact digest is already known are
+        #: *replayed* from their recorded op list instead of re-emitted.
         self.body_cache = body_cache
         #: Exact digests the caller already computed, by signature, so
         #: body-cache lookups do not compute them again.

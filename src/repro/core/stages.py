@@ -44,7 +44,6 @@ from repro.runtime.apk import Apk
 from repro.runtime.art import AndroidRuntime
 from repro.runtime.events import AppDriver, DriveReport
 from repro.runtime.exceptions import VmThrow
-from repro.runtime.predecode import export_predecode_index, warm_predecode
 
 STAGE_COLLECT = "collect"
 STAGE_REASSEMBLE = "reassemble"
@@ -130,17 +129,13 @@ class CollectStage:
         self.last_index_probe: dict = {}
 
     def run(self, apk: Apk, drive=None,
-            resume_state: dict | None = None,
-            predecode_index: dict | None = None) -> CollectResult:
+            resume_state: dict | None = None) -> CollectResult:
         """Drive (or resume) collection.
 
         ``resume_state`` is a force-execution frontier snapshot (the
         archive's ``exploration_state.json``); passing one continues an
         interrupted exploration — force execution is implied even when
         the config flag is off, because the state only exists for it.
-        ``predecode_index`` optionally warm-starts the interpreter's
-        shared decode stores from a previously saved archive (the
-        resume path passes the one it loaded) before any run happens.
         """
         config = self.config
         collector = DexLegoCollector()
@@ -149,8 +144,6 @@ class CollectStage:
         crashed = False
         crash_reason = ""
         budget_exhausted = False
-        if predecode_index is not None:
-            warm_predecode(apk.dex_files, predecode_index)
         try:
             if config.use_force_execution or resume_state is not None:
                 # ``drive`` passes through as-is: the engine must see
@@ -198,7 +191,10 @@ class CollectStage:
             raise
         except Exception as exc:
             raise StageError(self.name, exc) from exc
-        archive = CollectionArchive.from_collector(collector)
+        # The frontier goes with the collection files, so the archive is
+        # enough to continue an interrupted exploration.
+        state = engine.state_dict() if engine is not None else None
+        archive = CollectionArchive.from_collector(collector, state)
         digests = None
         self.last_index_probe = {}
         if self.index is not None:
@@ -210,15 +206,6 @@ class CollectStage:
             except Exception:  # the probe is advisory, never fatal
                 digests = None
                 self.last_index_probe = {}
-        if engine is not None:
-            # Persist the frontier with the collection files, so the
-            # archive is enough to continue an interrupted exploration —
-            # and the warm decode state alongside it, so the session
-            # that resumes (or its worker processes) starts warm.
-            archive.set_exploration_state(engine.state_dict())
-            index = export_predecode_index(apk.dex_files)
-            if index.get("methods"):
-                archive.set_predecode_index(index)
         return CollectResult(
             archive=archive,
             collector_stats=collector.stats(),

@@ -68,49 +68,9 @@ class EncodedValueType(enum.IntEnum):
     BOOLEAN = 0x1F
 
 
-# Primitive type descriptors in the Dalvik descriptor language.
-PRIMITIVE_DESCRIPTORS = {
-    "V": "void",
-    "Z": "boolean",
-    "B": "byte",
-    "S": "short",
-    "C": "char",
-    "I": "int",
-    "J": "long",
-    "F": "float",
-    "D": "double",
-}
-
-WIDE_DESCRIPTORS = frozenset({"J", "D"})
-
-
-def is_wide_descriptor(descriptor: str) -> bool:
-    """True for types occupying a register pair (long/double)."""
-    return descriptor in WIDE_DESCRIPTORS
-
-
-def is_reference_descriptor(descriptor: str) -> bool:
-    """True for class and array types."""
-    return descriptor.startswith(("L", "["))
-
-
 def shorty_of(descriptor: str) -> str:
     """Map a full type descriptor to its shorty character."""
     if descriptor.startswith(("L", "[")):
         return "L"
     return descriptor[0]
 
-
-def descriptor_to_human(descriptor: str) -> str:
-    """Render ``Lcom/test/Main;`` as ``com.test.Main`` (arrays get ``[]``)."""
-    depth = 0
-    while descriptor.startswith("["):
-        depth += 1
-        descriptor = descriptor[1:]
-    if descriptor in PRIMITIVE_DESCRIPTORS:
-        base = PRIMITIVE_DESCRIPTORS[descriptor]
-    elif descriptor.startswith("L") and descriptor.endswith(";"):
-        base = descriptor[1:-1].replace("/", ".")
-    else:
-        base = descriptor
-    return base + "[]" * depth

@@ -73,20 +73,8 @@ class PackerUnavailable(PackerError):
         self.reason = reason
 
 
-class AnalysisError(ReproError):
-    """A static or dynamic analysis tool failed on an input."""
-
-
-class CollectionError(ReproError):
-    """The JIT collection layer hit an inconsistent state."""
-
-
 class ReassemblyError(ReproError):
     """The offline reassembler could not produce a valid DEX."""
-
-
-class ForceExecutionError(ReproError):
-    """The force execution engine could not compute or follow a path."""
 
 
 class StageError(ReproError):

@@ -31,10 +31,6 @@ class DeviceProfile:
     ssid: str = "compass-lab-wifi"
     android_id: str = "9774d56d682e549c"
 
-    @property
-    def is_tablet(self) -> bool:
-        return self.form_factor == "tablet"
-
 
 NEXUS_5X = DeviceProfile(
     name="nexus5x",

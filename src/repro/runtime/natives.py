@@ -13,7 +13,6 @@ from typing import Callable
 
 from repro.dex.sigs import parse_method_signature
 from repro.errors import ClassLinkError, NativeCrash
-from repro.runtime.values import VmString
 
 
 class NativeContext:
@@ -82,9 +81,6 @@ class NativeContext:
         )
 
     # -- conveniences -------------------------------------------------------
-
-    def new_string(self, value: str, provenance=()) -> VmString:
-        return VmString(value, provenance)
 
     def crash(self, reason: str):
         raise NativeCrash(f"native crash in {self.method.ref.signature}: {reason}")

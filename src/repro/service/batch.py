@@ -207,11 +207,6 @@ class BatchRevealService:
         return DexLego(config=config, observer=observer,
                        wave_observer=wave_observer, stores=self.stores)
 
-    def degraded_subsystems(self) -> dict[str, str]:
-        """Subsystem name -> reason for every optional store this
-        service could not open (empty when fully provisioned)."""
-        return dict(self.stores.degraded)
-
     def job_cache_key(self, job: RevealJob) -> str:
         salt = job.cache_salt
         if job.collect_only:

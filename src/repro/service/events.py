@@ -28,9 +28,9 @@ cache hits entirely.
   evidence from the :class:`~repro.cluster.labels.AutoLabeler`) when
   the service runs with a ``cluster_dir``;
 * ``degraded`` events naming the optional subsystems (index, cluster,
-  cache, predecode) a reveal had to bypass under the
-  graceful-degradation policy — published before the terminal event so
-  dashboards can flag reveals that succeeded at reduced fidelity.
+  cache) a reveal had to bypass under the graceful-degradation policy
+  — published before the terminal event so dashboards can flag
+  reveals that succeeded at reduced fidelity.
 
 :class:`EventBus` fans events out two ways at once: *push* (observer
 callbacks, registered with :meth:`EventBus.add_observer`) and *pull*

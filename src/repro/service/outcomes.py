@@ -107,10 +107,10 @@ class RevealOutcome:
       started it (submit→start); 0.0 for direct ``reveal_one`` calls
       that never queued.  ``latency_s`` remains start→finish.
     * ``degraded`` — names of optional subsystems (``index``,
-      ``cluster``, ``cache``, ``predecode``) that were unavailable or
-      corrupt during this reveal and were bypassed under the
-      graceful-degradation policy.  Empty for a fully-provisioned run;
-      a non-empty list never changes ``status`` (that is the point).
+      ``cluster``, ``cache``) that were unavailable or corrupt during
+      this reveal and were bypassed under the graceful-degradation
+      policy.  Empty for a fully-provisioned run; a non-empty list
+      never changes ``status`` (that is the point).
     * ``cache_key`` — content-addressed key the record is stored under.
     * ``result`` — the live :class:`RevealResult` when the pipeline ran
       in-process; ``None`` for disk-cache hits and process workers.

@@ -153,15 +153,22 @@ class TestRecallAndSpeedup:
 
     def test_at_least_10x_faster_than_linear(self, corpus):
         lsh, queries = corpus
-        start = time.perf_counter()
-        for query in queries:
-            lsh.nearest(query, limit=self.LIMIT, exhaustive=True)
-        linear = time.perf_counter() - start
-        start = time.perf_counter()
-        for query in queries:
-            lsh.nearest(query, limit=self.LIMIT)
-        banded = time.perf_counter() - start
-        # Measured headroom is ~100x; 10x keeps the assertion robust
+
+        def best_of_three(exhaustive: bool) -> float:
+            # The fastest of three loops: one pause (GC, a busy
+            # neighbour) inside the ~4 ms banded loop cannot decide it.
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                for query in queries:
+                    lsh.nearest(query, limit=self.LIMIT,
+                                exhaustive=exhaustive)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        linear = best_of_three(exhaustive=True)
+        banded = best_of_three(exhaustive=False)
+        # Measured headroom is ~40x; 10x keeps the assertion robust
         # on loaded CI machines.
         assert banded * 10 <= linear, \
             f"LSH {banded:.4f}s vs linear {linear:.4f}s"

@@ -1,5 +1,6 @@
 """Collector and collection-file tests."""
 
+import json
 import os
 
 import pytest
@@ -11,11 +12,10 @@ from repro.core import (
     DexLegoCollector,
     RevealConfig,
     resume_exploration,
+    reveal_from_archive,
 )
-from repro.core.collection_files import (
-    EXPLORATION_STATE_FILE,
-    PREDECODE_INDEX_FILE,
-)
+from repro.core.collection_files import EXPLORATION_STATE_FILE
+from repro.dex import iter_instructions, write_dex
 from repro.runtime import AndroidRuntime, AppDriver
 
 from tests.conftest import build_simple_apk
@@ -152,7 +152,6 @@ class TestCollectionArchive:
 #: object or list, missing keys, a wrong type, zero bytes, truncated.
 MALFORMED = [
     (EXPLORATION_STATE_FILE, "[]"),
-    (PREDECODE_INDEX_FILE, "[]"),
     ("class_data.json", "{}"),
     ("bytecode.json", '[{"method": "Lcom/fix/Simple;->f()V"}]'),
     ("method_data.json", '[{"signature": 5}]'),
@@ -163,13 +162,12 @@ MALFORMED = [
 ]
 
 
-def _saved_force_archive(tmp_path, package="c.bad") -> str:
-    """A saved archive carrying both optional files."""
+def _saved_force_archive(tmp_path) -> str:
+    """A saved archive carrying an exploration state."""
     directory = str(tmp_path / "archive")
     config = RevealConfig(use_force_execution=True, force_iterations=2)
-    archive = CollectStage(config).run(build_simple_apk(package)).archive
-    assert set(archive.files()) >= {EXPLORATION_STATE_FILE,
-                                    PREDECODE_INDEX_FILE}
+    archive = CollectStage(config).run(build_simple_apk("c.bad")).archive
+    assert EXPLORATION_STATE_FILE in archive.files()
     archive.save(directory)
     return directory
 
@@ -194,25 +192,59 @@ class TestMalformedArchive:
         assert message.startswith(f"{name}: ")
         assert "\n" not in message
 
-    def test_non_strict_load_drops_only_the_predecode_index(self, tmp_path):
-        directory = _saved_force_archive(tmp_path)
-        _overwrite(directory, PREDECODE_INDEX_FILE, "[]")
-        archive = CollectionArchive.load(directory, strict=False)
-        assert archive.predecode_index() is None
-        assert archive.exploration_state() is not None
-        _overwrite(directory, EXPLORATION_STATE_FILE, "[]")
-        with pytest.raises(ValueError, match=EXPLORATION_STATE_FILE):
-            CollectionArchive.load(directory, strict=False)
 
-    def test_non_strict_resume_degrades_a_list_predecode_index(self,
-                                                              tmp_path):
-        directory = _saved_force_archive(tmp_path, "c.resume")
-        _overwrite(directory, PREDECODE_INDEX_FILE, "[]")
-        config = RevealConfig(use_force_execution=True, force_iterations=2)
-        lego = DexLego(config=config)
-        result = lego.pipeline.resume(build_simple_apk("c.resume"),
-                                      directory, strict=False)
-        assert result.reassembled_dex.class_defs
-        assert "predecode" in lego.pipeline.degraded
-        assert resume_exploration(directory, build_simple_apk("c.resume"),
-                                  config=config, strict=False) is not None
+#: The warm-decode cache that earlier builds saved beside the collection
+#: files of every force-execution archive.  Nothing reads it any more.
+LEFTOVER_DECODE_CACHE = "predecode_index.json"
+
+
+def _decode_cache_text(apk) -> str:
+    """A decode cache in the format earlier builds wrote: version 1,
+    and per method the raw code units of each decoded pc."""
+    methods = []
+    for dex in apk.dex_files:
+        for _class_def, method, ref in dex.iter_methods():
+            if method.code is not None:
+                units = method.code.insns
+                methods.append({
+                    "signature": ref.signature,
+                    "generation": units.generation,
+                    "entries": [[pc, list(units[pc:pc + ins.unit_count])]
+                                for pc, ins in iter_instructions(units)]})
+    return json.dumps({"version": 1, "methods": methods}, indent=1)
+
+
+class TestLeftoverDecodeCache:
+    """An archive directory an earlier build saved still holds its
+    decode cache: it must load, reassemble and resume to the same bytes
+    as the same directory without the file, whatever the file holds."""
+
+    @pytest.mark.parametrize("kind", ["valid", "malformed"])
+    def test_ignored_by_load_reveal_and_resume(self, tmp_path, kind):
+        from tests.core.test_determinism import _branchy_apk
+
+        config = RevealConfig(use_force_execution=True, max_paths=1)
+        archive = CollectStage(config).run(_branchy_apk("c.left")).archive
+        clean, left = str(tmp_path / "clean"), str(tmp_path / "left")
+        archive.save(clean)
+        archive.save(left)
+        _overwrite(left, LEFTOVER_DECODE_CACHE,
+                   _decode_cache_text(_branchy_apk("c.left"))
+                   if kind == "valid" else "[]")
+
+        assert CollectionArchive.load(left).files() == \
+            CollectionArchive.load(clean).files()
+        revealed, resumed = [], []
+        for directory in (clean, left):
+            result = reveal_from_archive(directory, _branchy_apk("c.left"))
+            revealed.append((write_dex(result.reassembled_dex),
+                             result.revealed_apk.to_bytes()))
+            result = resume_exploration(
+                directory, _branchy_apk("c.left"),
+                config=config.replace(max_paths=32))
+            assert result.force_report.resumed
+            resumed.append((result.archive.files(),
+                            write_dex(result.reassembled_dex),
+                            result.revealed_apk.to_bytes()))
+        assert revealed[1] == revealed[0]
+        assert resumed[1] == resumed[0]

@@ -66,7 +66,6 @@ from repro.core.collection_files import (
     EXPLORATION_STATE_FILE,
     FIELD_DATA_FILE,
     METHOD_DATA_FILE,
-    PREDECODE_INDEX_FILE,
     REFLECTION_FILE,
     STATIC_VALUES_FILE,
 )
@@ -480,11 +479,9 @@ class TestBackendEquivalence:
 
 
 def _collect_payloads(apk_factory, tmp_path, **knobs) -> dict:
-    """Backend -> the archive CollectStage writes, minus the predecode
-    index.  That index is warm *cache* state, not collection output:
-    under the process backend replay decoding happens in the workers,
-    so the parent exports a smaller index.  Every collection file and
-    the exploration state must still match byte for byte."""
+    """Backend -> the whole archive CollectStage writes: every
+    collection file and the exploration state, to match byte for
+    byte."""
     payloads = {}
     for backend in EXPLORE_BACKENDS:
         config = RevealConfig(
@@ -495,9 +492,7 @@ def _collect_payloads(apk_factory, tmp_path, **knobs) -> dict:
             **knobs,
         )
         result = CollectStage(config).run(apk_factory())
-        payload = dict(result.archive.files())
-        payload.pop(PREDECODE_INDEX_FILE, None)
-        payloads[backend] = payload
+        payloads[backend] = result.archive.files()
     return payloads
 
 
@@ -632,10 +627,6 @@ def _json_merged(base: CollectionArchive,
     if EXPLORATION_STATE_FILE in update.files():
         files[EXPLORATION_STATE_FILE] = \
             update.files()[EXPLORATION_STATE_FILE]
-    predecode = update.files().get(PREDECODE_INDEX_FILE) \
-        or base.files().get(PREDECODE_INDEX_FILE)
-    if predecode is not None:
-        files[PREDECODE_INDEX_FILE] = predecode
     return files
 
 
@@ -647,8 +638,7 @@ def _resume_pair(apk: Apk, then: int, device=NEXUS_5X):
                           device=device)
     base = CollectStage(config).run(apk).archive
     session = CollectStage(config.replace(max_paths=then)).run(
-        apk, resume_state=base.exploration_state(),
-        predecode_index=base.predecode_index())
+        apk, resume_state=base.exploration_state())
     return base, session.archive
 
 

@@ -1,12 +1,11 @@
-"""MethodStore lookup/eviction semantics and backend equivalence.
+"""MethodStore lookup semantics and backend equivalence.
 
 The corpus index registers methods straight out of a reveal's
 :class:`MethodStore`, so two properties matter beyond the existing
 differential suite:
 
-* the store's mutation API (``ensure``/``evict``/``add_tree``) behaves
-  like the corpus-maintenance code assumes — eviction is a clean drop
-  and re-linking recreates records instead of clobbering them;
+* the store's mutation API (``ensure``/``add_tree``) keeps what it
+  holds — re-linking never clobbers a record;
 * the store a collection produces is *identical* (signatures, tree
   fingerprints, structural metadata) whichever replay backend and
   worker count explored the app — otherwise the same APK would index
@@ -52,17 +51,6 @@ class TestStoreSemantics:
 
     def test_get_miss_is_none(self):
         assert MethodStore().get("La/C;->missing()V") is None
-
-    def test_evict_then_relink(self):
-        store = MethodStore()
-        store.ensure(_record())
-        assert store.evict("La/C;->m()V") is True
-        assert store.evict("La/C;->m()V") is False
-        assert store.get("La/C;->m()V") is None
-        assert len(store) == 0
-        # A later re-link recreates the record from scratch.
-        fresh = store.ensure(_record())
-        assert fresh.trees == []
 
     def test_add_tree_to_unknown_signature_is_refused(self):
         store = MethodStore()
@@ -154,12 +142,3 @@ class TestBackendEquivalence:
         executed = store.executed_records()
         assert len(executed) >= 2  # onCreate + helper at minimum
         assert any(rec.trees for rec in executed)
-
-    def test_eviction_on_a_collected_store(self):
-        store = _collect_store(BACKEND_SERIAL, 1)
-        target = store.executed_records()[0].signature
-        before = len(store)
-        assert store.evict(target) is True
-        assert len(store) == before - 1
-        assert all(rec.signature != target
-                   for rec in store.executed_records())

@@ -123,10 +123,17 @@ class TestCfBench:
         from repro.core import DexLegoCollector
 
         apk = build_simple_apk("cov.launch")
-        base = measure_launch_time(apk, None, launches=5)
-        inst = measure_launch_time(apk, lambda: [DexLegoCollector()], launches=5)
-        assert base.mean_ms > 0
-        assert inst.mean_ms > base.mean_ms * 0.8  # sanity: comparable scale
+
+        def best_mean_ms(listeners) -> float:
+            # The lowest of three 5-launch means: one slow launch cannot
+            # tip the comparison of two sub-millisecond figures.
+            return min(measure_launch_time(apk, listeners, launches=5).mean_ms
+                       for _ in range(3))
+
+        base = best_mean_ms(None)
+        inst = best_mean_ms(lambda: [DexLegoCollector()])
+        assert base > 0
+        assert inst > base * 0.8  # sanity: comparable scale
 
     def test_no_timed_launch_decodes(self, monkeypatch):
         """The first launch on an APK decodes every instruction it runs

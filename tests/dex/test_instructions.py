@@ -100,6 +100,71 @@ class TestAccessors:
         assert Instruction.make("add-int/lit8", 0, 1, 9).literal == 9
 
 
+#: Code-unit widths of DEX 035 opcodes 0x00-0x5b as inclusive
+#: ``(first, last, units)`` ranges, written from the Dalvik bytecode
+#: format table and checked against an independent parser's table of
+#: the same opcodes (BANG's ``DEX_035_OPCODES``).
+DEX_035_WIDTHS = [
+    (0x00, 0x01, 1),  # nop, move
+    (0x02, 0x02, 2),  # move/from16
+    (0x03, 0x03, 3),  # move/16
+    (0x04, 0x04, 1),  # move-wide
+    (0x05, 0x05, 2),  # move-wide/from16
+    (0x06, 0x06, 3),  # move-wide/16
+    (0x07, 0x07, 1),  # move-object
+    (0x08, 0x08, 2),  # move-object/from16
+    (0x09, 0x09, 3),  # move-object/16
+    (0x0a, 0x12, 1),  # move-result*, move-exception, return*, const/4
+    (0x13, 0x13, 2),  # const/16
+    (0x14, 0x14, 3),  # const
+    (0x15, 0x16, 2),  # const/high16, const-wide/16
+    (0x17, 0x17, 3),  # const-wide/32
+    (0x18, 0x18, 5),  # const-wide
+    (0x19, 0x1a, 2),  # const-wide/high16, const-string
+    (0x1b, 0x1b, 3),  # const-string/jumbo
+    (0x1c, 0x1c, 2),  # const-class
+    (0x1d, 0x1e, 1),  # monitor-enter, monitor-exit
+    (0x1f, 0x20, 2),  # check-cast, instance-of
+    (0x21, 0x21, 1),  # array-length
+    (0x22, 0x23, 2),  # new-instance, new-array
+    (0x24, 0x26, 3),  # filled-new-array(/range), fill-array-data
+    (0x27, 0x28, 1),  # throw, goto
+    (0x29, 0x29, 2),  # goto/16
+    (0x2a, 0x2c, 3),  # goto/32, packed-switch, sparse-switch
+    (0x2d, 0x3d, 2),  # cmp*, if-test, if-testz
+    (0x44, 0x5b, 2),  # aget*, aput*, iget*
+]
+
+#: Opcode values DEX 035 leaves unassigned inside 0x00-0x5b.
+DEX_035_UNUSED = range(0x3e, 0x44)
+
+
+class TestOpcodeWidthsAgainstTheSpec:
+    """The collector, the interpreter's decode cache and the reassembler
+    all step through code by instruction width; here the opcode table's
+    widths meet a second source of truth."""
+
+    def test_widths_cover_0x00_to_0x5b_once(self):
+        values = [op for first, last, _ in DEX_035_WIDTHS
+                  for op in range(first, last + 1)]
+        assert sorted(values + list(DEX_035_UNUSED)) == list(range(0x5c))
+        assert len(values) == 86
+
+    @pytest.mark.parametrize("first,last,units", DEX_035_WIDTHS,
+                             ids=[f"{f:#04x}-{l:#04x}"
+                                  for f, l, _ in DEX_035_WIDTHS])
+    def test_width_matches_dex_035(self, first, last, units):
+        for op in range(first, last + 1):
+            info = OPCODE_TABLE[op]
+            assert info is not None, f"{op:#04x} unassigned"
+            assert FORMAT_UNITS[info.fmt] == units, \
+                f"{op:#04x} {info.name} ({info.fmt})"
+
+    def test_unused_values_are_unassigned(self):
+        assert [op for op in DEX_035_UNUSED
+                if OPCODE_TABLE[op] is not None] == []
+
+
 class TestOpcodeProperties:
     def test_every_opcode_has_format(self):
         from repro.dex.formats import FORMAT_UNITS

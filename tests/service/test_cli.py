@@ -299,7 +299,6 @@ class TestReassembleRobustness:
 #: (file, content) pairs that are not what a collector writes.
 MALFORMED_FILES = [
     ("exploration_state.json", "[]"),
-    ("predecode_index.json", "[]"),
     ("class_data.json", "{}"),
     ("bytecode.json", '[{"method": "Lcom/fix/Simple;->f()V"}]'),
     ("method_data.json", ""),

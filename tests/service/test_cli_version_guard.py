@@ -3,8 +3,8 @@
 Two regression cases.  ``reassemble`` over an archive whose
 ``exploration_state.json`` was written by a different format version
 used to hydrate the collection files first and only trip (or worse,
-mis-resume) later; the archive loader now validates the stateful
-optional files eagerly, so the CLI exits non-zero with one clear line.
+mis-resume) later; the archive loader now validates the exploration
+state eagerly, so the CLI exits non-zero with one clear line.
 ``watch``/``status`` over a job store holding records of a foreign
 ``STORE_FORMAT_VERSION`` used to render an empty queue — and
 ``watch --follow`` would tail it until timeout — because the store
@@ -15,7 +15,7 @@ outright.
 import json
 import os
 
-from repro.core import CollectionArchive, CollectStage, DexLegoCollector, RevealConfig
+from repro.core import CollectStage, RevealConfig
 from repro.dex import assemble
 from repro.runtime import Apk
 from repro.service.cli import main
@@ -63,16 +63,6 @@ class TestReassembleVersionGuard:
         directory = _archive_dir(tmp_path, exploration_version=1)
         assert main(["reassemble", directory]) == 0
         assert os.path.exists(os.path.join(directory, "reassembled.dex"))
-
-    def test_foreign_predecode_index_exits_two(self, tmp_path, capsys):
-        archive = CollectionArchive.from_collector(DexLegoCollector())
-        archive.set_predecode_index({"version": 7, "methods": []})
-        directory = str(tmp_path / "warmarchive")
-        archive.save(directory)
-        code = main(["reassemble", directory])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "predecode index version 7" in captured.err
 
 
 class TestWatchVersionGuard:

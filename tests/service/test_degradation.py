@@ -1,21 +1,11 @@
 """Graceful degradation: a reveal must never fail because an optional
-subsystem (index, cluster, cache, predecode index) is corrupt,
-foreign-versioned or unavailable — it degrades, warns once, and stamps
-the outcome."""
+subsystem (index, cluster, cache) is corrupt, foreign-versioned or
+unavailable — it degrades, warns once, and stamps the outcome."""
 
 import json
-import os
-
-import pytest
 
 from repro import faults
-from repro.core import (
-    CollectionArchive,
-    DexLego,
-    DexLegoCollector,
-    RevealConfig,
-    reveal_from_archive,
-)
+from repro.core import RevealConfig
 from repro.faults import FAULT_OS_ERROR, FaultPlan, FaultRule
 from repro.service import (
     EVENT_DEGRADED,
@@ -56,8 +46,7 @@ class TestServiceDegrades:
         assert outcome.status == STATUS_OK
         assert outcome.degraded == ["index"]
         assert outcome.index_stats == {}
-        reasons = service.degraded_subsystems()
-        assert "ValueError" in reasons["index"]
+        assert "ValueError" in service.stores.degraded["index"]
         warnings = [r for r in caplog.records
                     if "index unavailable" in r.getMessage()]
         assert len(warnings) == 1
@@ -93,40 +82,6 @@ class TestServiceDegrades:
         assert summary["degraded"] == ["cache", "index"]
         assert RevealOutcome.from_summary(summary).degraded == \
                ["cache", "index"]
-
-
-class TestPredecodeDegrades:
-    def _warm_archive(self, tmp_path) -> str:
-        archive = CollectionArchive.from_collector(DexLegoCollector())
-        archive.set_predecode_index({"version": 7, "methods": []})
-        directory = str(tmp_path / "warm")
-        archive.save(directory)
-        return directory
-
-    def test_strict_load_still_raises(self, tmp_path):
-        directory = self._warm_archive(tmp_path)
-        with pytest.raises(ValueError):
-            CollectionArchive.load(directory)
-
-    def test_non_strict_drops_predecode_and_notes_it(self, tmp_path):
-        directory = self._warm_archive(tmp_path)
-        archive = CollectionArchive.load(directory, strict=False)
-        assert archive.predecode_index() is None
-
-    def test_pipeline_notes_predecode_degradation(self, tmp_path):
-        directory = self._warm_archive(tmp_path)
-        lego = DexLego()
-        with pytest.raises(ValueError):
-            lego.reveal_from_archive(directory)  # strict by default
-        result = lego.reveal_from_archive(directory, strict=False)
-        assert result is not None
-        assert "predecode" in lego.pipeline.degraded
-
-    def test_module_entry_point_passes_strict(self, tmp_path):
-        directory = self._warm_archive(tmp_path)
-        with pytest.raises(ValueError):
-            reveal_from_archive(directory)
-        assert reveal_from_archive(directory, strict=False) is not None
 
 
 class TestCacheDegrades:
