@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical; dump sizes equal to the render, one decode per collected instruction"
 	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -36,7 +36,7 @@ help:
 	@echo "make bench-layers - traced perfbench ledger of all three workloads (seed 1, 20 s) to $(BENCH_LAYERS); not gated"
 	@echo "make serve-smoke - submit two jobs, drain them with serve, assert clean shutdown and the journal"
 	@echo "make gateway-smoke - gateway + 2 fleet workers: HTTP submit, fetch artifact, diff vs in-process"
-	@echo "make profile     - cProfile one reveal, print top-20 cumulative (tools/profile_reveal.py)"
+	@echo "make profile     - cProfile one service reveal_one, as a front end runs it; print top-20 cumulative (tools/profile_reveal.py)"
 	@echo "make lint        - byte-compile everything (syntax floor; uses pyflakes when present)"
 	@echo "make ci          - exactly what the CI workflow runs: lint + test + test-determinism + test-chaos + bench-smoke + bench-check + serve-smoke + gateway-smoke"
 
@@ -57,14 +57,21 @@ test:
 # shared boot classpath), and the corpus stores must write the same
 # bytes at any worker count
 # (cluster families) and replay index bodies byte-identically to fresh
-# emission (index dedup).  Part of `make test` too; this target exists
+# emission (index dedup).  The dump size counted from the collector
+# must equal the length of the collection files' render, on generated
+# collectors and wherever the differentials above read an archive's
+# files (dump sizes), and a reveal must decode each collected
+# instruction once, at collection, and write the reassembled DEX
+# without a remap (decode budget).  Part of `make test` too; this target exists
 # so CI (and bisects) can run the contract in isolation with verbose
 # per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
 		tests/core/test_replay_spec.py tests/core/test_resume_backends.py \
 		tests/cluster/test_cluster_pipeline.py::TestWorkerCountDeterminism \
-		tests/index/test_index_pipeline.py::TestWarmCorpusDedup -q
+		tests/index/test_index_pipeline.py::TestWarmCorpusDedup \
+		tests/core/test_collection_sizes.py \
+		tests/core/test_decode_budget.py -q
 
 # The chaos suite on its own: deterministic seeded fault schedules
 # (store I/O, network, worker kills) against a live gateway and a
@@ -129,8 +136,9 @@ bench-layers:
 		json.dump(runs, open('$(BENCH_LAYERS)', 'w'), indent=1); \
 		print('bench-layers: ledgers of', ', '.join(runs), 'in $(BENCH_LAYERS)')"
 
-# Profile a single reveal (top-20 cumulative by default) so perf work
-# starts from data; see tools/profile_reveal.py --help for knobs.
+# Profile a single service reveal_one, the call every front end makes
+# per app (top-20 cumulative by default), so perf work starts from
+# data; see tools/profile_reveal.py --help for knobs.
 profile:
 	$(PYTHONPATH_SRC) $(PYTHON) tools/profile_reveal.py
 

@@ -340,5 +340,4 @@ def replay_body(reassembler, class_builder, record: MethodRecord,
                          [(desc, label) for desc, label in op[3]])
         else:
             raise ValueError(f"unknown body op {tag!r}")
-    mb.build()
 

@@ -5,7 +5,8 @@ class data, field data, method data, static values and bytecode — which
 the offline reassembler later combines.  In process the stages hand
 over the collector: :class:`CollectionArchive` holds it and renders the
 files from :meth:`~repro.core.collector.DexLegoCollector.rows` once,
-when the archive is saved, sized (Table VI) or zipped;
+when the archive is saved or zipped.  Their size (Table VI) is the
+length of that render, counted from the collector without rendering.
 :meth:`CollectionArchive.load` parses them once, into a collector, and
 refuses a file that is not the JSON a collector writes with one
 ``ValueError`` naming it.
@@ -27,6 +28,7 @@ from repro.core.collector import (
     STATIC_VALUES_FILE,
     DexLegoCollector,
 )
+from repro.core.tree import trees_rendered_size
 from repro.jsonshape import NULL, check_shape
 
 #: The one file an archive may carry but reassembly does not require:
@@ -72,6 +74,36 @@ _SHAPES = {
                              "report?": dict,
                              "apk_main_activity?": (str, NULL)},
 }
+
+
+# -- sizes of the indent=1 render, without rendering ----------------------
+
+
+def _added_whitespace(container, level: int) -> int:
+    """What ``indent=1`` adds to the compact render of a list, tuple or
+    dict opening on a line indented ``level`` spaces: a newline and the
+    indentation before every item and before the closing bracket, and a
+    space after every key's colon."""
+    if not container:
+        return 0
+    if isinstance(container, dict):
+        items = container.values()
+        added = len(container) * (level + 3) + level + 1
+    else:
+        items = container
+        added = len(container) * (level + 2) + level + 1
+    for item in items:
+        if isinstance(item, (dict, list, tuple)):
+            added += _added_whitespace(item, level + 1)
+    return added
+
+
+def _rendered_size(rows: list) -> int:
+    """``len(json.dumps(rows, indent=1))``: the C encoder's compact
+    render (ASCII, so characters are bytes) plus the whitespace
+    ``indent=1`` adds."""
+    return (len(json.dumps(rows, separators=(",", ":")))
+            + _added_whitespace(rows, 0))
 
 
 def _parse(name: str, data: str | bytes):
@@ -121,8 +153,17 @@ class CollectionArchive:
 
     @classmethod
     def from_files(cls, files: dict) -> "CollectionArchive":
-        """Parse collection files (name -> text or UTF-8 bytes, all of
-        :data:`ALL_FILES` required) once."""
+        """Parse collection files (name -> text or UTF-8 bytes: all of
+        :data:`ALL_FILES`, and :data:`EXPLORATION_STATE_FILE` if the
+        archive has one) once; one ``ValueError`` naming the first file
+        that is not one of these, missing or malformed."""
+        for name in files:
+            if name not in _SHAPES:
+                raise ValueError(f"{name}: not a file of a collection "
+                                 f"archive")
+        for name in ALL_FILES:
+            if name not in files:
+                raise ValueError(f"{name}: missing")
         values = {name: _parse(name, data) for name, data in files.items()}
         return cls(DexLegoCollector.from_rows(values),
                    values.get(EXPLORATION_STATE_FILE))
@@ -176,9 +217,15 @@ class CollectionArchive:
 
     def total_size_bytes(self) -> int:
         """Dump-file size (Table VI's "Dump File Size" column): the
-        Figure-2 collection files only, not the exploration state."""
-        files = self.files()
-        return sum(len(files[name].encode("utf-8")) for name in ALL_FILES)
+        Figure-2 collection files only, not the exploration state.
+
+        Exactly the length of their :meth:`files` render, counted from
+        the collector without rendering: ``bytecode.json`` from the
+        trees (:func:`~repro.core.tree.trees_rendered_size`), the other
+        five files from their rows."""
+        collector = self.collector
+        return (sum(map(_rendered_size, collector.metadata_rows().values()))
+                + trees_rendered_size(collector.trees()))
 
     # -- merging (resume) ---------------------------------------------------
 

@@ -268,7 +268,7 @@ class DexLegoCollector(RuntimeListener):
             state.tree = self._materialise(frame, match)
         symbol = self._resolve_symbol(frame, ins)
         state.tree.observe(
-            CollectedInstruction(dex_pc, units, payload_units, symbol)
+            CollectedInstruction(dex_pc, units, payload_units, symbol, ins)
         )
 
     def _materialise(self, frame, match: KnownTreeMatch) -> CollectionTree:
@@ -335,6 +335,17 @@ class DexLegoCollector(RuntimeListener):
         :data:`ALL_FILES` order (static values are in both
         ``field_data.json``, which :meth:`from_rows` reads, and
         ``static_values.json``)."""
+        rows = self.metadata_rows()
+        rows[BYTECODE_FILE] = [tree.to_dict() for tree in self.trees()]
+        return {name: rows[name] for name in ALL_FILES}
+
+    def trees(self):
+        """Every collection tree, in ``bytecode.json`` row order."""
+        for record in self.method_store.records.values():
+            yield from record.trees
+
+    def metadata_rows(self) -> dict[str, list]:
+        """:meth:`rows` of every file but ``bytecode.json``."""
         classes, fields, statics = [], [], []
         for collected in self.classes.values():
             desc = collected.descriptor
@@ -350,14 +361,12 @@ class DexLegoCollector(RuntimeListener):
                                "value": list(f.static_value)})
                 statics.append({"class": desc, "field": f.name,
                                 "value": list(f.static_value)})
-        records = self.method_store.records.values()
         return {
             CLASS_DATA_FILE: classes,
             FIELD_DATA_FILE: fields,
-            METHOD_DATA_FILE: [record.to_dict() for record in records],
+            METHOD_DATA_FILE: [record.to_dict() for record
+                               in self.method_store.records.values()],
             STATIC_VALUES_FILE: statics,
-            BYTECODE_FILE: [tree.to_dict() for record in records
-                            for tree in record.trees],
             REFLECTION_FILE: [site.to_dict()
                               for site in self.reflection_sites.values()],
         }

@@ -86,6 +86,9 @@ class Reassembler:
     # -- public entry -----------------------------------------------------
 
     def reassemble(self) -> DexFile:
+        """Emit every class, then build the DEX: its methods are left
+        to :meth:`DexBuilder.build`, which encodes them once the pools
+        are in binary-format order."""
         self._plan_bridges()
         for descriptor in sorted(self.classes):
             self._emit_class(self.classes[descriptor])
@@ -139,13 +142,13 @@ class Reassembler:
             class_builder.method(
                 record.name, record.return_desc, record.param_descs,
                 access=access | int(AccessFlags.NATIVE), native=True,
-            ).build()
+            )
             return
         if access & AccessFlags.ABSTRACT:
             class_builder.method(
                 record.name, record.return_desc, record.param_descs,
                 access=access, abstract=True,
-            ).build()
+            )
             return
         if not record.executed:
             self._emit_stub(class_builder, record)
@@ -184,7 +187,6 @@ class Reassembler:
         else:
             mb.const(0, 0)
             mb.ret(0)
-        mb.build()
 
     # -- collected bodies ---------------------------------------------------------
 
@@ -231,7 +233,6 @@ class Reassembler:
             writer.label(UNEXEC_LABEL)
             writer.goto_(UNEXEC_LABEL)
         self._emit_tries(writer, record, trees)
-        mb.build()
         return writer.ops
 
     def _emit_prologue(
@@ -351,7 +352,6 @@ class Reassembler:
             mb.raw("and-int/lit8", 2, 2, 1)
             mb.field_op("sput-boolean", 2, f"{INSTRUMENT_CLASS}->{name}:Z")
         mb.ret_void()
-        mb.build()
 
     def _emit_bridge(self, class_builder: ClassBuilder, request: _BridgeRequest) -> None:
         """Direct-call bridge replacing one reflective invoke site."""
@@ -382,7 +382,6 @@ class Reassembler:
                 )
                 mb.if_zero("eq", 0, f"target_{index + 1}")
             self._emit_bridge_call(mb, signature, site.target_static[signature])
-        mb.build()
 
     def _emit_bridge_call(
         self, mb: MethodBuilder, signature: str, is_static: bool

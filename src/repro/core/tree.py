@@ -16,7 +16,8 @@ built at all; only a frame that turns out new becomes a tree.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from repro.dex.instructions import Instruction
 
@@ -33,19 +34,81 @@ class CollectedInstruction:
     the paper collects alongside each instruction, which is what lets the
     offline reassembler re-intern references into a fresh DEX without the
     original constant pool.
+
+    ``ins`` is ``units`` decoded: the instruction the interpreter
+    executed, or ``None`` until :attr:`instruction` first decodes it (a
+    tree loaded from rows).  It is a cache, not part of the identity:
+    equality, hashing, fingerprints and every serialised form leave it
+    out.
     """
 
     dex_pc: int
     units: tuple[int, ...]
     payload_units: tuple[int, ...] | None = None
     symbol: str | None = None
+    ins: Instruction | None = field(default=None, compare=False, repr=False)
 
     @property
     def instruction(self) -> Instruction:
-        return Instruction.decode_at(list(self.units), 0)
+        ins = self.ins
+        if ins is None:
+            ins = Instruction.decode_at(list(self.units), 0)
+            object.__setattr__(self, "ins", ins)
+        return ins
 
     def same_ins(self, other_units: tuple[int, ...]) -> bool:
         return self.units == other_units
+
+
+# -- the length of the indent=1 render, without rendering -----------------
+#
+# ``bytecode.json`` is ``json.dumps([tree.to_dict() ...], indent=1)``;
+# ``rendered_size`` beside each ``to_dict`` counts that render's length
+# from the same fields.  ``indent=1`` is the compact render with
+# whitespace added: a newline and the indentation before every item of
+# a non-empty container and before its closing bracket, and a space
+# after every key's colon.  Items of a container that starts on a line
+# indented ``level`` spaces are indented ``level + 1``.  Strings are
+# ASCII (``ensure_ascii``), so characters are bytes.
+
+
+def _list_size(items: int, inner: int, level: int) -> int:
+    """Render length of a list at ``level`` whose ``items`` items render
+    to ``inner`` characters in all."""
+    return inner + items * (level + 3) + level + 2 if items else 2
+
+
+def _dict_size(items: int, inner: int, level: int) -> int:
+    """Render length of a dict at ``level`` whose quoted keys and values
+    render to ``inner`` characters in all."""
+    return inner + items * (level + 5) + level + 2 if items else 2
+
+
+def _ints_size(values, level: int) -> int:
+    """Render length of a list of ints at ``level`` (json renders an
+    int, of any int subclass, as ``int.__repr__`` does).  A plain loop:
+    ``map`` objects would be allocations the cyclic GC counts."""
+    if not values:
+        return 2
+    size = len(values) * (level + 3) + level + 2
+    for value in values:
+        size += len(int.__repr__(value))
+    return size
+
+
+def _keys(*names: str) -> int:
+    """Render length of dict keys, quoted."""
+    return sum(len(name) + 2 for name in names)
+
+
+#: The keys ``to_dict`` writes: a tree's, a node's, and an IL entry's
+#: fixed and optional ones.
+_TREE_KEYS = _keys("method", "registers_size", "ins_size", "outs_size",
+                   "root")
+_NODE_KEYS = _keys("sm_start", "sm_end", "il", "children")
+_ENTRY_KEYS = _keys("dex_pc", "units")
+_PAYLOAD_KEY = _keys("payload")
+_SYMBOL_KEY = _keys("symbol")
 
 
 class TreeNode:
@@ -102,6 +165,33 @@ class TreeNode:
             ],
             "children": [child.to_dict() for child in self.children],
         }
+
+    def rendered_size(self, level: int) -> int:
+        """Length of :meth:`to_dict` rendered with ``indent=1``, opening
+        on a line indented ``level`` spaces."""
+        entry_level = level + 2  # each IL entry's dict
+        per_key = entry_level + 5
+        units_level = entry_level + 1
+        # _dict_size of an entry with the two fixed keys, values aside.
+        entry_base = _ENTRY_KEYS + 2 * per_key + entry_level + 2
+        il = 0
+        for c in self.il:
+            size = entry_base + len(int.__repr__(c.dex_pc)) \
+                + _ints_size(c.units, units_level)
+            if c.payload_units is not None:
+                size += _PAYLOAD_KEY + per_key + _ints_size(
+                    c.payload_units, units_level)
+            if c.symbol is not None:
+                size += _SYMBOL_KEY + per_key + len(
+                    encode_basestring_ascii(c.symbol))
+            il += size
+        children = sum(child.rendered_size(entry_level)
+                       for child in self.children)
+        return _dict_size(
+            4, _NODE_KEYS + len(int.__repr__(self.sm_start))
+            + len(int.__repr__(self.sm_end))
+            + _list_size(len(self.il), il, level + 1)
+            + _list_size(len(self.children), children, level + 1), level)
 
     @classmethod
     def from_dict(cls, data: dict, parent: "TreeNode | None" = None) -> "TreeNode":
@@ -198,6 +288,17 @@ class CollectionTree:
             "root": self.root.to_dict(),
         }
 
+    def rendered_size(self, level: int) -> int:
+        """Length of :meth:`to_dict` rendered with ``indent=1``, opening
+        on a line indented ``level`` spaces."""
+        return _dict_size(
+            5, _TREE_KEYS
+            + len(encode_basestring_ascii(self.method_signature))
+            + len(int.__repr__(self.registers_size))
+            + len(int.__repr__(self.ins_size))
+            + len(int.__repr__(self.outs_size))
+            + self.root.rendered_size(level + 1), level)
+
     @classmethod
     def from_dict(cls, data: dict) -> "CollectionTree":
         tree = cls(
@@ -209,6 +310,16 @@ class CollectionTree:
         tree.root = TreeNode.from_dict(data["root"])
         tree.current = tree.root
         return tree
+
+
+def trees_rendered_size(trees) -> int:
+    """Length of ``[tree.to_dict() for tree in trees]`` rendered with
+    ``indent=1`` (``bytecode.json``), counted without rendering."""
+    count = inner = 0
+    for tree in trees:
+        count += 1
+        inner += tree.rendered_size(1)
+    return _list_size(count, inner, 0)
 
 
 class KnownTreeMatch:

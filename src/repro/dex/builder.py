@@ -6,6 +6,11 @@ code-unit arrays.  The method builder performs two-pass layout: record
 pseudo-instructions (branch operands may be label names), assign each a
 ``dex_pc``, then patch relative offsets and append aligned switch /
 array payloads.
+
+A method builder left unbuilt is built by :meth:`DexBuilder.build`,
+after the pools are sorted into binary-format order: its pool operands
+are then encoded once, against their final indices, and
+:func:`~repro.dex.writer.write_dex` has no instruction to remap.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.dex.constants import AccessFlags, EncodedValueType, NO_INDEX
 from repro.dex.formats import FORMAT_UNITS
 from repro.dex.instructions import Instruction
-from repro.dex.opcodes import opcode_for
+from repro.dex.opcodes import IndexKind, opcode_for
 from repro.dex.payloads import (
     FillArrayDataPayload,
     PackedSwitchPayload,
@@ -40,7 +45,7 @@ from repro.dex.structures import (
 from repro.errors import AssemblyError
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """One not-yet-laid-out instruction."""
 
@@ -50,14 +55,14 @@ class _Pending:
     pc: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingPayload:
     label: str
     payload: object  # one of the payload classes (targets may hold labels)
     pc: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingTry:
     start_label: str
     end_label: str
@@ -69,6 +74,9 @@ class DexBuilder:
 
     def __init__(self) -> None:
         self.dex = DexFile()
+        #: Every method builder made, for :meth:`build` to finish the
+        #: ones not built yet.
+        self._methods: list[MethodBuilder] = []
 
     def add_class(
         self,
@@ -95,6 +103,24 @@ class DexBuilder:
         return ClassBuilder(self, class_def, descriptor)
 
     def build(self) -> DexFile:
+        """The DexFile, every method built.
+
+        Method builders not built yet are built here, after the pools
+        (with the shorty strings the writer adds) are sorted into
+        binary-format order, so their code needs no remap.  A file
+        whose methods were all built already is returned as it stands.
+        """
+        unbuilt = [mb for mb in self._methods
+                   if mb.has_body and not mb._built]
+        self._methods = []
+        if unbuilt:
+            dex = self.dex
+            for mb in unbuilt:
+                mb._intern_handler_types()
+            dex.intern_shorties()
+            renumber = dex.canonicalize()
+            for mb in unbuilt:
+                mb._build(renumber)
         return self.dex
 
 
@@ -187,8 +213,10 @@ class ClassBuilder:
             self.class_def.direct_methods.append(encoded)
         else:
             self.class_def.virtual_methods.append(encoded)
-        return MethodBuilder(self, encoded, ref, is_static, locals_count,
-                             has_body=not (native or abstract))
+        mb = MethodBuilder(self, encoded, ref, is_static, locals_count,
+                           has_body=not (native or abstract))
+        self.parent._methods.append(mb)
+        return mb
 
 
 class MethodBuilder:
@@ -394,6 +422,20 @@ class MethodBuilder:
 
     def build(self) -> EncodedMethod:
         """Lay out, patch branches, attach payloads and finish the method."""
+        return self._build(None)
+
+    def _intern_handler_types(self) -> None:
+        """Intern what :meth:`build` would: the try handlers' types."""
+        for pending_try in self._tries:
+            for type_desc, _label in pending_try.handlers:
+                if type_desc is not None:
+                    self.dex.intern_type(type_desc)
+
+    def _build(self, renumber: dict[IndexKind, list[int]] | None
+               ) -> EncodedMethod:
+        """:meth:`build`, each pool operand mapped through ``renumber``
+        (old index -> new, by pool) when given: the pools were sorted
+        after the operands were recorded."""
         if self._built:
             return self.encoded
         self._built = True
@@ -431,6 +473,10 @@ class MethodBuilder:
                 target_pc = label_pcs[pending.label]
                 operands = (*operands, target_pc - pending.pc)
             ins = Instruction.make(pending.mnemonic, *operands)
+            if renumber is not None:
+                kind = ins.opcode.index_kind
+                if kind is not IndexKind.NONE:
+                    ins = ins.with_pool_index(renumber[kind][ins.pool_index])
             encoded = ins.encode()
             if len(units) != pending.pc:
                 raise AssemblyError(

@@ -312,6 +312,15 @@ class DexFile:
     def intern_field_ref(self, ref: FieldRef) -> int:
         return self.intern_field(ref.class_desc, ref.name, ref.type_desc)
 
+    def intern_shorties(self) -> None:
+        """Intern every proto's shorty string: the writer's proto_ids
+        point at them, so they must be in the pool before it is laid
+        out."""
+        for i in range(len(self.protos)):
+            return_desc, param_descs = self.proto_descs(i)
+            self.intern_string(shorty_of(return_desc) + "".join(
+                shorty_of(p) for p in param_descs))
+
     # -- readable accessors -------------------------------------------------
 
     def string(self, idx: int) -> str:
@@ -397,15 +406,17 @@ class DexFile:
 
     # -- canonicalization ----------------------------------------------------
 
-    def canonicalize(self) -> None:
+    def canonicalize(self) -> dict[IndexKind, list[int]]:
         """Sort pools into binary-format order and remap all references.
 
         The DEX format requires: string_ids sorted by content, type_ids by
         string index, proto/field/method ids by their component indices and
         class_defs with superclasses before subclasses.  Instructions
         are remapped only when the string, type, field or method pool
-        moved, so a file already in that order (one read from bytes)
-        costs the pool sorts alone.
+        moved, so a file already in that order (one read from bytes, or
+        one whose methods :meth:`~repro.dex.builder.DexBuilder.build`
+        built) costs the pool sorts alone.  Returns the permutation of
+        each pool code indexes (old index -> new).
         """
         string_perm = _permutation(self.strings, key=lambda s: s)
         self.strings = _apply(self.strings, string_perm)
@@ -487,6 +498,7 @@ class DexFile:
                 if method.code is not None:
                     _remap_code(method.code, remap)
         self._rebuild_indexes()
+        return remap
 
     def _sort_class_defs(self) -> None:
         """Topologically order class_defs so superclasses come first."""

@@ -26,16 +26,12 @@ from repro.errors import DexEncodeError
 
 def write_dex(dex: DexFile) -> bytes:
     """Serialise ``dex`` to binary, canonicalizing its pools in place.
-    A file already in binary-format order (one read from bytes) is
+    A file already in binary-format order (one read from bytes, or one
+    whose methods :meth:`~repro.dex.builder.DexBuilder.build` built) is
     written without decoding any instruction."""
     # Shorty strings live in the string pool; intern them before layout so
     # offsets computed in the writer stay valid.
-    from repro.dex.constants import shorty_of
-
-    for i in range(len(dex.protos)):
-        return_desc, param_descs = dex.proto_descs(i)
-        shorty = shorty_of(return_desc) + "".join(shorty_of(p) for p in param_descs)
-        dex.intern_string(shorty)
+    dex.intern_shorties()
     dex.canonicalize()
     return _Writer(dex).build()
 

@@ -192,6 +192,28 @@ class TestMalformedArchive:
         assert message.startswith(f"{name}: ")
         assert "\n" not in message
 
+    @pytest.mark.parametrize("name", ["predecode_index.json", "notes.txt"])
+    def test_from_files_refuses_an_unknown_file(self, name):
+        files = dict(CollectionArchive.from_collector(
+            _collect(build_simple_apk("c.unknown"))).files())
+        files[name] = "{}"
+        with pytest.raises(ValueError) as caught:
+            CollectionArchive.from_files(files)
+        message = str(caught.value)
+        assert message.startswith(f"{name}: ")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("name", ["bytecode.json", "class_data.json"])
+    def test_from_files_refuses_a_missing_file(self, name):
+        files = dict(CollectionArchive.from_collector(
+            _collect(build_simple_apk("c.missing"))).files())
+        del files[name]
+        with pytest.raises(ValueError) as caught:
+            CollectionArchive.from_files(files)
+        message = str(caught.value)
+        assert message.startswith(f"{name}: ")
+        assert "\n" not in message
+
 
 #: The warm-decode cache that earlier builds saved beside the collection
 #: files of every force-execution archive.  Nothing reads it any more.

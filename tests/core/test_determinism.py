@@ -31,6 +31,14 @@ copy it replaced built.
 every runtime registering the one read-only boot classpath, with one
 body copy per method, must reveal and unpack what runtimes that each
 built their own framework specs and copied ``loaded_code`` did.
+
+Wherever these tests read an archive's files (explorations, resume
+merges, the offline boundary, the front ends), they first diff its
+dump size, counted from the collector without rendering, against the
+length of the files' render: plain reveals of generated F-Droid-profile
+apps at seeds 1 and 4409, force-execution reveals, resumes and
+explorations of generated apps and DroidBench samples, DroidBench
+without force execution, and the packed market apps.
 """
 
 import json
@@ -61,6 +69,7 @@ from repro.core import (
 )
 from repro.core import force_execution, replay
 from repro.core.collection_files import (
+    ALL_FILES,
     BYTECODE_FILE,
     CLASS_DATA_FILE,
     EXPLORATION_STATE_FILE,
@@ -322,6 +331,17 @@ def _ship_every_tree(monkeypatch) -> None:
     monkeypatch.setattr(force_execution, "execute_replay", without_known)
 
 
+def _sized_files(archive: CollectionArchive) -> dict:
+    """The archive's files, once its dump size, counted from the
+    collector before anything rendered, is checked to be their render's
+    length."""
+    size = archive.total_size_bytes()
+    files = archive.files()
+    assert size == sum(len(files[name].encode("utf-8"))
+                       for name in ALL_FILES)
+    return files
+
+
 def _explore(apk: Apk, backend: str, workers: int,
              collector: DexLegoCollector | None = None,
              max_paths: int | None = None, device=NEXUS_5X) -> dict:
@@ -347,7 +367,7 @@ def _explore(apk: Apk, backend: str, workers: int,
                     if len(seen) == 2},
         "collector_stats": collector.stats(),
         # The serialised collection files, byte for byte.
-        "archive": CollectionArchive.from_collector(collector).files(),
+        "archive": _sized_files(CollectionArchive.from_collector(collector)),
     }
 
 
@@ -655,6 +675,7 @@ def _assert_merges_agree(base: CollectionArchive,
     ``bytecode.json`` byte for byte, the same trees in the same order
     within each method, and the same reassembled DEX."""
     got = CollectionArchive.merged(base, update)
+    _sized_files(got)
     want = _json_merged(base, update)
     assert set(got.files()) == set(want)
     for name, text in want.items():
@@ -801,13 +822,13 @@ def _assert_offline_boundary(apk_factory, config: RevealConfig,
 
 
 def _assert_files_carry(live, apk_factory, tmp_path) -> None:
+    files = _sized_files(live.archive)
     directory = str(tmp_path / "archive")
     live.archive.save(directory)
     offline = reveal_from_archive(directory, apk=apk_factory())
     assert write_dex(offline.reassembled_dex) == \
         write_dex(live.reassembled_dex)
     assert offline.revealed_apk.to_bytes() == live.revealed_apk.to_bytes()
-    files = live.archive.files()
     assert CollectionArchive.from_files(files).files() == files
 
 
@@ -877,6 +898,7 @@ def _assert_front_ends_agree(apk_factory, device=None) -> None:
         RevealJob("front-end", apk_factory(), device=device))
     revealed = library.revealed_apk
     assert service.revealed_apk.to_bytes() == revealed.to_bytes()
+    _sized_files(library.archive)
 
     reference = _cloned_repack(apk, library.reassembled_dex)
     assert revealed.to_bytes() == reference.to_bytes()

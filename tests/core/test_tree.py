@@ -12,6 +12,7 @@ from repro.core.tree import (
     KnownTreeMatch,
     TreeNode,
 )
+from repro.dex.instructions import Instruction
 
 
 def _ci(dex_pc: int, units: tuple, symbol=None) -> CollectedInstruction:
@@ -237,6 +238,38 @@ class TestSerialization:
         again = CollectionTree.from_dict(tree.to_dict())
         assert again.fingerprint() == tree.fingerprint()
         assert again.root.il[0].symbol == "Lx;->y()V"
+
+    def test_carried_decode_is_not_identity(self):
+        decoded = Instruction.decode_at(list(_CONST_A), 0)
+        carrying = CollectedInstruction(0, _CONST_A, None, "s", decoded)
+        bare = CollectedInstruction(0, _CONST_A, None, "s")
+        assert carrying == bare and hash(carrying) == hash(bare)
+        trees = []
+        for entry in (carrying, bare):
+            tree = _tree()
+            tree.observe(entry)
+            trees.append(tree)
+        assert trees[0].fingerprint() == trees[1].fingerprint()
+        assert trees[0].to_dict() == trees[1].to_dict()
+        assert carrying.instruction is decoded
+
+    def test_loaded_tree_decodes_once_on_first_use(self, monkeypatch):
+        tree = _tree()
+        tree.observe(_ci(0, _CONST_A))
+        entry = CollectionTree.from_dict(tree.to_dict()).root.il[0]
+        assert entry.ins is None
+        decode = Instruction.decode_at.__func__
+        calls = []
+
+        def counting(cls, units, pos):
+            calls.append(pos)
+            return decode(cls, units, pos)
+
+        monkeypatch.setattr(Instruction, "decode_at", classmethod(counting))
+        first = entry.instruction
+        assert entry.instruction is first and entry.ins is first
+        assert len(calls) == 1
+        assert first == decode(Instruction, list(_CONST_A), 0)
 
     def test_fingerprint_distinguishes_trees(self):
         t1, t2 = _tree(), _tree()

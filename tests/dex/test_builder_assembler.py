@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dex import DexBuilder, assemble, assert_valid, disassemble, write_dex, read_dex
+from repro.dex.instructions import Instruction
 from repro.errors import AssemblyError
 
 
@@ -90,6 +91,82 @@ class TestBuilderLayout:
         mb = builder.add_class("Lt/R;").method("m", "V", (), locals_count=20)
         with pytest.raises(AssemblyError):
             mb.invoke("virtual", "Lx/Y;->many(IIIIII)V", 1, 2, 4, 5, 6, 7)
+
+
+def _out_of_order_builder(build_methods: bool) -> DexBuilder:
+    """Code referencing strings, types, fields and methods interned out
+    of binary-format order, a try handler whose type only it names, and
+    a payload; each method built at once, or left for ``build()``."""
+    builder = DexBuilder()
+    zeta = builder.add_class("Lt/Zeta;")
+    zeta.add_static_field("count", "I")
+    run = zeta.method("run", "V", ("Ljava/lang/String;",), locals_count=3)
+    run.label("start")
+    run.const_string(0, "zulu")
+    run.const_string(1, "alpha")
+    run.new_instance(0, "Lt/Alpha;")
+    run.invoke("direct", "Lt/Alpha;-><init>()V", 0)
+    run.field_op("sget", 2, "Lt/Zeta;->count:I")
+    run.packed_switch(2, 0, ["end"])
+    run.invoke("static", "Ljava/lang/System;->currentTimeMillis()J")
+    run.label("end")
+    run.ret_void()
+    run.label("handler")
+    run.ret_void()
+    run.try_range("start", "end", [("Lt/Boom;", "handler"),
+                                   (None, "handler")])
+    alpha = builder.add_class("Lt/Alpha;")
+    init = alpha.method("<init>", "V", (), locals_count=0)
+    init.invoke("direct", "Ljava/lang/Object;-><init>()V", init.p(0))
+    init.ret_void()
+    alpha.method("poke", "V", (), native=True)
+    if build_methods:
+        for mb in (run, init):
+            mb.build()
+    return builder
+
+
+def _counting_decodes(monkeypatch) -> list:
+    decode = Instruction.decode_at.__func__
+    calls = []
+
+    def counting(cls, units, pos):
+        calls.append(pos)
+        return decode(cls, units, pos)
+
+    monkeypatch.setattr(Instruction, "decode_at", classmethod(counting))
+    return calls
+
+
+class TestBuildAfterSort:
+    """Methods left for ``DexBuilder.build`` are encoded once the pools
+    are sorted: same bytes as methods built at once, and ``write_dex``
+    decodes nothing."""
+
+    def test_same_bytes_without_a_remap(self, monkeypatch):
+        eager = write_dex(_out_of_order_builder(True).build())
+        dex = _out_of_order_builder(False).build()
+        calls = _counting_decodes(monkeypatch)
+        assert write_dex(dex) == eager
+        assert calls == []
+        monkeypatch.undo()
+        assert_valid(read_dex(eager))
+
+    def test_built_methods_are_left_as_they_stand(self):
+        builder = _out_of_order_builder(True)
+        strings = list(builder.dex.strings)
+        assert builder.build().strings == strings
+
+    def test_a_reference_interned_after_build_is_remapped(self,
+                                                          monkeypatch):
+        eager = _out_of_order_builder(True).build()
+        deferred = _out_of_order_builder(False).build()
+        for dex in (eager, deferred):
+            dex.intern_string("AAA")  # sorts first: every index moves
+        expected = write_dex(eager)
+        calls = _counting_decodes(monkeypatch)
+        assert write_dex(deferred) == expected
+        assert calls  # the permutation check still remaps
 
 
 class TestAssembler:

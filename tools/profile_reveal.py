@@ -6,9 +6,11 @@ Future perf PRs start from data, not vibes::
     PYTHONPATH=src python tools/profile_reveal.py --app <package> \\
         --top 30 --sort tottime --force-execution
 
-The reveal runs the standard pipeline (collect -> reassemble -> verify)
-over one benchsuite application on a fresh runtime, exactly the work a
-service worker performs per app.
+The profiled call is ``BatchRevealService.reveal_one`` on one
+benchsuite application, read from its APK bytes as a job carries it:
+exactly what a server or fleet worker runs per app.  That is the
+pipeline (collect -> reassemble -> verify -> repack) plus the service's
+own work around it: the cache key, the dump size and the cache put.
 """
 
 from __future__ import annotations
@@ -43,32 +45,34 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.benchsuite import all_fdroid_apps
-    from repro.core import RevealConfig, reveal_apk
+    from repro.benchsuite import FDROID_APP_SPECS, build_fdroid_app
+    from repro.core import RevealConfig
+    from repro.runtime import Apk
+    from repro.service import BatchRevealService, RevealJob
 
-    apps = all_fdroid_apps()
-    if args.app is None:
-        app = apps[0]
-    else:
-        matches = [a for a in apps if a.package == args.app]
-        if not matches:
-            known = ", ".join(a.package for a in apps)
-            print(f"unknown app {args.app!r}; known: {known}", file=sys.stderr)
-            return 2
-        app = matches[0]
+    # Only the profiled app is generated: the larger ones take seconds.
+    packages = [spec[0] for spec in FDROID_APP_SPECS]
+    package = packages[0] if args.app is None else args.app
+    if package not in packages:
+        print(f"unknown app {package!r}; known: {', '.join(packages)}",
+              file=sys.stderr)
+        return 2
+    app = build_fdroid_app(package)
 
-    config = RevealConfig(use_force_execution=args.force_execution)
-    apk = app.apk
+    service = BatchRevealService(
+        config=RevealConfig(use_force_execution=args.force_execution))
+    job = RevealJob(app.package, Apk.from_bytes(app.apk.to_bytes()))
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = reveal_apk(apk, config=config)
+    outcome = service.reveal_one(job)
     profiler.disable()
 
-    stats_snapshot = result.collector_stats
-    print(f"revealed {app.package}: crashed={result.crashed} "
+    stats_snapshot = outcome.collector_stats
+    print(f"revealed {app.package}: status={outcome.status} "
           f"methods={stats_snapshot.get('methods_executed')} "
-          f"instructions={stats_snapshot.get('instructions_observed')}")
+          f"instructions={stats_snapshot.get('instructions_observed')} "
+          f"dump_size_bytes={outcome.dump_size_bytes}")
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.out:
