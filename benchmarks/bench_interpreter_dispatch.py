@@ -2,7 +2,7 @@
 
 Not a paper table: this measures the execution loop every reveal sits
 on top of (predecode cache + opcode-value dispatch + listener fan-out,
-docs/architecture.md "Interpreter fast path").  Seven legs, all in
+docs/architecture.md "Interpreter fast path").  Eight legs, all in
 steps per second:
 
 * ``reference``        — the naive pre-PR loop shape (decode from the
@@ -17,7 +17,11 @@ steps per second:
   iteration, bumping the generation each time: the cache's worst case,
   every cached entry is generation-stale on every fetch;
 * ``reference+collector`` / ``fast+collector`` — the tight loop with a
-  DexLegoCollector attached, naive vs fast fan-out.
+  DexLegoCollector attached, naive vs fast fan-out;
+* ``fast+replay collector`` — the tight loop with the collector a
+  force-execution replay attaches: its known collector already holds
+  the loop's tree, so the frame is logged and dropped at exit.  Printed
+  only; no floor.
 
 Asserted: the fast warm loop clears >= 1.5x the reference interpreter
 (the PR's acceptance floor), and the storm leg computes the exact value
@@ -89,11 +93,12 @@ _SMALI = f"""
 """
 
 
-def _runtime(fast_path: bool = True, collector: bool = False) -> AndroidRuntime:
+def _runtime(fast_path: bool = True, collector: bool = False,
+             known: DexLegoCollector | None = None) -> AndroidRuntime:
     runtime = AndroidRuntime(max_steps=None)
     runtime.interpreter = Interpreter(runtime, fast_path=fast_path)
     if collector:
-        runtime.add_listener(DexLegoCollector())
+        runtime.add_listener(DexLegoCollector(known))
     runtime.install_apk(Apk("b.interp", _CLS, [assemble(_SMALI)]))
     return runtime
 
@@ -106,12 +111,24 @@ def _steps_per_sec(runtime: AndroidRuntime, call) -> tuple[float, float]:
     return (runtime.steps - before) / wall, wall
 
 
-def _leg_loop(fast_path: bool, collector: bool = False):
-    runtime = _runtime(fast_path=fast_path, collector=collector)
+def _leg_loop(fast_path: bool, collector: bool = False,
+              known: DexLegoCollector | None = None):
+    runtime = _runtime(fast_path=fast_path, collector=collector, known=known)
     runtime.call(f"{_CLS}->spin(I)I", 100)  # link + warm
     return _steps_per_sec(
         runtime, lambda: runtime.call(f"{_CLS}->spin(I)I", LOOP_N)
     )
+
+
+def _leg_replay_collector():
+    """The loop under a replay's collector, whose known collector (the
+    engine's) collected the loop once already: the same first visits,
+    so the timed frame is an exact repeat."""
+    engine = DexLegoCollector()
+    runtime = _runtime()
+    runtime.add_listener(engine)
+    runtime.call(f"{_CLS}->spin(I)I", 100)
+    return _leg_loop(fast_path=True, collector=True, known=engine)
 
 
 def _straight_method(runtime: AndroidRuntime):
@@ -187,6 +204,7 @@ def test_interpreter_dispatch(benchmark):
             fast_path=False, collector=True
         )
         results["fast+collector"] = _leg_loop(fast_path=True, collector=True)
+        results["fast+replay collector"] = _leg_replay_collector()
         return results
 
     run_once(benchmark, run)

@@ -135,10 +135,16 @@ class CollectionArchive:
     An archive is built whole and never changes once built (readers
     must not change ``collector`` either), so :meth:`files` renders it
     once and keeps the texts.
+
+    ``exploration_state`` is the frontier's dict, or a
+    :class:`~repro.core.force_execution.ExplorationFrontier` whose
+    dict is built on the first read (:meth:`exploration_state`,
+    :meth:`files`, :meth:`save`, :meth:`merged`), so an archive nobody
+    saves or resumes never serialises its frontier.
     """
 
     def __init__(self, collector: DexLegoCollector,
-                 exploration_state: dict | None = None) -> None:
+                 exploration_state=None) -> None:
         self.collector = collector
         self._exploration_state = exploration_state
         self._files: dict[str, str] | None = None
@@ -147,8 +153,7 @@ class CollectionArchive:
 
     @classmethod
     def from_collector(cls, collector: DexLegoCollector,
-                       exploration_state: dict | None = None,
-                       ) -> "CollectionArchive":
+                       exploration_state=None) -> "CollectionArchive":
         return cls(collector, exploration_state)
 
     @classmethod
@@ -175,9 +180,10 @@ class CollectionArchive:
         if self._files is None:
             self._files = {name: json.dumps(rows, indent=1)
                            for name, rows in self.collector.rows().items()}
-            if self._exploration_state is not None:
+            state = self.exploration_state()
+            if state is not None:
                 self._files[EXPLORATION_STATE_FILE] = json.dumps(
-                    self._exploration_state, indent=1)
+                    state, indent=1)
         return self._files
 
     # -- persistence --------------------------------------------------------
@@ -251,4 +257,7 @@ class CollectionArchive:
 
     def exploration_state(self) -> dict | None:
         """The force-execution frontier snapshot, or None."""
-        return self._exploration_state
+        state = self._exploration_state
+        if state is not None and not isinstance(state, dict):
+            state = self._exploration_state = state.state_dict()
+        return state

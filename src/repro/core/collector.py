@@ -13,6 +13,14 @@ collects, the moment ART touches them:
 Only application classes (those backed by a DEX file) are collected —
 framework classes are boot-classpath noise, exactly as on ART.
 
+A force-execution replay's collector is built with the engine's as its
+*known* trees and collects only what the engine's merge would keep: it
+logs each frame's first visits while the frame's code holds still and
+decides the frame at method exit, by one fingerprint lookup in the
+known method record, and it does not record classes the engine holds
+with every method they declare.  A collector without known trees runs
+Algorithm 1 on every step.
+
 A collector has one encoding, :meth:`DexLegoCollector.rows`, the rows
 of its collection files: the archive renders them to disk and the
 process backend ships them, plus the instruction count.
@@ -24,12 +32,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.core.method_store import CollectedTry, MethodRecord, MethodStore
-from repro.core.tree import (
-    CollectedInstruction,
-    CollectionTree,
-    KnownTreeMatch,
-    TreeNode,
-)
+from repro.core.tree import CollectedInstruction, CollectionTree
 from repro.dex.formats import FORMAT_UNITS
 from repro.dex.opcodes import IndexKind
 from repro.dex.payloads import payload_unit_count
@@ -112,30 +115,61 @@ class ReflectionSite:
 class _FrameState:
     """What one executing frame is collecting, behind one lookup.
 
-    ``tree`` is the frame's collection tree, or ``None`` while ``match``
-    still finds the frame repeating a known tree; ``count`` is its
-    executed instructions, folded into the collector's total at method
-    exit, so a frame that a crash never exited stays out of the total.
+    ``count`` is its executed instructions, folded into the collector's
+    total at method exit, so a frame that a crash never exited stays out
+    of the total.  ``tree`` is the frame's collection tree, fed through
+    Algorithm 1 step by step; ``first`` is ``None`` (see
+    :class:`_FrameLog`).
     """
 
-    __slots__ = ("tree", "match", "count")
+    __slots__ = ("tree", "count", "first")
 
-    def __init__(self, tree: CollectionTree | None,
-                 match: KnownTreeMatch | None) -> None:
+    def __init__(self, tree: CollectionTree | None) -> None:
         self.tree = tree
-        self.match = match
         self.count = 0
+        self.first: dict | None = None
+
+
+class _FrameLog(_FrameState):
+    """A replay collector's frame: a log of first visits, kept for as
+    long as the frame's code array is the one it entered with
+    (``array``) at the same ``generation``.
+
+    ``first`` maps each pc to its decode in first-visit order; ``units``
+    and ``payloads`` hold, in the same order, the units and a 31t's
+    payload as they were at that visit.  While the array holds still a
+    repeat cannot diverge, so Algorithm 1 would skip it and the log is
+    the frame's whole tree.  Once the code changes, ``first`` is
+    ``None`` and the frame streams through ``tree``.
+    """
+
+    __slots__ = ("units", "payloads", "array", "generation")
+
+    def __init__(self, array) -> None:
+        self.tree = None
+        self.count = 0
+        self.first = {}
+        self.units: list[tuple[int, ...]] = []
+        self.payloads: list[tuple[int, ...] | None] = []
+        self.array = array
+        self.generation = array.generation
 
 
 class DexLegoCollector(RuntimeListener):
     """The JIT collection component of DexLego.
 
-    ``known`` is another collector read as the trees already held (a
-    force-execution replay gets the engine's): each frame is streamed
-    against its method's known trees and becomes a tree only when it
-    turns out new, since a repeat would be dropped as a duplicate when
-    this collector is merged into ``known``.  Nothing writes to
-    ``known`` through this collector.
+    ``known`` is another collector read as what is already held (a
+    force-execution replay gets the engine's), since this collector is
+    merged into it with :meth:`absorb` and anything it holds already
+    would be dropped there.  Such a *replay collector* logs each frame's
+    first visits instead of running Algorithm 1 on every step and
+    decides the frame at method exit: one fingerprint lookup in the
+    known method record drops an exact repeat, and anything else
+    becomes the tree Algorithm 1 would have built.  If the frame's code
+    changes mid-frame, its log becomes a tree and Algorithm 1 streams
+    the rest.  It also records nothing for a class ``known`` holds with
+    every method the class declares, unless the replay initialises it.
+    Nothing writes to ``known`` through this collector.
     """
 
     def __init__(self, known: "DexLegoCollector | None" = None) -> None:
@@ -144,39 +178,28 @@ class DexLegoCollector(RuntimeListener):
         self.reflection_sites: dict[tuple[str, int], ReflectionSite] = {}
         self.instructions_observed = 0
         self.known = known
-        # signature -> roots of the known trees a frame may repeat;
-        # filled on first entry (``known`` holds still while a replay
-        # runs: the engine merges only between waves).
-        self._known_roots: dict[str, list[TreeNode]] = {}
+        # descriptor -> the class row of the first definition a replay
+        # skipped recording, kept out of ``classes`` unless needed.
+        self._skipped: dict[str, CollectedClass] = {}
         self._frames: dict[int, _FrameState] = {}
 
     # -- class linking (metadata collection) --------------------------------
 
     def on_class_loaded(self, klass) -> None:
-        if klass.source_dex is None:
+        dex = klass.source_dex
+        if dex is None:
             return  # framework class: not part of the application
-        collected = CollectedClass(
-            descriptor=klass.descriptor,
-            superclass_desc=(
-                klass.superclass.descriptor if klass.superclass else None
-            ),
-            interface_descs=tuple(i.descriptor for i in klass.interfaces),
-            access_flags=klass.access_flags,
-        )
-        for runtime_field in klass.fields.values():
-            collected.fields.append(
-                CollectedField(
-                    runtime_field.name,
-                    runtime_field.type_desc,
-                    runtime_field.access_flags,
-                )
-            )
+        descriptor = klass.descriptor
+        if self.known is not None and descriptor not in self.classes \
+                and self._skips(klass):
+            return
+        collected = _class_row(klass)
         for method in klass.methods.values():
             if method.declaring_class is not klass:
                 continue
             record = MethodRecord(
                 signature=method.ref.signature,
-                class_desc=klass.descriptor,
+                class_desc=descriptor,
                 name=method.ref.name,
                 param_descs=method.ref.param_descs,
                 return_desc=method.ref.return_desc,
@@ -187,7 +210,6 @@ class DexLegoCollector(RuntimeListener):
                 record.registers_size = method.code.registers_size
                 record.ins_size = method.code.ins_size
                 record.outs_size = method.code.outs_size
-                dex = klass.source_dex
                 for try_block in method.code.tries:
                     record.tries.append(
                         CollectedTry(
@@ -204,12 +226,39 @@ class DexLegoCollector(RuntimeListener):
             collected.method_signatures.append(method.ref.signature)
         # setdefault, not assignment: a class linked again keeps the
         # first record (and any init state recorded on it).
-        self.classes.setdefault(klass.descriptor, collected)
+        self.classes.setdefault(descriptor, collected)
+
+    def _skips(self, klass) -> bool:
+        """Whether a replay records nothing for ``klass``: ``known``
+        holds its descriptor with every method it declares, so absorb
+        would keep none of its records.  The first definition skipped
+        keeps its class row aside; a later one recorded in full still
+        gets that row, as a full link keeps the first."""
+        descriptor = klass.descriptor
+        first = self._skipped.get(descriptor)
+        held = self.known.classes.get(descriptor)
+        signatures = [method.ref.signature
+                      for method in klass.methods.values()
+                      if method.declaring_class is klass]
+        if held is not None and \
+                set(held.method_signatures).issuperset(signatures):
+            if first is None:
+                first = self._skipped[descriptor] = _class_row(klass)
+                first.method_signatures = signatures
+            return True
+        if first is not None:
+            self.classes[descriptor] = first
+        return False
 
     def on_class_initialized(self, klass) -> None:
         collected = self.classes.get(klass.descriptor)
         if collected is None:
-            return
+            # A skipped class's initialisation is news to ``known``: its
+            # static values, all that absorb reads of a class it holds.
+            collected = self._skipped.get(klass.descriptor)
+            if collected is None:
+                return
+            self.classes[klass.descriptor] = collected
         collected.initialized = True
         defaults = getattr(klass, "_static_value_defaults", None) or {}
         for collected_field in collected.fields:
@@ -224,26 +273,12 @@ class DexLegoCollector(RuntimeListener):
         method = frame.method
         if method.declaring_class.source_dex is None or method.code is None:
             return
-        roots = None
         if self.known is not None:
-            roots = self._roots_for(method.ref.signature)
-        self._frames[id(frame)] = (
-            _FrameState(None, KnownTreeMatch(roots)) if roots
-            else _FrameState(_new_tree(frame), None)
-        )
-
-    def _roots_for(self, signature: str) -> list[TreeNode]:
-        """Roots of the known trees of ``signature`` without
-        self-modification children (the ones a frame is matched
-        against)."""
-        roots = self._known_roots.get(signature)
-        if roots is None:
-            record = self.known.method_store.get(signature)
-            roots = [] if record is None else [
-                tree.root for tree in record.trees if not tree.root.children
-            ]
-            self._known_roots[signature] = roots
-        return roots
+            array = frame.code.insns
+            if hasattr(array, "generation"):
+                self._frames[id(frame)] = _FrameLog(array)
+                return
+        self._frames[id(frame)] = _FrameState(_new_tree(frame))
 
     def on_instruction(self, frame, dex_pc: int, ins) -> None:
         state = self._frames.get(id(frame))
@@ -251,36 +286,48 @@ class DexLegoCollector(RuntimeListener):
             return
         state.count += 1
         code_units = frame.code.insns  # the live array
+        first = state.first
+        if first is not None:
+            if code_units is state.array \
+                    and code_units.generation == state.generation:
+                if dex_pc in first:
+                    return  # a repeat: the array holds still
+                first[dex_pc] = ins
+                fmt = ins.opcode.fmt
+                state.units.append(
+                    tuple(code_units[dex_pc : dex_pc + FORMAT_UNITS[fmt]]))
+                state.payloads.append(
+                    _payload(code_units, dex_pc, ins) if fmt == "31t"
+                    else None)
+                return
+            # The code changed: the log so far is what Algorithm 1 held,
+            # and it streams from this step on.
+            state.tree = self._logged_tree(frame, state)
+            state.first = None
         fmt = ins.opcode.fmt
         # ins.unit_count without a property call per executed step.
         units = tuple(code_units[dex_pc : dex_pc + FORMAT_UNITS[fmt]])
         payload_units = None
         if fmt == "31t":
-            target = dex_pc + ins.branch_target
-            if 0 <= target < len(code_units):
-                count = payload_unit_count(code_units, target)
-                payload_units = tuple(code_units[target : target + count])
-        match = state.match
-        if match is not None:
-            if match.repeats(dex_pc, units, payload_units):
-                return
-            state.match = None
-            state.tree = self._materialise(frame, match)
+            payload_units = _payload(code_units, dex_pc, ins)
         symbol = self._resolve_symbol(frame, ins)
         state.tree.observe(
             CollectedInstruction(dex_pc, units, payload_units, symbol, ins)
         )
 
-    def _materialise(self, frame, match: KnownTreeMatch) -> CollectionTree:
-        """The frame's tree so far, its matched prefix re-resolved."""
-
-        def symbol_of(entry: CollectedInstruction) -> str | None:
-            # No symbol means no pool reference, which equal units keep.
-            if entry.symbol is None:
-                return None
-            return self._resolve_symbol(frame, entry.instruction)
-
-        return match.materialise(_new_tree(frame), symbol_of)
+    def _logged_tree(self, frame, state: _FrameLog) -> CollectionTree:
+        """The tree of a frame's first-visit log: every pc once, in
+        first-visit order, each symbol resolved against the frame's own
+        DEX (its pools only ever grow, so an index resolves as it did
+        at the step)."""
+        tree = _new_tree(frame)
+        record = tree.root.record
+        resolve = self._resolve_symbol
+        for (dex_pc, ins), units, payload_units in zip(
+                state.first.items(), state.units, state.payloads):
+            record(CollectedInstruction(dex_pc, units, payload_units,
+                                        resolve(frame, ins), ins))
+        return tree
 
     @staticmethod
     def _resolve_symbol(frame, ins) -> str | None:
@@ -304,13 +351,35 @@ class DexLegoCollector(RuntimeListener):
         if state is None:
             return
         self.instructions_observed += state.count
-        tree = state.tree
-        if tree is None:
-            if state.match.exact():
+        signature = frame.method.ref.signature
+        known = (None if self.known is None
+                 else self.known.method_store.get(signature))
+        first = state.first
+        if first is not None:
+            if not first:
+                return
+            # The fingerprint of the tree the log is, built in C.
+            if known is not None and known.holds((signature, (
+                    0, tuple(zip(first, state.units, state.payloads)),
+                    ()))):
                 return  # a repeat of a known tree: nothing new to keep
-            tree = self._materialise(frame, state.match)
-        if tree.root.il:
-            self.method_store.add_tree(tree.method_signature, tree)
+            tree = self._logged_tree(frame, state)
+        else:
+            tree = state.tree
+            if not tree.root.il:
+                return
+            if known is not None and known.holds(tree.fingerprint()):
+                return  # absorb would drop it
+        record = self.method_store.get(signature)
+        if record is None:
+            # A method of a class skipped at link: the known record's
+            # metadata, which is what absorb keeps anyway.
+            if known is None or \
+                    frame.method.declaring_class.descriptor not in self._skipped:
+                return
+            record = self.method_store.ensure(
+                dataclasses.replace(known, trees=[]))
+        record.add_tree(tree)
 
     # -- reflection (§IV-D) -------------------------------------------------------
 
@@ -487,6 +556,38 @@ class DexLegoCollector(RuntimeListener):
             "collected_instructions": self.method_store.total_collected_instructions(),
             "reflection_sites": len(self.reflection_sites),
         }
+
+
+def _class_row(klass) -> CollectedClass:
+    """A linked class's row: its fields, with no static values yet, and
+    no methods."""
+    collected = CollectedClass(
+        descriptor=klass.descriptor,
+        superclass_desc=(
+            klass.superclass.descriptor if klass.superclass else None
+        ),
+        interface_descs=tuple(i.descriptor for i in klass.interfaces),
+        access_flags=klass.access_flags,
+    )
+    for runtime_field in klass.fields.values():
+        collected.fields.append(
+            CollectedField(
+                runtime_field.name,
+                runtime_field.type_desc,
+                runtime_field.access_flags,
+            )
+        )
+    return collected
+
+
+def _payload(code_units, dex_pc: int, ins) -> tuple[int, ...] | None:
+    """The payload a 31t at ``dex_pc`` references, as the array holds it
+    now; ``None`` when its target is outside the array."""
+    target = dex_pc + ins.branch_target
+    if 0 <= target < len(code_units):
+        count = payload_unit_count(code_units, target)
+        return tuple(code_units[target : target + count])
+    return None
 
 
 def _new_tree(frame) -> CollectionTree:

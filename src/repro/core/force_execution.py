@@ -29,6 +29,7 @@ out of a collection archive.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ __all__ = [
     "BranchSite",
     "BranchTraceListener",
     "Decision",
+    "ExplorationFrontier",
     "ForceExecutionEngine",
     "ForceExecutionReport",
     "ForcedPathController",
@@ -502,13 +504,9 @@ class ForceExecutionEngine:
 
     # -- state (resume) -----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-safe exploration state: frontier, coverage, counters.
-
-        Serialised into the collection archive by the collect stage;
-        feeding it back as ``resume_state`` continues the exploration
-        (no baseline re-run, frontier and dedup set intact).
-        """
+    def frontier(self) -> "ExplorationFrontier":
+        """This engine's exploration state, to serialise later: what
+        :meth:`state_dict` reads, by reference, without the engine."""
         # Counters come from the finished run, or — for a resumed
         # engine checkpointed before/without run() completing — from
         # the seed loaded out of resume_state, so cumulative run counts
@@ -523,39 +521,21 @@ class ForceExecutionEngine:
         counters = {
             key: seed.get(key, 0) for key in _REPORT_COUNTER_KEYS
         }
-        # Serialise each distinct trace once and point sites at it by
-        # (trace id, index) — mirroring the in-memory sharing; copying
-        # trace[:index] per site would blow the file up quadratically.
-        traces: list[list[Decision]] = []
-        trace_ids: dict[int, int] = {}
-        site_refs: list[list] = []
-        for (signature, dex_pc), (trace, index) in sorted(
-                self.site_trace.items()):
-            tid = trace_ids.get(id(trace))
-            if tid is None:
-                tid = len(traces)
-                trace_ids[id(trace)] = tid
-                traces.append(trace)
-            site_refs.append([signature, dex_pc, tid, index])
-        return {
-            "version": 1,
-            # Which application this frontier belongs to (the main
-            # activity anchors the signature space the path files
-            # reference); resuming against a different app is rejected
-            # instead of silently merging two apps' collections.
-            "apk_main_activity": getattr(self.apk, "main_activity", None),
-            "scheduler": self.scheduler.to_dict(),
-            "outcomes": [
-                [signature, dex_pc, sorted(seen)]
-                for (signature, dex_pc), seen in sorted(self.outcomes.items())
-            ],
-            "traces": [[list(d) for d in trace] for trace in traces],
-            "site_traces": site_refs,
-            # Run-level counters the scheduler does not own; replay
-            # counts and curves live in (and resume from) the
-            # scheduler's own stats above.
-            "report": counters,
-        }
+        # The scheduler's state, shared; not its session-local observer.
+        scheduler = copy.copy(self.scheduler)
+        scheduler.wave_observer = None
+        return ExplorationFrontier(getattr(self.apk, "main_activity", None),
+                                   scheduler, self.outcomes, self.site_trace,
+                                   counters)
+
+    def state_dict(self) -> dict:
+        """JSON-safe exploration state: frontier, coverage, counters.
+
+        Serialised into the collection archive by the collect stage;
+        feeding it back as ``resume_state`` continues the exploration
+        (no baseline re-run, frontier and dedup set intact).
+        """
+        return self.frontier().state_dict()
 
     def load_state(self, state: dict) -> None:
         recorded = state.get("apk_main_activity")
@@ -582,3 +562,68 @@ class ForceExecutionEngine:
         }
         self._report_seed = state.get("report", {})
         self._resumed = True
+
+
+class ExplorationFrontier:
+    """An engine's exploration state apart from the engine: the
+    scheduler, the covered-outcome map, each site's first-reaching
+    trace and the run counters, held by reference, so taking one
+    (:meth:`ForceExecutionEngine.frontier`) costs nothing.
+
+    :meth:`state_dict` builds the JSON-safe dict.  The collect stage
+    hands a frontier to its archive, which builds the dict only when it
+    is read: saved, zipped, merged or resumed from.  It keeps no APK,
+    runtime or decode store alive, and it reads the engine's structures
+    as they are then, so it is taken once the engine is done.
+    """
+
+    __slots__ = ("main_activity", "scheduler", "outcomes", "site_trace",
+                 "counters")
+
+    def __init__(self, main_activity: str | None,
+                 scheduler: ExplorationScheduler,
+                 outcomes: dict[BranchSite, set[bool]],
+                 site_trace: dict[BranchSite, tuple[list[Decision], int]],
+                 counters: dict) -> None:
+        self.main_activity = main_activity
+        self.scheduler = scheduler
+        self.outcomes = outcomes
+        self.site_trace = site_trace
+        self.counters = counters
+
+    def state_dict(self) -> dict:
+        """The frontier as ``resume_state`` reads it (see
+        :meth:`ForceExecutionEngine.state_dict`)."""
+        # Serialise each distinct trace once and point sites at it by
+        # (trace id, index) — mirroring the in-memory sharing; copying
+        # trace[:index] per site would blow the file up quadratically.
+        traces: list[list[Decision]] = []
+        trace_ids: dict[int, int] = {}
+        site_refs: list[list] = []
+        for (signature, dex_pc), (trace, index) in sorted(
+                self.site_trace.items()):
+            tid = trace_ids.get(id(trace))
+            if tid is None:
+                tid = len(traces)
+                trace_ids[id(trace)] = tid
+                traces.append(trace)
+            site_refs.append([signature, dex_pc, tid, index])
+        return {
+            "version": 1,
+            # Which application this frontier belongs to (the main
+            # activity anchors the signature space the path files
+            # reference); resuming against a different app is rejected
+            # instead of silently merging two apps' collections.
+            "apk_main_activity": self.main_activity,
+            "scheduler": self.scheduler.to_dict(),
+            "outcomes": [
+                [signature, dex_pc, sorted(seen)]
+                for (signature, dex_pc), seen in sorted(self.outcomes.items())
+            ],
+            "traces": [[list(d) for d in trace] for trace in traces],
+            "site_traces": site_refs,
+            # Run-level counters the scheduler does not own; replay
+            # counts and curves live in (and resume from) the
+            # scheduler's own stats above.
+            "report": self.counters,
+        }

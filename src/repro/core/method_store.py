@@ -102,6 +102,11 @@ class MethodRecord:
         self.trees.append(tree)
         return True
 
+    def holds(self, fingerprint: tuple) -> bool:
+        """True when a tree with this :meth:`CollectionTree.fingerprint`
+        is already kept, so :meth:`add_tree` would drop another."""
+        return fingerprint in self._fingerprints
+
     @property
     def executed(self) -> bool:
         return bool(self.trees)

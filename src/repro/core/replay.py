@@ -18,13 +18,15 @@ a *value*, not a closure over engine state:
 * :func:`execute_replay` — the one replay body both backends share:
   build a fresh runtime + tracer + private collector over the given
   APK, drive, and return the delta.  Both backends build the private
-  collector against the engine's trees, so a frame that repeats one is
-  never built: the serial backend calls it against the engine's APK
-  and collector and hands the engine its collector live; the process
-  backend calls it in a forked worker, against the collector the
-  worker inherited, and its collector travels back as
-  :meth:`DexLegoCollector.delta_dict` — the wire format.  A replay
-  with no known trees (``known=None``) builds every tree, the
+  collector against the engine's collector as its known trees, so it
+  logs each frame's first visits and keeps nothing for a frame whose
+  tree the engine holds, decided at method exit, nor for a class the
+  engine holds with every method it declares: the serial backend calls
+  it against the engine's APK and collector and hands the engine its
+  collector live; the process backend calls it in a forked worker,
+  against the collector the worker inherited, and its collector travels
+  back as :meth:`DexLegoCollector.delta_dict` — the wire format.  A
+  replay with no known trees (``known=None``) collects everything, the
   reference the skip is diffed against.
 
 The module-level ``_process_worker_*`` functions are the process-pool
@@ -175,10 +177,10 @@ def execute_replay(
     which is why the engine refuses to combine them with the process
     backend.  ``known`` is the engine's collector, or a forked worker's
     inherited copy of it, read-only: frames that repeat one of its
-    trees are skipped, since the merge would drop them as duplicates
-    (see :class:`DexLegoCollector`).  A worker's copy is the collector
-    as it was when the worker forked, a subset of the trees the merge
-    will hold, so it skips less, never more.
+    trees and classes it holds whole are skipped, since the merge would
+    drop them as duplicates (see :class:`DexLegoCollector`).  A worker's
+    copy is the collector as it was when the worker forked, a subset of
+    the trees the merge will hold, so it skips less, never more.
     """
     runtime = AndroidRuntime(spec.device, max_steps=spec.step_budget)
     runtime.tolerate_exceptions = True

@@ -192,9 +192,10 @@ class CollectStage:
         except Exception as exc:
             raise StageError(self.name, exc) from exc
         # The frontier goes with the collection files, so the archive is
-        # enough to continue an interrupted exploration.
-        state = engine.state_dict() if engine is not None else None
-        archive = CollectionArchive.from_collector(collector, state)
+        # enough to continue an interrupted exploration; the archive
+        # serialises it only if it is read.
+        frontier = engine.frontier() if engine is not None else None
+        archive = CollectionArchive.from_collector(collector, frontier)
         digests = None
         self.last_index_probe = {}
         if self.index is not None:

@@ -8,14 +8,16 @@ node (``sm_start``); the child *converges* back to its parent when an
 instruction matching the parent's record reappears (``sm_end``).  Nested
 self-modification simply nests nodes.
 
-:class:`KnownTreeMatch` runs Algorithm 1's skip-on-repeat against trees
-a collector already holds, so a frame that repeats one of them is never
-built at all; only a frame that turns out new becomes a tree.
+A tree's :meth:`CollectionTree.fingerprint` is its identity for
+deduplication.  A childless tree's is ``(signature, (0, first visits,
+()))``, each first visit a ``(dex_pc, units, payload_units)`` triple,
+which is how a replay collector (``repro.core.collector``) decides at
+method exit, from its log of first visits, whether a frame repeated a
+tree already held without building it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -321,78 +323,3 @@ def trees_rendered_size(trees) -> int:
         inner += tree.rendered_size(1)
     return _list_size(count, inner, 0)
 
-
-class KnownTreeMatch:
-    """One frame streamed against the trees its method already has.
-
-    ``roots`` are the roots of known trees with no self-modification
-    children.  For such a tree Algorithm 1 only records each ``dex_pc``
-    on its first visit and skips a repeat with the same ``units``, so a
-    frame repeats the tree exactly when its first visits, in order,
-    equal the tree's IL (``dex_pc``, ``units`` and ``payload_units``)
-    and no repeat changes its ``units``.  The match keeps the roots
-    whose IL starts with the frame's first visits so far; they all
-    share that prefix, so any of them tells a repeat from a first
-    visit.  Nothing is built while the frame matches:
-    :meth:`materialise` turns the matched prefix into the tree
-    Algorithm 1 would hold at that point, and the frame continues
-    through :meth:`CollectionTree.observe` unchanged.
-    """
-
-    __slots__ = ("candidates", "matched")
-
-    def __init__(self, roots: list[TreeNode]) -> None:
-        self.candidates = roots
-        self.matched = 0
-
-    def repeats(self, dex_pc: int, units: tuple[int, ...],
-                payload_units: tuple[int, ...] | None) -> bool:
-        """Feed one executing instruction; False once the frame is new
-        (a first visit no candidate has next, or a changed repeat)."""
-        matched = self.matched
-        candidates = self.candidates
-        lead = candidates[0]
-        index = lead.iim.get(dex_pc)
-        if index is not None and index < matched:
-            return lead.il[index].units == units
-        if len(candidates) == 1:
-            # The common case, one tree: the first visit must be its
-            # next entry.
-            if index != matched:
-                return False
-            entry = lead.il[index]
-            if entry.units != units or entry.payload_units != payload_units:
-                return False
-        else:
-            candidates = [
-                root for root in candidates
-                if matched < len(root.il)
-                and (entry := root.il[matched]).dex_pc == dex_pc
-                and entry.units == units
-                and entry.payload_units == payload_units
-            ]
-            if not candidates:
-                return False
-            self.candidates = candidates
-        self.matched = matched + 1
-        return True
-
-    def exact(self) -> bool:
-        """At frame exit: True when the frame repeated a whole known
-        tree (Algorithm 1 would build a duplicate of it)."""
-        matched = self.matched
-        return any(len(root.il) == matched for root in self.candidates)
-
-    def materialise(self, tree: CollectionTree, symbol_of) -> CollectionTree:
-        """Feed the matched prefix into the empty ``tree`` and return it.
-
-        ``symbol_of(entry)`` is the symbol a fresh resolution of that
-        entry gives in this frame: an entry is reused when it agrees
-        and copied with the fresh symbol when not, so the tree equals
-        the one Algorithm 1 would have built, field by field."""
-        for entry in self.candidates[0].il[:self.matched]:
-            symbol = symbol_of(entry)
-            if symbol != entry.symbol:
-                entry = dataclasses.replace(entry, symbol=symbol)
-            tree.observe(entry)
-        return tree

@@ -305,6 +305,14 @@ def _fdroid_apk() -> Apk:
     return generate_app("d.fdroid", 900, seed=14, profile=profile).apk
 
 
+def _force_library_apk() -> Apk:
+    """The first app of perfbench's ``force-library`` corpus at seed 1,
+    read from its bytes as that workload reveals it."""
+    profile = AppProfile(gated=0.50, dead=0.08, crash=0.0, handler=0.05)
+    app = generate_app("bench.force.app0", 600, seed=1000, profile=profile)
+    return Apk.from_bytes(app.apk.to_bytes())
+
+
 class _MergeCounter(DexLegoCollector):
     """An engine collector that counts the trees its merges are
     offered."""
@@ -369,6 +377,15 @@ def _explore(apk: Apk, backend: str, workers: int,
         # The serialised collection files, byte for byte.
         "archive": _sized_files(CollectionArchive.from_collector(collector)),
     }
+
+
+#: Workloads whose replays run with and without known trees: most of
+#: the generated apps' trees repeat the engine's, the known-tree app's
+#: new trees start like known ones, the packer's replays run patched
+#: code.
+_KNOWN_TREE_WORKLOADS = [(_fdroid_apk, 32), (_force_library_apk, 32),
+                         (_known_tree_apk, None), (_packer_apk, None)]
+_KNOWN_TREE_IDS = ["fdroid", "force-library", "known-tree", "packer"]
 
 
 #: One DroidBench sample per category whose exploration replays a path.
@@ -453,9 +470,8 @@ class TestBackendEquivalence:
         assert got == reference
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("workload,max_paths", [
-        (_fdroid_apk, 32), (_known_tree_apk, None), (_packer_apk, None),
-    ], ids=["fdroid", "known-tree", "packer"])
+    @pytest.mark.parametrize("workload,max_paths", _KNOWN_TREE_WORKLOADS,
+                             ids=_KNOWN_TREE_IDS)
     def test_process_known_trees_match_shipping_every_tree(
             self, monkeypatch, workload, max_paths, workers):
         # Forked workers inherit the engine's collector as known trees;
@@ -464,6 +480,19 @@ class TestBackendEquivalence:
                        max_paths=max_paths)
         _ship_every_tree(monkeypatch)
         reference = _explore(workload(), BACKEND_PROCESS, workers,
+                             max_paths=max_paths)
+        assert got == reference
+
+    @pytest.mark.parametrize("workload,max_paths", _KNOWN_TREE_WORKLOADS,
+                             ids=_KNOWN_TREE_IDS)
+    def test_serial_known_trees_match_shipping_every_tree(
+            self, monkeypatch, workload, max_paths):
+        # Serial replays read the engine's collector live: the frames
+        # they drop at exit and the classes they skip must be exactly
+        # what the merge would drop.
+        got = _explore(workload(), BACKEND_SERIAL, 1, max_paths=max_paths)
+        _ship_every_tree(monkeypatch)
+        reference = _explore(workload(), BACKEND_SERIAL, 1,
                              max_paths=max_paths)
         assert got == reference
 

@@ -1,5 +1,6 @@
 """Exploration scheduler: strategies, dedup, determinism, resume."""
 
+import gc
 import json
 
 import pytest
@@ -14,13 +15,18 @@ from repro.core import (
     PathFile,
     RevealConfig,
     resume_exploration,
+    reveal_apk,
 )
+from repro.core.collection_files import EXPLORATION_STATE_FILE
 from repro.core.exploration import (
     STRATEGY_BFS,
     STRATEGY_DFS,
     STRATEGY_RARITY,
 )
+from repro.core.force_execution import ExplorationFrontier
 from repro.dex import assemble
+from repro.dex.code_units import CodeUnits
+from repro.dex.structures import DexFile
 from repro.runtime import Apk
 
 SIG = "Lx/Multi;->onCreate(Landroid/os/Bundle;)V"
@@ -475,6 +481,67 @@ class TestResume:
         collected.archive.save(str(tmp_path))
         with pytest.raises(ValueError, match="exploration_state"):
             resume_exploration(str(tmp_path), _multi_apk("x.rej2"))
+
+
+class TestLazyFrontier:
+    """The collect stage hands its archive the engine's frontier, and
+    the archive serialises it only when it is read."""
+
+    @pytest.fixture
+    def state_dict_calls(self, monkeypatch):
+        calls = []
+        original = ExplorationFrontier.state_dict
+
+        def counting(frontier):
+            calls.append(frontier)
+            return original(frontier)
+        monkeypatch.setattr(ExplorationFrontier, "state_dict", counting)
+        return calls
+
+    def test_an_unsaved_reveal_never_builds_the_state(self,
+                                                      state_dict_calls):
+        result = reveal_apk(_multi_apk("x.lazy"), config=RevealConfig(
+            use_force_execution=True, max_paths=4))
+        assert result.force_report.paths_executed >= 1
+        assert state_dict_calls == []
+
+    def test_a_save_builds_it_once(self, state_dict_calls, tmp_path):
+        result = reveal_apk(_multi_apk("x.lazy"), config=RevealConfig(
+            use_force_execution=True, max_paths=4,
+            archive_dir=str(tmp_path / "archive")))
+        assert len(state_dict_calls) == 1
+        archive = result.archive
+        archive.save(str(tmp_path / "again"))
+        assert archive.exploration_state()["version"] == 1
+        assert len(state_dict_calls) == 1
+        for directory in ("archive", "again"):
+            saved = (tmp_path / directory / EXPLORATION_STATE_FILE)
+            assert saved.read_text() == json.dumps(
+                archive.exploration_state(), indent=1)
+
+    def test_the_state_equals_the_engines(self):
+        engine = ForceExecutionEngine(_multi_apk("x.same"),
+                                      max_iterations=8, max_paths=2)
+        engine.run()
+        frontier = engine.frontier()
+        assert json.dumps(frontier.state_dict()) == \
+            json.dumps(engine.state_dict())
+
+    def test_the_frontier_keeps_no_engine_app_or_decode_store(self):
+        collected = CollectStage(RevealConfig(
+            use_force_execution=True, max_paths=4)).run(_multi_apk("x.refs"))
+        frontier = collected.archive._exploration_state
+        assert isinstance(frontier, ExplorationFrontier)
+        seen, stack = set(), [frontier]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (str, int, type)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (ForceExecutionEngine, Apk,
+                                        CodeUnits, DexFile)), obj
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > 10  # it did walk the frontier's state
 
 
 # ---------------------------------------------------------------------------

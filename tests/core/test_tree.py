@@ -1,17 +1,13 @@
 """Collection tree tests: Algorithm 1 semantics, and the known-tree
-skip that runs it against trees a collector already holds."""
+skip a replay collector decides at method exit from a log of first
+visits (collector-level cases: ``test_replay_collector.py``)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.collector import DexLegoCollector
 from repro.core.method_store import MethodRecord
-from repro.core.tree import (
-    CollectedInstruction,
-    CollectionTree,
-    KnownTreeMatch,
-    TreeNode,
-)
+from repro.core.tree import CollectedInstruction, CollectionTree, TreeNode
 from repro.dex.instructions import Instruction
 
 
@@ -89,37 +85,52 @@ def _symbols(dex: int):
     return resolve
 
 
+def _logged_tree(log: dict, resolve) -> CollectionTree:
+    """The tree a log of first visits is: each pc once, in order."""
+    tree = _tree()
+    for dex_pc, (units, payload) in log.items():
+        tree.root.record(CollectedInstruction(dex_pc, units, payload,
+                                              resolve(units)))
+    return tree
+
+
 def _replay(frames, dex: int, known: DexLegoCollector | None):
     """One replay's private collector, each frame fed the way
-    ``DexLegoCollector`` feeds it: matched against the childless known
-    trees while it repeats one, built once it turns out new."""
+    ``DexLegoCollector`` feeds it.  With known trees: a log of first
+    visits while every repeat shows what its first visit did (the code
+    holding still), decided at exit by one fingerprint lookup in the
+    known record; once a repeat shows other code, the log becomes a
+    tree, Algorithm 1 streams the rest and the tree is dropped at exit
+    if the known record holds it.  Without: Algorithm 1 on every
+    step."""
     collector = DexLegoCollector()
     record = collector.method_store.ensure(
         MethodRecord(_SIG, "Lt/X;", "m", (), "V", 1))
     held = known.method_store.get(_SIG) if known is not None else None
-    roots = [t.root for t in held.trees
-             if not t.root.children] if held is not None else []
     resolve = _symbols(dex)
-
-    def symbol_of(entry: CollectedInstruction):
-        return resolve(entry.units)
-
     for events in frames:
-        match = KnownTreeMatch(roots) if roots else None
-        tree = None if match is not None else _tree()
+        log = {} if known is not None else None  # pc -> (units, payload)
+        tree = None if known is not None else _tree()
         for dex_pc, units, payload in events:
             collector.instructions_observed += 1
-            if match is not None:
-                if match.repeats(dex_pc, units, payload):
+            if log is not None:
+                first = log.setdefault(dex_pc, (units, payload))
+                if first == (units, payload):
                     continue
-                tree = match.materialise(_tree(), symbol_of)
-                match = None
+                tree = _logged_tree(log, resolve)  # the code changed
+                log = None
             tree.observe(CollectedInstruction(dex_pc, units, payload,
                                               resolve(units)))
-        if match is not None:
-            if match.exact():
+        if log is not None:
+            if not log:
                 continue
-            tree = match.materialise(_tree(), symbol_of)
+            key = (_SIG, (0, tuple((pc, *first) for pc, first
+                                   in log.items()), ()))
+            if held is not None and held.holds(key):
+                continue
+            tree = _logged_tree(log, resolve)
+        elif held is not None and held.holds(tree.fingerprint()):
+            continue
         if tree.root.il:
             record.add_tree(tree)
     return collector
@@ -331,60 +342,3 @@ class TestSerialization:
 
         check(tree.root)
 
-
-class TestKnownTreeMatch:
-    def _known(self, events, dex=0) -> list[TreeNode]:
-        tree = _tree()
-        resolve = _symbols(dex)
-        for dex_pc, units, payload in events:
-            tree.observe(CollectedInstruction(dex_pc, units, payload,
-                                              resolve(units)))
-        return [tree.root]
-
-    def test_a_repeated_run_matches_exactly(self):
-        match = KnownTreeMatch(self._known(_BASE_RUN))
-        assert all(match.repeats(*event) for event in _BASE_RUN)
-        assert match.exact()
-
-    def test_an_early_exit_is_new(self):
-        match = KnownTreeMatch(self._known(_BASE_RUN))
-        assert all(match.repeats(*event) for event in _BASE_RUN[:3])
-        assert not match.exact()
-        tree = match.materialise(_tree(), lambda entry: entry.symbol)
-        assert [c.dex_pc for c in tree.root.il] == [0, 1, 2]
-
-    def test_changed_units_at_a_seen_pc_is_new(self):
-        match = KnownTreeMatch(self._known(_BASE_RUN))
-        for event in _BASE_RUN[:3]:
-            assert match.repeats(*event)
-        assert not match.repeats(1, _CONST_B, None)  # would diverge
-
-    def test_changed_payload_on_first_visit_is_new(self):
-        match = KnownTreeMatch(self._known(_BASE_RUN))
-        assert match.repeats(*_BASE_RUN[0]) and match.repeats(*_BASE_RUN[1])
-        assert not match.repeats(2, _SWITCH, _PAYLOADS[2])
-
-    def test_an_out_of_order_first_visit_is_new(self):
-        match = KnownTreeMatch(self._known(_BASE_RUN))
-        assert match.repeats(*_BASE_RUN[0])
-        assert not match.repeats(*_BASE_RUN[2])
-
-    def test_candidates_narrow_on_first_visits(self):
-        other = [(0, _CONST_A, None), (5, _RET, None)]
-        match = KnownTreeMatch(self._known(_BASE_RUN) + self._known(other))
-        assert match.repeats(0, _CONST_A, None)
-        assert len(match.candidates) == 2
-        assert match.repeats(5, _RET, None)
-        assert match.exact() and len(match.candidates) == 1
-
-    def test_materialise_re_resolves_symbols(self):
-        # The prefix was collected against dex0; this frame runs dex1.
-        match = KnownTreeMatch(self._known(_BASE_RUN, dex=0))
-        known_entry = match.candidates[0].il[0]
-        assert match.repeats(*_BASE_RUN[0]) and match.repeats(*_BASE_RUN[1])
-        resolve = _symbols(1)
-        tree = match.materialise(_tree(),
-                                 lambda entry: resolve(entry.units))
-        assert tree.root.il[0].symbol == "dex1:0x0112"
-        assert tree.root.il[0] is not known_entry
-        assert tree.root.il[1] is match.candidates[0].il[1]  # reused
