@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical; dump sizes equal to the render, one decode per collected instruction; replay collectors merge like plain ones, symbols at exit equal symbols at the step"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical; dump sizes equal to the render, one decode per collected instruction; replay collectors merge like plain ones, symbols at exit equal symbols at the step; one service's digest memo equals a fresh service per job"
 	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -66,14 +66,18 @@ test:
 # visits and decides each frame at method exit against the engine's
 # trees, must merge like a plain collector on every exit and patch case,
 # and each symbol it resolves at exit must equal the one a listener
-# resolved at the step (replay collector).  Part of `make test` too;
-# this target exists so CI (and bisects) can run the contract in
-# isolation with verbose per-case output.
+# resolved at the step (replay collector).  A service that keeps its
+# corpus index, and the index the digests it computed, across jobs must
+# reveal and store what a fresh service per job over the same store
+# directories does, and so must a two-thread server (service lifetime).
+# Part of `make test` too; this target exists so CI (and bisects) can
+# run the contract in isolation with verbose per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
 		tests/core/test_replay_spec.py tests/core/test_resume_backends.py \
 		tests/cluster/test_cluster_pipeline.py::TestWorkerCountDeterminism \
 		tests/index/test_index_pipeline.py::TestWarmCorpusDedup \
+		tests/index/test_index_pipeline.py::TestServiceLifetime \
 		tests/core/test_collection_sizes.py \
 		tests/core/test_decode_budget.py \
 		tests/core/test_replay_collector.py -q

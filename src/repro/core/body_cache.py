@@ -7,10 +7,13 @@ output DEX at emission time, so the raw instruction stream it produces
 is app-specific.  This module makes the emission portable:
 
 * :func:`exact_method_digest` — a canonical hash of everything the
-  emission depends on, with pool indices masked out of the raw units
-  (the resolved *symbols* are the identity, not the indices).  Two
-  records with equal digests produce byte-identical method bodies in
-  any DEX.
+  emission depends on (:func:`method_document`), with pool indices
+  masked out of the raw units (the resolved *symbols* are the identity,
+  not the indices).  Two records with equal digests produce
+  byte-identical method bodies in any DEX.
+  :func:`normalized_method_tokens` walks the same document, so the
+  corpus index's structural and fuzzy digests are functions of the
+  exact digest.
 * :class:`BodyWriter` — the single funnel all body-emission builder
   calls go through.  It forwards to the live
   :class:`~repro.dex.builder.MethodBuilder` and (when the body is
@@ -32,10 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 
 from repro.core.method_store import MethodRecord
+from repro.dex.instructions import Instruction
 from repro.dex.normalize import Normalizer
-from repro.dex.opcodes import IndexKind
+from repro.dex.opcodes import IndexKind, opcode_for
 from repro.dex.sigs import parse_field_signature, parse_method_signature
 
 BODY_OPS_VERSION = 1
@@ -74,16 +79,16 @@ def _tree_doc(node) -> dict:
     }
 
 
-def exact_method_digest(record: MethodRecord) -> str:
-    """SHA-256 over everything body emission reads from the record.
+def method_document(record: MethodRecord) -> dict:
+    """Everything body emission reads from the record, as one document.
 
     Pool indices inside the raw units are masked (``with_pool_index(0)``)
-    and the resolved symbols kept, so the digest is invariant across
+    and the resolved symbols kept, so the document is the same across
     apps whose pools assign different indices to the same references —
     while register numbers, literals, branch offsets, tree structure,
     try blocks and frame sizes all stay identity.
     """
-    doc = {
+    return {
         "v": BODY_OPS_VERSION,
         "sig": record.signature,
         "access": record.access_flags,
@@ -93,71 +98,48 @@ def exact_method_digest(record: MethodRecord) -> str:
         "tries": [t.to_dict() for t in record.tries],
         "trees": [_tree_doc(tree.root) for tree in record.trees],
     }
+
+
+def document_digest(doc: dict) -> str:
+    """SHA-256 of a :func:`method_document`'s canonical JSON."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def normalized_method_tokens(record: MethodRecord) -> list:
-    """Register- and pool-index-insensitive token stream for a record.
+def exact_method_digest(record: MethodRecord) -> str:
+    """SHA-256 over everything body emission reads from the record
+    (:func:`method_document`): equal digests mean byte-identical bodies
+    in any DEX."""
+    return document_digest(method_document(record))
 
-    Walks the collection trees in storage order (node preorder, IL in
+
+def normalized_method_tokens(doc: dict) -> list:
+    """Register- and pool-index-insensitive token stream of a
+    :func:`method_document`.
+
+    Walks the document's trees in storage order (node preorder, IL in
     ``dex_pc`` order) feeding one :class:`~repro.dex.normalize.Normalizer`
-    whose first-use ordinals replace register numbers and symbols.
+    whose first-use ordinals replace register numbers and symbols.  Each
+    instruction is rebuilt from its name and masked operands: the
+    normalizer reads the symbol, never the pool index, so the tokens are
+    the executed instruction's.  Reading nothing but the document the
+    exact digest hashes, equal exact digests give equal tokens.
     """
     normalizer = Normalizer()
-    tokens: list = [["sig", list(record.param_descs), record.return_desc,
-                     record.ins_size]]
+    tokens: list = [["sig", doc["params"], doc["ret"], doc["frame"][1]]]
 
-    def walk(node) -> None:
-        tokens.append(["node", node.sm_start])
-        for collected in sorted(node.il, key=lambda c: c.dex_pc):
-            tokens.append(
-                [collected.dex_pc]
-                + normalizer.token(collected.instruction, collected.symbol,
-                                   collected.payload_units)
-            )
-        for child in node.children:
+    def walk(node: dict) -> None:
+        tokens.append(["node", node["sm"][0]])
+        for dex_pc, name, operands, payload, symbol in sorted(
+                node["il"], key=itemgetter(0)):
+            ins = Instruction(opcode_for(name), tuple(operands))
+            tokens.append([dex_pc] + normalizer.token(ins, symbol, payload))
+        for child in node["ch"]:
             walk(child)
 
-    for tree in record.trees:
-        walk(tree.root)
+    for root in doc["trees"]:
+        walk(root)
     return tokens
-
-
-def _tokens_digest(tokens: list) -> str:
-    blob = json.dumps(tokens, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _tokens_fuzzy_bytes(tokens: list) -> bytes:
-    stripped = [
-        token[1:] if isinstance(token[0], int) else token
-        for token in tokens
-    ]
-    return json.dumps(stripped, separators=(",", ":")).encode("utf-8")
-
-
-def normalized_method_digest(record: MethodRecord) -> str:
-    """SHA-256 of the normalized token stream (layout-sensitive)."""
-    return _tokens_digest(normalized_method_tokens(record))
-
-
-def method_fuzzy_bytes(record: MethodRecord) -> bytes:
-    """Byte stream for the fuzzy digest: normalized tokens sans dex_pc.
-
-    Dropping the position makes the fuzzy digest tolerant of inserted /
-    removed instructions shifting everything after them — the whole
-    point of a locality hash.
-    """
-    return _tokens_fuzzy_bytes(normalized_method_tokens(record))
-
-
-def normalized_digest_and_fuzzy_bytes(record: MethodRecord
-                                      ) -> tuple[str, bytes]:
-    """:func:`normalized_method_digest` and :func:`method_fuzzy_bytes`
-    from one token walk."""
-    tokens = normalized_method_tokens(record)
-    return _tokens_digest(tokens), _tokens_fuzzy_bytes(tokens)
 
 
 # -- recording writer --------------------------------------------------------

@@ -361,7 +361,7 @@ class Pipeline:
         try:
             digests = self.reassemble_stage.last_digests
             if digests is None:
-                digests = store_digests(store)
+                digests = store_digests(store, self.index)
             labeler = AutoLabeler(self.cluster, index=self.index)
             stats = labeler.label_records(records, app, digests)
             self.cluster.register_records(app, records, digests)

@@ -88,15 +88,25 @@ class CollectResult:
         return self.archive.total_size_bytes()
 
 
-def store_digests(store) -> dict:
+def store_digests(store, index=None) -> dict:
     """Signature -> :class:`~repro.index.digests.MethodDigests` for a
     method store's executed methods: a reveal's one digest pass, shared
     by the index probe, the reassembler's body cache, index
-    registration, the labeler and the cluster store.  ``repro.index``
-    is imported here, so a reveal without stores never loads it."""
+    registration, the labeler and the cluster store.
+
+    With a :class:`~repro.index.corpus.CorpusIndex` the pass reads
+    through the index's memo
+    (:meth:`~repro.index.corpus.CorpusIndex.reveal_digests`), so a
+    worker or ``serve`` process digests each distinct method once for
+    the index's lifetime; without one (a cluster-only or store-less
+    reveal) every method is digested here.  ``repro.index`` is imported
+    here, so a reveal without stores never loads it."""
+    records = store.executed_records()
+    if index is not None:
+        return index.reveal_digests(records)
     from repro.index.digests import reveal_digests
 
-    return reveal_digests(store.executed_records())
+    return reveal_digests(records)
 
 
 class CollectStage:
@@ -201,7 +211,7 @@ class CollectStage:
         if self.index is not None:
             try:
                 store = collector.method_store
-                digests = store_digests(store)
+                digests = store_digests(store, self.index)
                 self.last_index_probe = \
                     self.index.probe_method_store(store, digests)
             except Exception:  # the probe is advisory, never fatal
@@ -251,7 +261,7 @@ class ReassembleStage:
             exact = None
             if self.index is not None:
                 if digests is None:
-                    digests = store_digests(store)
+                    digests = store_digests(store, self.index)
                 self.last_digests = digests
                 exact = {signature: method.exact
                          for signature, method in digests.items()}

@@ -14,7 +14,8 @@ redundancy into lookups:
 * :mod:`repro.index.corpus` — :class:`CorpusIndex`, a persistent,
   shardable digest → ``(app, class, method, artifact)`` map with an
   attached body store that lets the reassembler *replay* an
-  already-revealed method body instead of re-emitting it.
+  already-revealed method body instead of re-emitting it, and a memo
+  of the digests it computed, kept by exact digest for its lifetime.
 
 ``repro.core`` never imports this package at module level; the pipeline
 lazy-imports :class:`CorpusIndex` only when ``RevealConfig.index_dir``

@@ -21,8 +21,16 @@ import threading
 from dataclasses import asdict, dataclass
 
 from repro import faults
-from repro.core.body_cache import BODY_OPS_VERSION
-from repro.index.digests import MethodDigests, class_fuzzy_digest
+from repro.core.body_cache import (
+    BODY_OPS_VERSION,
+    document_digest,
+    method_document,
+)
+from repro.index.digests import (
+    MethodDigests,
+    class_fuzzy_digest,
+    document_digests,
+)
 from repro.index.fuzzy import fuzzy_distance
 from repro.segment_log import SegmentLog
 
@@ -30,6 +38,7 @@ INDEX_FORMAT_VERSION = 1
 
 _META_FILE = "index_meta.json"
 _BODIES_DIR = "bodies"
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,16 @@ class CorpusIndex:
         self._by_exact: dict[str, list[IndexEntry]] = {}
         self._by_norm: dict[str, list[IndexEntry]] = {}
         self._body_memo: dict[str, list] = {}
+        #: The digests this index computed, kept for its lifetime.  Norm,
+        #: fuzzy and stream are functions of the exact digest, and a
+        #: class digest of its members' exact digests in signature
+        #: order, so the keys fix the values.  No cap: there is one
+        #: entry per distinct body or member set, fewer than the rows
+        #: the log holds.  Never filled from rows read from disk:
+        #: another build may have written those, and they lack the
+        #: streams.
+        self._method_digests: dict[str, MethodDigests] = {}
+        self._class_digests: dict[tuple[str, ...], str | None] = {}
         self._lsh = None
         self._log = SegmentLog(
             self.root, store="corpus index", meta_file=_META_FILE,
@@ -162,6 +181,41 @@ class CorpusIndex:
             site="index.body.write",
             tmp=f"{path}.{self._log.writer_id}.{threading.get_ident()}.tmp")
 
+    # -- digests (memoised by exact digest) ---------------------------------
+
+    def reveal_digests(self, records) -> dict[str, MethodDigests]:
+        """:func:`~repro.index.digests.reveal_digests` through this
+        index's memo: each record's document is built and hashed, and
+        its tokens walked only when no earlier reveal produced its exact
+        digest."""
+        result: dict[str, MethodDigests] = {}
+        for record in records:
+            doc = method_document(record)
+            exact = document_digest(doc)
+            with self._lock:
+                digests = self._method_digests.get(exact)
+            if digests is None:
+                fresh = document_digests(doc, exact)
+                with self._lock:
+                    digests = self._method_digests.setdefault(exact, fresh)
+            result[record.signature] = digests
+        return result
+
+    def class_fuzzy_digest(self, records,
+                           digests: dict[str, MethodDigests]) -> str | None:
+        """:func:`~repro.index.digests.class_fuzzy_digest` through this
+        index's memo, keyed by the members' exact digests in signature
+        order."""
+        key = tuple(digests[signature].exact for signature in
+                    sorted(record.signature for record in records))
+        with self._lock:
+            fuzzy = self._class_digests.get(key, _UNSEEN)
+        if fuzzy is _UNSEEN:
+            fresh = class_fuzzy_digest(records, digests)
+            with self._lock:
+                fuzzy = self._class_digests.setdefault(key, fresh)
+        return fuzzy
+
     # -- registration (pipeline integration) --------------------------------
 
     def register_method(self, record, digests: MethodDigests, app_id: str,
@@ -195,8 +249,8 @@ class CorpusIndex:
                             artifact: str | None = None) -> dict:
         """Index every executed method of one reveal; return savings stats.
 
-        ``digests`` is the reveal's
-        :func:`~repro.index.digests.reveal_digests` map.
+        ``digests`` is the reveal's :meth:`reveal_digests` map; class
+        digests come through this index's memo.
         ``corpus_known`` counts methods whose exact digest the index
         already held (from any app) before this registration —
         the cross-app overlap this reveal could lean on.
@@ -214,7 +268,8 @@ class CorpusIndex:
             by_class.setdefault(record.class_desc, []).append(record)
         for class_desc in sorted(by_class):
             self.register_class(
-                class_desc, class_fuzzy_digest(by_class[class_desc], digests),
+                class_desc,
+                self.class_fuzzy_digest(by_class[class_desc], digests),
                 app, artifact=artifact,
             )
         return {
@@ -227,7 +282,7 @@ class CorpusIndex:
     def probe_method_store(self, store,
                            digests: dict[str, MethodDigests]) -> dict:
         """Pre-reassembly probe: how much of this store the corpus knows,
-        by the reveal's :func:`~repro.index.digests.reveal_digests` map."""
+        by the reveal's :meth:`reveal_digests` map."""
         executed = store.executed_records()
         known = sum(
             1 for record in executed

@@ -3,7 +3,6 @@
 from repro.cluster.labels import NEAR_MISS_MAX_DISTANCE, AutoLabeler
 from repro.cluster.store import ClusterMember, ClusterStore
 from repro.core import CollectStage, RevealConfig
-from repro.core.body_cache import method_fuzzy_bytes
 from repro.dex import assemble
 from repro.index.digests import method_digests
 from repro.index.fuzzy import fuzzy_digest
@@ -93,7 +92,7 @@ class TestNearMisses:
         # a few bytes flipped — a different norm, but fuzzy-close.  The
         # store holds *only* that variant (plus a family snapshot), so
         # the fuzzy path must be what answers.
-        blob = bytearray(method_fuzzy_bytes(target))
+        blob = bytearray(method_digests(target).fuzzy_bytes)
         for k in range(4):
             blob[(k * 17 + 3) % len(blob)] ^= 0x5A
         near_fuzzy = fuzzy_digest(bytes(blob))

@@ -20,12 +20,9 @@ from repro.core import (
     CollectStage,
     RevealConfig,
 )
-from repro.core.body_cache import (
-    exact_method_digest,
-    normalized_method_digest,
-)
 from repro.core.method_store import MethodRecord, MethodStore
 from repro.dex import assemble
+from repro.index.digests import method_digests
 from repro.runtime import Apk
 
 
@@ -112,8 +109,8 @@ def _snapshot(store: MethodStore) -> dict:
     for sig, rec in store.records.items():
         digests = None
         if rec.executed:
-            digests = (exact_method_digest(rec),
-                       normalized_method_digest(rec))
+            method = method_digests(rec)
+            digests = (method.exact, method.norm)
         snap[sig] = {
             "class": rec.class_desc,
             "regs": (rec.registers_size, rec.ins_size, rec.outs_size),

@@ -105,7 +105,7 @@ _runs = st.lists(st.tuples(st.integers(0, 255), st.integers(1, 600)),
                  min_size=1, max_size=8).map(
     lambda runs: b"".join(bytes([value]) * length for value, length in runs))
 
-#: Token lists shaped like ``method_fuzzy_bytes``: JSON over opcode
+#: Token lists shaped like ``MethodDigests.fuzzy_bytes``: JSON over opcode
 #: names, normalised register ordinals and literal/symbol operands.
 _token = st.tuples(
     st.sampled_from(["const/4", "add-int/lit8", "mul-int/lit8", "move",

@@ -7,6 +7,7 @@ byte-identical to the no-index path, because replaying a recorded body
 re-executes the same emission ops the original writer performed.
 """
 
+import os
 from collections import Counter
 
 import pytest
@@ -15,8 +16,9 @@ from repro.benchsuite.shared_corpus import (
     build_shared_corpus,
     build_shared_corpus_app,
 )
-from repro.core import body_cache
+from repro.cluster.store import ClusterStore
 from repro.dex import write_dex
+from repro.index import CorpusIndex
 from repro.index import digests as digests_module
 from repro.service import (
     EVENT_INDEX,
@@ -24,6 +26,7 @@ from repro.service import (
     RevealJob,
     RevealServer,
 )
+from repro.service.worker import collection_zip_bytes
 
 # Small method bodies keep 61 reveals fast while leaving the sharing
 # profile (8 shared libs, 2 unique classes → ~78% shared) intact.
@@ -85,6 +88,36 @@ class TestWarmCorpusDedup:
         assert "index:" in report.render()
 
 
+def _count_digest_work(monkeypatch):
+    """Count token walks by signature and ``fuzzy_digest`` calls by
+    input length, for the rest of the test."""
+    walks, fuzzy_calls = Counter(), []
+    walk, digest = (digests_module.normalized_method_tokens,
+                    digests_module.fuzzy_digest)
+
+    def counted_walk(doc):
+        walks[doc["sig"]] += 1
+        return walk(doc)
+
+    def counted_digest(data):
+        fuzzy_calls.append(len(data))
+        return digest(data)
+    monkeypatch.setattr(digests_module, "normalized_method_tokens",
+                        counted_walk)
+    monkeypatch.setattr(digests_module, "fuzzy_digest", counted_digest)
+    return walks, fuzzy_calls
+
+
+def _member_sets(entries, app_id: str) -> set:
+    """Each class's member exact digests, signature order, for one app."""
+    by_class: dict = {}
+    for entry in entries:
+        if entry.kind == "method" and entry.app_id == app_id:
+            by_class.setdefault(entry.class_desc, []).append(entry)
+    return {tuple(e.exact for e in sorted(members, key=lambda e: e.method))
+            for members in by_class.values()}
+
+
 class TestDigestOnce:
     def test_a_reveal_digests_each_executed_method_once(
             self, tmp_path, monkeypatch):
@@ -92,20 +125,7 @@ class TestDigestOnce:
         # and the cluster store all share one digest pass: one token
         # walk per executed method, one fuzzy digest per executed
         # method plus one per class.
-        walks, fuzzy_calls = Counter(), []
-        walk, digest = (body_cache.normalized_method_tokens,
-                        digests_module.fuzzy_digest)
-
-        def counted_walk(record):
-            walks[record.signature] += 1
-            return walk(record)
-
-        def counted_digest(data):
-            fuzzy_calls.append(len(data))
-            return digest(data)
-        monkeypatch.setattr(body_cache, "normalized_method_tokens",
-                            counted_walk)
-        monkeypatch.setattr(digests_module, "fuzzy_digest", counted_digest)
+        walks, fuzzy_calls = _count_digest_work(monkeypatch)
 
         app = build_shared_corpus_app("com.once.app", corpus_seed=3,
                                       app_seed=1)
@@ -122,6 +142,144 @@ class TestDigestOnce:
         assert len(methods) == outcome.index_stats["index_executed_methods"]
         assert walks == Counter(methods)
         assert len(fuzzy_calls) == len(methods) + len(classes)
+
+    def test_a_second_reveal_digests_only_what_the_first_did_not(
+            self, tmp_path, monkeypatch):
+        # The service keeps its index, and the index keeps the digests
+        # it computed: a second app sharing classes with the first walks
+        # tokens only for exact digests the first did not produce, and
+        # digests a class only for a member set the first did not have.
+        walks, fuzzy_calls = _count_digest_work(monkeypatch)
+        first, second = (build_shared_corpus_app(
+            f"com.once.app{i}", corpus_seed=3, app_seed=i) for i in (1, 2))
+        service = BatchRevealService(index_dir=str(tmp_path / "index"),
+                                     cluster_dir=str(tmp_path / "cluster"),
+                                     workers=1)
+        index = service.stores.index
+
+        one = service.reveal_one(RevealJob(first.package, first.apk))
+        assert one.status == "ok" and one.degraded == []
+        entries = index.entries()
+        methods = [e for e in entries if e.kind == "method"]
+        assert walks == Counter(e.method for e in methods)
+        assert len(fuzzy_calls) == len(methods) + len(
+            _member_sets(entries, first.package))
+
+        walks.clear()
+        fuzzy_calls.clear()
+        two = service.reveal_one(RevealJob(second.package, second.apk))
+        assert two.status == "ok" and two.degraded == []
+        entries = index.entries()
+        seen = {e.exact for e in methods}
+        added = [e for e in entries
+                 if e.kind == "method" and e.app_id == second.package]
+        new = [e for e in added if e.exact not in seen]
+        assert 0 < len(new) < len(added)  # the apps share classes
+        new_sets = (_member_sets(entries, second.package)
+                    - _member_sets(entries, first.package))
+        assert 0 < len(new_sets) < len(_member_sets(entries, second.package))
+        assert walks == Counter(e.method for e in new)
+        assert len(fuzzy_calls) == len(new) + len(new_sets)
+
+
+def _products(outcome) -> tuple:
+    """What one reveal with both stores hands its caller."""
+    return (outcome.app_id, outcome.status, outcome.degraded,
+            outcome.index_stats, outcome.cluster_stats,
+            outcome.revealed_apk.to_bytes(),
+            collection_zip_bytes(outcome.result.archive))
+
+
+def _store_files(root: str) -> dict:
+    """Every file under both store directories after ``compact()`` +
+    ``build_families()``.  Writer ids name the segments, and the open
+    merges them in name order, so a segment is compared as its sorted
+    rows."""
+    index = CorpusIndex(os.path.join(root, "index"), create=False)
+    index.compact()
+    index.close()
+    cluster = ClusterStore(os.path.join(root, "cluster"), create=False)
+    cluster.compact()
+    cluster.build_families()
+    cluster.close()
+    files = {}
+    for dirpath, _dirs, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                data = fh.read()
+            rel = os.path.relpath(os.path.join(dirpath, name), root)
+            if os.path.basename(dirpath) == "segments":
+                rel, data = os.path.dirname(rel), sorted(data.splitlines())
+            assert rel not in files, rel  # one segment per store
+            files[rel] = data
+    return files
+
+
+def _stores(root: str) -> dict:
+    return dict(index_dir=os.path.join(root, "index"),
+                cluster_dir=os.path.join(root, "cluster"))
+
+
+def _close(service: BatchRevealService) -> None:
+    service.stores.index.close()
+    service.stores.cluster.close()
+
+
+class TestServiceLifetime:
+    """A service keeps its index, and the index the digests it computed,
+    across jobs.  Its reveals and store files must equal those of a
+    fresh service per job over the same store directories, whose memo
+    starts empty every time, and of a two-thread server."""
+
+    def test_one_service_equals_a_fresh_service_per_job(self, tmp_path):
+        apps = build_shared_corpus(5, **_CORPUS_KW)
+        fresh_root, kept_root = str(tmp_path / "fresh"), str(tmp_path / "kept")
+        fresh = []
+        for job in _jobs(apps):
+            service = BatchRevealService(workers=1, **_stores(fresh_root))
+            fresh.append(_products(service.reveal_one(job)))
+            _close(service)
+        service = BatchRevealService(workers=1, **_stores(kept_root))
+        kept = [_products(service.reveal_one(job)) for job in _jobs(apps)]
+        _close(service)
+        assert [p[1:3] for p in fresh] == [("ok", [])] * len(apps)
+        assert any(p[3]["corpus_known"] for p in fresh)  # apps share
+        assert kept == fresh
+        assert _store_files(kept_root) == _store_files(fresh_root)
+
+    def test_a_two_thread_server_equals_a_fresh_service_per_job(
+            self, tmp_path):
+        apps = build_shared_corpus(5, **_CORPUS_KW)
+        fresh_root = str(tmp_path / "fresh")
+        fresh = []
+        for job in _jobs(apps):
+            service = BatchRevealService(workers=1, **_stores(fresh_root))
+            fresh.append(_products(service.reveal_one(job)))
+            _close(service)
+        fresh_files = _store_files(fresh_root)
+
+        # One job at a time: the two threads take turns, so each reveal
+        # sees what the one before it registered, as a fresh service does.
+        serial_root = str(tmp_path / "serial")
+        service = BatchRevealService(workers=2, **_stores(serial_root))
+        with RevealServer(service=service, workers=2) as server:
+            serial = [_products(server.submit(job).wait(timeout=120))
+                      for job in _jobs(apps)]
+        _close(service)
+        assert serial == fresh
+        assert _store_files(serial_root) == fresh_files
+
+        # All at once: which job sees which registrations depends on
+        # the threads, so the stats may differ; the bytes may not.
+        racing_root = str(tmp_path / "racing")
+        service = BatchRevealService(workers=2, **_stores(racing_root))
+        with RevealServer(service=service, workers=2) as server:
+            racing = [_products(outcome) for outcome in server.await_many(
+                server.submit_many(_jobs(apps)), timeout=120)]
+        _close(service)
+        assert [p[:3] + p[5:] for p in racing] == \
+            [p[:3] + p[5:] for p in fresh]
+        assert _store_files(racing_root) == fresh_files
 
 
 class TestIndexStatsSurfaces:
