@@ -24,7 +24,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
 	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical; dump sizes equal to the render, one decode per collected instruction; replay collectors merge like plain ones, symbols at exit equal symbols at the step; one service's digest memo equals a fresh service per job"
-	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency and the segment log"
+	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency, the segment log and degraded reveals"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
 	@echo "make bench-force - force-execution exploration: serial vs process, fifo vs rarity-first"
@@ -87,14 +87,17 @@ test-determinism:
 # two-worker fleet; every schedule must complete every job exactly
 # once with byte-identical artifacts.  Failing runs print the full
 # schedule, seed included, so they can be replayed.  Alongside: every
-# store reopening after crash debris, and the segment log's append,
-# typed-row and compaction contracts under both corpus stores.  Part
-# of `make test` too; this target exists for CI and for replaying one
-# schedule in isolation.
+# store reopening after crash debris, the segment log's append,
+# typed-row and compaction contracts under both corpus stores, and a
+# reveal degrading, never failing, when an optional store fails to
+# open or a store write fails mid-reveal.  Part of `make test` too;
+# this target exists for CI and for replaying one schedule in
+# isolation.
 test-chaos:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/service/test_chaos.py \
 		tests/service/test_crash_consistency.py \
-		tests/service/test_segment_log.py -q
+		tests/service/test_segment_log.py \
+		tests/service/test_degradation.py -q
 
 # bench_*.py does not match pytest's default collection pattern, so the
 # bench targets widen it explicitly.

@@ -6,11 +6,11 @@ is a pure function of the :class:`~repro.core.method_store.MethodRecord`
 output DEX at emission time, so the raw instruction stream it produces
 is app-specific.  This module makes the emission portable:
 
-* :func:`exact_method_digest` — a canonical hash of everything the
-  emission depends on (:func:`method_document`), with pool indices
-  masked out of the raw units (the resolved *symbols* are the identity,
-  not the indices).  Two records with equal digests produce
-  byte-identical method bodies in any DEX.
+* :func:`method_document` and :func:`document_digest` — the exact
+  digest, a canonical hash of everything the emission depends on, with
+  pool indices masked out of the raw units (the resolved *symbols* are
+  the identity, not the indices).  Two records with equal digests
+  produce byte-identical method bodies in any DEX.
   :func:`normalized_method_tokens` walks the same document, so the
   corpus index's structural and fuzzy digests are functions of the
   exact digest.
@@ -101,16 +101,10 @@ def method_document(record: MethodRecord) -> dict:
 
 
 def document_digest(doc: dict) -> str:
-    """SHA-256 of a :func:`method_document`'s canonical JSON."""
+    """SHA-256 of a :func:`method_document`'s canonical JSON: the exact
+    digest.  Equal digests mean byte-identical bodies in any DEX."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def exact_method_digest(record: MethodRecord) -> str:
-    """SHA-256 over everything body emission reads from the record
-    (:func:`method_document`): equal digests mean byte-identical bodies
-    in any DEX."""
-    return document_digest(method_document(record))
 
 
 def normalized_method_tokens(doc: dict) -> list:

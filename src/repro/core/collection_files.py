@@ -134,7 +134,8 @@ class CollectionArchive:
 
     An archive is built whole and never changes once built (readers
     must not change ``collector`` either), so :meth:`files` renders it
-    once and keeps the texts.
+    once and keeps the texts, and :meth:`method_digests` digests it
+    once and keeps the map.
 
     ``exploration_state`` is the frontier's dict, or a
     :class:`~repro.core.force_execution.ExplorationFrontier` whose
@@ -148,6 +149,7 @@ class CollectionArchive:
         self.collector = collector
         self._exploration_state = exploration_state
         self._files: dict[str, str] | None = None
+        self._digests: dict | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -232,6 +234,30 @@ class CollectionArchive:
         collector = self.collector
         return (sum(map(_rendered_size, collector.metadata_rows().values()))
                 + trees_rendered_size(collector.trees()))
+
+    def method_digests(self, index=None) -> dict:
+        """Signature -> :class:`~repro.index.digests.MethodDigests` for
+        the executed methods: a reveal's one digest pass, shared by the
+        index probe, the reassembler's body cache, index registration,
+        the labeler and the cluster store.  Computed on the first call
+        and kept.
+
+        With a :class:`~repro.index.corpus.CorpusIndex` the pass reads
+        through the index's memo
+        (:meth:`~repro.index.corpus.CorpusIndex.reveal_digests`), so a
+        worker or ``serve`` process digests each distinct method once
+        for the index's lifetime; without one (a cluster-only reveal)
+        every method is digested here.  ``repro.index`` is imported
+        here, so a reveal without stores never loads it."""
+        if self._digests is None:
+            records = self.collector.method_store.executed_records()
+            if index is not None:
+                self._digests = index.reveal_digests(records)
+            else:
+                from repro.index.digests import reveal_digests
+
+                self._digests = reveal_digests(records)
+        return self._digests
 
     # -- merging (resume) ---------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.core.stages import (
     RepackStage,
     StageEvent,
     VerifyStage,
-    store_digests,
 )
 from repro.dex.structures import DexFile
 from repro.errors import StageError
@@ -134,6 +133,10 @@ class RevealResult:
       ``RevealConfig.cluster_dir`` is set (family, per-method known /
       near-miss counts, nearest-known-method evidence); empty
       otherwise.
+    * ``degraded`` — sorted names of the optional stores (``index``,
+      ``cluster``) this reveal bypassed: ones that failed to open, and
+      ones whose write failed mid-reveal.  A failed index write also
+      puts its reason in ``index_stats["degraded"]``.
     """
 
     revealed_apk: Apk | None
@@ -147,6 +150,7 @@ class RevealResult:
     stage_timings: dict[str, float] = field(default_factory=dict)
     index_stats: dict = field(default_factory=dict)
     cluster_stats: dict = field(default_factory=dict)
+    degraded: list[str] = field(default_factory=list)
 
     @property
     def dump_size_bytes(self) -> int:
@@ -177,8 +181,7 @@ class Pipeline:
         #: Optional stores this pipeline had to bypass (name -> reason).
         self.degraded: dict[str, str] = dict(stores.degraded)
         self.collect_stage = CollectStage(self.config,
-                                          wave_observer=wave_observer,
-                                          index=self.index)
+                                          wave_observer=wave_observer)
         self.reassemble_stage = ReassembleStage(index=self.index)
         self.verify_stage = VerifyStage()
         self.repack_stage = RepackStage()
@@ -250,13 +253,11 @@ class Pipeline:
         # archive instead of clobbering it with empty collection files.
         collected.archive = CollectionArchive.merged(archive,
                                                      collected.archive)
-        collected.digests = None  # they describe the session's archive
         return self._finish_run(apk, collected, timings)
 
     def _finish_run(self, apk: Apk, collected: CollectResult,
                     timings: dict[str, float]) -> RevealResult:
         """Shared archive-persistence + offline suffix after collection."""
-        archive = collected.archive
         if self.config.archive_dir is not None:
             # The offline boundary: reassemble from the saved files.
             # Persistence failures belong to the collect stage (its
@@ -264,25 +265,12 @@ class Pipeline:
             # no extra observer event — the stage itself already
             # notified once, and the contract is one event per stage.
             try:
-                archive.save(self.config.archive_dir)
-                archive = CollectionArchive.load(self.config.archive_dir)
+                collected.archive.save(self.config.archive_dir)
+                collected.archive = CollectionArchive.load(
+                    self.config.archive_dir)
             except OSError as exc:
                 raise StageError(STAGE_COLLECT, exc) from exc
-        dex, revealed = self._offline(archive, apk, timings,
-                                      collected.digests)
-        return RevealResult(
-            revealed_apk=revealed,
-            reassembled_dex=dex,
-            archive=archive,
-            collector_stats=collected.collector_stats,
-            force_report=collected.force_report,
-            crashed=collected.crashed,
-            crash_reason=collected.crash_reason,
-            budget_exhausted=collected.budget_exhausted,
-            stage_timings=timings,
-            index_stats=self._index_stats(),
-            cluster_stats=self._cluster_stats(archive, apk.package),
-        )
+        return self._offline(collected, apk, timings)
 
     def reveal_from_archive(
         self,
@@ -300,73 +288,67 @@ class Pipeline:
             archive = CollectionArchive.load(os.fspath(source))
         else:
             archive = source
-        timings: dict[str, float] = {}
-        dex, revealed = self._offline(archive, apk, timings)
-        return RevealResult(
-            revealed_apk=revealed,
-            reassembled_dex=dex,
-            archive=archive,
-            collector_stats={},
-            stage_timings=timings,
-            index_stats=self._index_stats(),
-            cluster_stats=self._cluster_stats(
-                archive, apk.package if apk is not None else None),
-        )
+        return self._offline(CollectResult(archive), apk, {})
 
-    def _offline(
-        self,
-        archive: CollectionArchive,
-        apk: Apk | None,
-        timings: dict[str, float],
-        digests: dict | None = None,
-    ) -> tuple[DexFile, Apk | None]:
-        """Shared reassemble → verify → (repack) suffix; ``digests`` are
-        the archive's method digests when collection computed them."""
+    def _offline(self, collected: CollectResult, apk: Apk | None,
+                 timings: dict[str, float]) -> RevealResult:
+        """Shared reassemble → verify → (repack) suffix, then the
+        cluster store, over ``collected.archive``."""
+        archive = collected.archive
+        app_id = apk.package if apk is not None else None
         dex = self._timed(STAGE_REASSEMBLE, timings,
-                          self.reassemble_stage.run, archive,
-                          apk.package if apk is not None else None,
-                          self.config.archive_dir, digests)
+                          self.reassemble_stage.run, archive, app_id,
+                          self.config.archive_dir)
         dex = self._timed(STAGE_VERIFY, timings, self.verify_stage.run, dex)
         revealed = None
         if apk is not None:
             revealed = self._timed(STAGE_REPACK, timings,
                                    self.repack_stage.run, apk, dex)
-        return dex, revealed
-
-    def _index_stats(self) -> dict:
-        """Merged dedup accounting from the index-aware stages."""
-        if self.index is None:
-            return {}
-        stats = dict(self.collect_stage.last_index_probe)
-        stats.update(self.reassemble_stage.last_index_stats)
-        return stats
+        degraded = set(self.degraded)
+        index_stats = self.reassemble_stage.last_index_stats
+        if "degraded" in index_stats:
+            degraded.add("index")
+        cluster_stats = self._cluster_stats(archive, app_id)
+        if cluster_stats is None:
+            degraded.add("cluster")
+        return RevealResult(
+            revealed_apk=revealed,
+            reassembled_dex=dex,
+            archive=archive,
+            collector_stats=collected.collector_stats,
+            force_report=collected.force_report,
+            crashed=collected.crashed,
+            crash_reason=collected.crash_reason,
+            budget_exhausted=collected.budget_exhausted,
+            stage_timings=timings,
+            index_stats=index_stats,
+            cluster_stats=cluster_stats or {},
+            degraded=sorted(degraded),
+        )
 
     def _cluster_stats(self, archive: CollectionArchive,
-                       app_id: str | None) -> dict:
+                       app_id: str | None) -> dict | None:
         """Auto-label this reveal, then absorb it for future labeling.
 
         Labeling runs *before* registration so the reveal never matches
         itself; the app-id filter in the labeler guards the re-reveal
-        case.  Both reuse the digests reassembly used (computed here
-        when no index is attached).  Advisory like the index probe:
-        failures degrade to no labels, never a failed reveal.
+        case.  Both read the archive's digests, the ones reassembly
+        used.  A cluster store failure returns ``None``: the reveal
+        degrades to no labels, never fails.
         """
         if self.cluster is None:
             return {}
         from repro.cluster.labels import AutoLabeler
 
         app = app_id or "<unknown-app>"
-        store = archive.collector.method_store
-        records = store.executed_records()
+        records = archive.collector.method_store.executed_records()
         try:
-            digests = self.reassemble_stage.last_digests
-            if digests is None:
-                digests = store_digests(store, self.index)
+            digests = archive.method_digests(self.index)
             labeler = AutoLabeler(self.cluster, index=self.index)
             stats = labeler.label_records(records, app, digests)
             self.cluster.register_records(app, records, digests)
         except (OSError, ValueError):
-            return {}
+            return None
         return stats
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.body_cache import BodyWriter, exact_method_digest, replay_body
+from repro.core.body_cache import BodyWriter, replay_body
 from repro.core.collector import CollectedClass, ReflectionSite
 from repro.core.method_store import MethodRecord, MethodStore
 from repro.core.tree import CollectedInstruction, TreeNode
@@ -61,7 +61,7 @@ class Reassembler:
         store: MethodStore,
         reflection_sites: dict[tuple[str, int], ReflectionSite] | None = None,
         body_cache=None,
-        exact_digests: dict[str, str] | None = None,
+        digests: dict | None = None,
     ) -> None:
         self.classes = classes
         self.store = store
@@ -70,11 +70,15 @@ class Reassembler:
         #: executed bodies whose exact digest is already known are
         #: *replayed* from their recorded op list instead of re-emitted.
         self.body_cache = body_cache
-        #: Exact digests the caller already computed, by signature, so
-        #: body-cache lookups do not compute them again.
-        self._exact_digests = exact_digests or {}
+        #: The executed methods' digests by signature
+        #: (:meth:`~repro.core.collection_files.CollectionArchive.method_digests`),
+        #: required with a body cache, which is keyed by exact digest.
+        self._digests = digests
         self.bodies_emitted = 0
         self.bodies_replayed = 0
+        #: The last ``OSError`` a body-cache write raised, if any: the
+        #: body was emitted all the same.
+        self.body_write_error: OSError | None = None
         # Methods holding rewritten reflective invokes are never cached:
         # bridge numbering is global to one output DEX.
         self._uncacheable = {caller for caller, _pc in self.reflection_sites}
@@ -156,8 +160,7 @@ class Reassembler:
         digest = None
         if self.body_cache is not None \
                 and record.signature not in self._uncacheable:
-            digest = self._exact_digests.get(record.signature) \
-                or exact_method_digest(record)
+            digest = self._digests[record.signature].exact
             ops = self.body_cache.get_body(digest)
             if ops is not None:
                 replay_body(self, class_builder, record, ops)
@@ -167,7 +170,10 @@ class Reassembler:
                                         recording=digest is not None)
         self.bodies_emitted += 1
         if digest is not None and ops is not None:
-            self.body_cache.put_body(digest, ops)
+            try:
+                self.body_cache.put_body(digest, ops)
+            except OSError as exc:
+                self.body_write_error = exc
 
     def _emit_stub(self, class_builder: ClassBuilder, record: MethodRecord) -> None:
         """Default-return stub for a linked-but-never-executed method."""

@@ -11,7 +11,8 @@ reassembler fix, without re-driving the application.
 * :class:`CollectStage` — APK + drive → :class:`CollectResult`
   (archive + drive outcome; nothing downstream, no fake fields)
 * :class:`ReassembleStage` — :class:`CollectionArchive` → ``DexFile``
-  (offline reassembly plus the binary round-trip)
+  (offline reassembly plus the binary round-trip; the one stage that
+  touches the corpus index)
 * :class:`VerifyStage` — ``DexFile`` → verified ``DexFile``, or a
   structured :class:`~repro.errors.StageError`
 * :class:`RepackStage` — APK + DEX → revealed APK
@@ -78,35 +79,10 @@ class CollectResult:
     crashed: bool = False
     crash_reason: str = ""
     budget_exhausted: bool = False
-    #: ``archive``'s method digests by signature, when the index probe
-    #: computed them (see :func:`store_digests`); whoever replaces
-    #: ``archive`` must drop them.
-    digests: dict | None = None
 
     @property
     def dump_size_bytes(self) -> int:
         return self.archive.total_size_bytes()
-
-
-def store_digests(store, index=None) -> dict:
-    """Signature -> :class:`~repro.index.digests.MethodDigests` for a
-    method store's executed methods: a reveal's one digest pass, shared
-    by the index probe, the reassembler's body cache, index
-    registration, the labeler and the cluster store.
-
-    With a :class:`~repro.index.corpus.CorpusIndex` the pass reads
-    through the index's memo
-    (:meth:`~repro.index.corpus.CorpusIndex.reveal_digests`), so a
-    worker or ``serve`` process digests each distinct method once for
-    the index's lifetime; without one (a cluster-only or store-less
-    reveal) every method is digested here.  ``repro.index`` is imported
-    here, so a reveal without stores never loads it."""
-    records = store.executed_records()
-    if index is not None:
-        return index.reveal_digests(records)
-    from repro.index.digests import reveal_digests
-
-    return reveal_digests(records)
 
 
 class CollectStage:
@@ -121,22 +97,12 @@ class CollectStage:
     name = STAGE_COLLECT
 
     def __init__(self, config: RevealConfig | None = None,
-                 wave_observer=None, index=None) -> None:
+                 wave_observer=None) -> None:
         self.config = config or RevealConfig()
         #: Optional exploration progress callback, forwarded to the
         #: force-execution scheduler (callables cannot live on the
         #: frozen, hashable config, so this travels beside it).
         self.wave_observer = wave_observer
-        #: Optional :class:`~repro.index.corpus.CorpusIndex` to consult
-        #: after the drive: how much of what this app executed the
-        #: corpus has already revealed elsewhere.  Collection itself
-        #: always runs — live-fetch semantics need the real execution —
-        #: but the probe feeds the dedup accounting and tells the
-        #: reassembler what to expect.
-        self.index = index
-        #: Stats of the most recent :meth:`run`'s index probe (empty
-        #: when no index is attached).
-        self.last_index_probe: dict = {}
 
     def run(self, apk: Apk, drive=None,
             resume_state: dict | None = None) -> CollectResult:
@@ -205,26 +171,13 @@ class CollectStage:
         # enough to continue an interrupted exploration; the archive
         # serialises it only if it is read.
         frontier = engine.frontier() if engine is not None else None
-        archive = CollectionArchive.from_collector(collector, frontier)
-        digests = None
-        self.last_index_probe = {}
-        if self.index is not None:
-            try:
-                store = collector.method_store
-                digests = store_digests(store, self.index)
-                self.last_index_probe = \
-                    self.index.probe_method_store(store, digests)
-            except Exception:  # the probe is advisory, never fatal
-                digests = None
-                self.last_index_probe = {}
         return CollectResult(
-            archive=archive,
+            archive=CollectionArchive.from_collector(collector, frontier),
             collector_stats=collector.stats(),
             force_report=force_report,
             crashed=crashed,
             crash_reason=crash_reason,
             budget_exhausted=budget_exhausted,
-            digests=digests,
         )
 
 
@@ -238,52 +191,51 @@ class ReassembleStage:
     name = STAGE_REASSEMBLE
 
     def __init__(self, index=None) -> None:
-        #: Optional :class:`~repro.index.corpus.CorpusIndex`: acts as the
-        #: reassembler's body cache (already-revealed bodies are replayed
-        #: instead of re-emitted) and receives this reveal's digests.
+        #: Optional :class:`~repro.index.corpus.CorpusIndex`, the one
+        #: the pipeline opened: probed for how much of this app the
+        #: corpus already revealed, used as the reassembler's body cache
+        #: (already-revealed bodies are replayed instead of re-emitted)
+        #: and given this reveal's digests.
         self.index = index
-        #: Savings stats of the most recent :meth:`run` (empty without
-        #: an index): bodies emitted vs replayed, corpus known vs new.
+        #: Dedup accounting of the most recent :meth:`run` (empty
+        #: without an index): the probe's known vs executed methods,
+        #: then bodies emitted vs replayed and corpus known vs new, or
+        #: ``degraded`` with the reason an index write failed.
         self.last_index_stats: dict = {}
-        #: The method digests the most recent :meth:`run` used (``None``
-        #: without an index), for the cluster store to reuse.
-        self.last_digests: dict | None = None
 
     def run(self, archive: CollectionArchive, app_id: str | None = None,
-            artifact: str | None = None,
-            digests: dict | None = None) -> DexFile:
-        """Reassemble ``archive``; ``digests`` are its method digests
-        when the caller already holds them (:func:`store_digests`)."""
+            artifact: str | None = None) -> DexFile:
+        """Reassemble ``archive``; with an index, its entries name
+        ``app_id`` and ``artifact``."""
         self.last_index_stats = {}
-        self.last_digests = None
         try:
             store = archive.collector.method_store
-            exact = None
+            digests = stats = None
             if self.index is not None:
-                if digests is None:
-                    digests = store_digests(store, self.index)
-                self.last_digests = digests
-                exact = {signature: method.exact
-                         for signature, method in digests.items()}
+                digests = archive.method_digests(self.index)
+                stats = self.index.probe_method_store(store, digests)
             reassembler = Reassembler(
                 archive.collector.classes,
                 store,
                 archive.collector.reflection_sites,
                 body_cache=self.index,
-                exact_digests=exact,
+                digests=digests,
             )
             dex = reassembler.reassemble()
             if self.index is not None:
+                # The index is an optional subsystem: failing to store a
+                # body or journal this reveal's digests costs future
+                # dedup savings, never the reveal itself.
+                failure = reassembler.body_write_error
                 try:
-                    self.last_index_stats = self.index.register_reassembly(
-                        store, reassembler, app_id,
-                        digests, artifact=artifact,
-                    )
+                    stats.update(self.index.register_reassembly(
+                        store, reassembler, app_id, digests,
+                        artifact=artifact))
                 except OSError as exc:
-                    # The index is an optional subsystem: failing to
-                    # journal this reveal's digests costs future dedup
-                    # savings, never the reveal itself.
-                    self.last_index_stats = {"degraded": str(exc)}
+                    failure = exc
+                if failure is not None:
+                    stats["degraded"] = str(failure)
+                self.last_index_stats = stats
             return read_dex(write_dex(dex))
         except Exception as exc:
             raise StageError(self.name, exc) from exc

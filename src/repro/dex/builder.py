@@ -301,9 +301,6 @@ class MethodBuilder:
     def const_string(self, reg: int, value: str) -> "MethodBuilder":
         return self.raw("const-string", reg, self.dex.intern_string(value))
 
-    def const_class(self, reg: int, descriptor: str) -> "MethodBuilder":
-        return self.raw("const-class", reg, self.dex.intern_type(descriptor))
-
     def move(self, dst: int, src: int) -> "MethodBuilder":
         return self.raw("move" if max(dst, src) < 16 else "move/from16", dst, src)
 
@@ -316,9 +313,6 @@ class MethodBuilder:
 
     def check_cast(self, reg: int, descriptor: str) -> "MethodBuilder":
         return self.raw("check-cast", reg, self.dex.intern_type(descriptor))
-
-    def new_array(self, dst: int, size_reg: int, descriptor: str) -> "MethodBuilder":
-        return self.raw("new-array", dst, size_reg, self.dex.intern_type(descriptor))
 
     def invoke(self, kind: str, signature: str, *regs: int) -> "MethodBuilder":
         """Emit ``invoke-<kind>`` for a full method signature string."""

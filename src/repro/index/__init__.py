@@ -8,7 +8,7 @@ redundancy into lookups:
   for near-duplicate detection;
 * :mod:`repro.index.digests` — per-method / per-class digest bundles
   combining the exact normalized-bytecode hash
-  (:func:`repro.core.body_cache.exact_method_digest`), the
+  (:func:`repro.core.body_cache.document_digest`), the
   register/pool-insensitive structural hash and the fuzzy digest, and
   the per-reveal map every store consumer shares;
 * :mod:`repro.index.corpus` — :class:`CorpusIndex`, a persistent,
@@ -19,7 +19,9 @@ redundancy into lookups:
 
 ``repro.core`` never imports this package at module level; the pipeline
 lazy-imports :class:`CorpusIndex` only when ``RevealConfig.index_dir``
-is set, keeping the core → index dependency one-way and optional.
+is set, and the collection archive imports the digests only when a
+store asks for them, keeping the core → index dependency one-way and
+optional.
 """
 
 from repro.index.corpus import INDEX_FORMAT_VERSION, CorpusIndex, IndexEntry

@@ -2,7 +2,7 @@
 
 Composes the three similarity levels the corpus index stores:
 
-* ``exact`` — :func:`repro.core.body_cache.exact_method_digest`, the
+* ``exact`` — :func:`repro.core.body_cache.document_digest`, the
   SHA-256 of the record's :func:`~repro.core.body_cache.method_document`;
   equal digests mean the reassembler can *replay* the body
   byte-identically.
@@ -23,9 +23,11 @@ by exact digest for its lifetime and walk tokens only for bodies it has
 not seen (:meth:`~repro.index.corpus.CorpusIndex.reveal_digests`).
 
 A reveal computes its bundles once, with :func:`reveal_digests` (or the
-index's memoised form), and hands the map to every consumer: the index
-probe, the reassembler's body cache, index registration, the labeler
-and the cluster store.
+index's memoised form), through
+:meth:`~repro.core.collection_files.CollectionArchive.method_digests`,
+which keeps the map for every consumer: the index probe, the
+reassembler's body cache, index registration, the labeler and the
+cluster store.
 """
 
 from __future__ import annotations

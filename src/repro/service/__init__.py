@@ -6,8 +6,8 @@ the paper's evaluation (markets, app stores, analysis fleets):
 
 * :class:`~repro.service.batch.BatchRevealService` — per-app crash
   isolation and the one job path, ``reveal_one``, that every front end
-  below calls; ``reveal_batch`` runs a corpus through a server
-  (thread / serial) or a process pool
+  below calls; ``reveal_batch`` runs a corpus on one of two backends,
+  thread (through a server) / process (a process pool)
 * :class:`~repro.service.server.RevealServer` — the job-oriented async
   front end: submit / poll / await / cancel, priority lanes,
   backpressure, an in-memory queue
@@ -105,7 +105,6 @@ from repro.service.server import QueueFull, RevealServer
 from repro.service.cache import (
     RevealCache,
     apk_content_key,
-    pipeline_config_key,
     reveal_cache_key,
 )
 from repro.service.outcomes import (
@@ -185,7 +184,6 @@ __all__ = [
     "default_worker_count",
     "is_artifact_digest",
     "percentile",
-    "pipeline_config_key",
     "resolve_priority",
     "reveal_cache_key",
     "set_default_workers",

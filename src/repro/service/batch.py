@@ -383,13 +383,13 @@ class BatchRevealService:
 
     @staticmethod
     def _degraded_for(lego, result=None) -> list:
-        """Sorted union of everything this reveal had to bypass: stores
-        that failed to open, and a mid-reveal index write failure
-        reported by the stages."""
-        names = set(lego.pipeline.degraded)
-        if result is not None and result.index_stats.get("degraded"):
-            names.add("index")
-        return sorted(names)
+        """Everything this reveal had to bypass: the result's list
+        (:attr:`~repro.core.pipeline.RevealResult.degraded`), or, for a
+        reveal that produced no result, the stores that failed to
+        open."""
+        if result is not None:
+            return list(result.degraded)
+        return sorted(lego.pipeline.degraded)
 
     def _run_job(self, job: RevealJob, key: str = "", observer=None,
                  wave_observer=None) -> RevealOutcome:

@@ -21,8 +21,7 @@ Key construction
   payloads in assets; two packed stubs can share identical DEX loaders),
 * :meth:`RevealConfig.config_hash()
   <repro.core.config.RevealConfig.config_hash>` — the *sole*
-  configuration input; ``DexLego``/``Pipeline`` instances are accepted
-  and reduced to their ``RevealConfig``,
+  configuration input,
 * an optional caller-supplied salt (used by jobs with custom drive
   callables, whose identity the cache cannot observe).
 
@@ -65,19 +64,6 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-def as_reveal_config(config) -> RevealConfig:
-    """Normalise a RevealConfig, DexLego or Pipeline to its config."""
-    if isinstance(config, RevealConfig):
-        return config
-    inner = getattr(config, "config", None)
-    if isinstance(inner, RevealConfig):
-        return inner
-    raise TypeError(
-        f"expected RevealConfig (or an object carrying one), got "
-        f"{type(config).__name__}"
-    )
-
-
 def apk_content_key(apk: Apk) -> str:
     """SHA-256 over the APK's content: the manifest, each DEX, the
     assets and the JNI libraries.  Writing a DEX canonicalizes its
@@ -101,15 +87,11 @@ def apk_content_key(apk: Apk) -> str:
     return digest.hexdigest()
 
 
-def pipeline_config_key(config) -> str:
-    return as_reveal_config(config).config_hash()
-
-
-def reveal_cache_key(apk: Apk, config, salt: str = "") -> str:
+def reveal_cache_key(apk: Apk, config: RevealConfig, salt: str = "") -> str:
     """Content-addressed key: APK content × ``config_hash()`` × salt."""
     digest = hashlib.sha256()
     digest.update(apk_content_key(apk).encode("ascii"))
-    digest.update(as_reveal_config(config).config_hash().encode("ascii"))
+    digest.update(config.config_hash().encode("ascii"))
     if salt:
         digest.update(salt.encode("utf-8"))
     return digest.hexdigest()

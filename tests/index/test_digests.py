@@ -20,7 +20,6 @@ import threading
 
 from repro.benchsuite.shared_corpus import build_shared_corpus_app
 from repro.core import CollectStage, RevealConfig
-from repro.core.body_cache import exact_method_digest
 from repro.dex import assemble
 from repro.dex.opcodes import IndexKind
 from repro.index import (
@@ -150,12 +149,12 @@ class TestExactDigest:
         for sig in shared:
             rec_one, rec_two = store_one.get(sig), store_two.get(sig)
             assert rec_one is not None and rec_two is not None
-            assert exact_method_digest(rec_one) == \
-                exact_method_digest(rec_two), sig
+            assert method_digests(rec_one).exact == \
+                method_digests(rec_two).exact, sig
 
     def test_deterministic(self):
         record = _record(_VARIANT_A, "La/One;", "a.one")
-        assert exact_method_digest(record) == exact_method_digest(record)
+        assert method_digests(record) == method_digests(record)
 
 
 class TestMethodDigests:

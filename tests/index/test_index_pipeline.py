@@ -17,8 +17,10 @@ from repro.benchsuite.shared_corpus import (
     build_shared_corpus_app,
 )
 from repro.cluster.store import ClusterStore
+from repro.core import DexLego, RevealConfig, resume_exploration
 from repro.dex import write_dex
 from repro.index import CorpusIndex
+from repro.index import corpus as corpus_module
 from repro.index import digests as digests_module
 from repro.service import (
     EVENT_INDEX,
@@ -143,6 +145,28 @@ class TestDigestOnce:
         assert walks == Counter(methods)
         assert len(fuzzy_calls) == len(methods) + len(classes)
 
+    def test_a_collect_only_job_digests_nothing(self, tmp_path,
+                                                monkeypatch):
+        # Only reassembly talks to the index: collection neither probes
+        # it nor digests for it.
+        hashed = []
+        for module in (corpus_module, digests_module):
+            def counted(doc, digest=module.document_digest):
+                hashed.append(doc["sig"])
+                return digest(doc)
+            monkeypatch.setattr(module, "document_digest", counted)
+        app = build_shared_corpus_app("com.once.collect", corpus_seed=3,
+                                      app_seed=1)
+        service = BatchRevealService(index_dir=str(tmp_path / "index"),
+                                     workers=1)
+        outcome = service.reveal_one(
+            RevealJob(app.package, app.apk, collect_only=True))
+        assert outcome.status == "ok" and outcome.degraded == []
+        assert outcome.collector_stats["methods_executed"] > 0
+        assert hashed == []
+        assert outcome.index_stats == {}
+        assert service.stores.index.entries() == []
+
     def test_a_second_reveal_digests_only_what_the_first_did_not(
             self, tmp_path, monkeypatch):
         # The service keeps its index, and the index keeps the digests
@@ -180,6 +204,26 @@ class TestDigestOnce:
         assert 0 < len(new_sets) < len(_member_sets(entries, second.package))
         assert walks == Counter(e.method for e in new)
         assert len(fuzzy_calls) == len(new) + len(new_sets)
+
+
+class TestProbeCountsTheReassembledArchive:
+    def test_a_resume_probes_the_merged_archive(self, tmp_path):
+        # A resume reassembles the saved archive merged with the
+        # session's, and its probe counts that archive: every method
+        # the probe finds in the corpus is one reassembly replays.
+        app = build_shared_corpus_app("com.probe.resume", corpus_seed=1,
+                                      app_seed=99)
+        archive = str(tmp_path / "archive")
+        config = RevealConfig(use_force_execution=True, max_paths=1,
+                              archive_dir=archive,
+                              index_dir=str(tmp_path / "index"))
+        DexLego(config=config).reveal(app.apk)
+        resumed = resume_exploration(
+            archive, app.apk,
+            config=config.replace(max_paths=8, archive_dir=None))
+        stats = resumed.index_stats
+        assert 0 < stats["bodies_replayed"] < stats["index_executed_methods"]
+        assert stats["index_known_methods"] == stats["bodies_replayed"]
 
 
 def _products(outcome) -> tuple:

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.benchsuite.smali_lib import multi_class_apk
-from repro.core import DexLego
+from repro.core import RevealConfig
 from repro.dex import assemble
 from repro.runtime import Apk
 from repro.service import (
@@ -16,7 +16,6 @@ from repro.service import (
     RevealCache,
     RevealOutcome,
     apk_content_key,
-    pipeline_config_key,
     reveal_cache_key,
 )
 
@@ -114,17 +113,17 @@ class TestKeys:
 
     def test_config_changes_key(self):
         apk = build_simple_apk("c.k.cfg")
-        default = reveal_cache_key(apk, DexLego())
-        assert default != reveal_cache_key(apk, DexLego(run_budget=10))
+        default = reveal_cache_key(apk, RevealConfig())
+        assert default != reveal_cache_key(apk, RevealConfig(run_budget=10))
         assert default != reveal_cache_key(
-            apk, DexLego(use_force_execution=True))
-        assert default == reveal_cache_key(apk, DexLego())
+            apk, RevealConfig(use_force_execution=True))
+        assert default == reveal_cache_key(apk, RevealConfig())
 
     def test_archive_dir_is_not_identity(self):
         # Where collection files land on disk doesn't change the result.
         apk = build_simple_apk("c.k.dir")
-        assert reveal_cache_key(apk, DexLego()) == \
-            reveal_cache_key(apk, DexLego(archive_dir="/tmp/elsewhere"))
+        assert reveal_cache_key(apk, RevealConfig()) == \
+            reveal_cache_key(apk, RevealConfig(archive_dir="/tmp/elsewhere"))
 
     def test_device_state_changes_key(self):
         # Two profiles sharing a *name* must not share reveal results:
@@ -135,43 +134,28 @@ class TestKeys:
 
         custom = dataclasses.replace(NEXUS_5X, imei="111111111111111")
         apk = build_simple_apk("c.k.dev")
-        assert reveal_cache_key(apk, DexLego()) != \
-            reveal_cache_key(apk, DexLego(device=custom))
+        assert reveal_cache_key(apk, RevealConfig()) != \
+            reveal_cache_key(apk, RevealConfig(device=custom))
 
     def test_salt_changes_key(self):
         apk = build_simple_apk("c.k.salt")
-        lego = DexLego()
-        assert reveal_cache_key(apk, lego) != \
-            reveal_cache_key(apk, lego, salt="sapienz")
+        config = RevealConfig()
+        assert reveal_cache_key(apk, config) != \
+            reveal_cache_key(apk, config, salt="sapienz")
 
     def test_config_key_is_stable_text(self):
-        key = pipeline_config_key(DexLego())
-        assert key == pipeline_config_key(DexLego())
+        key = RevealConfig().config_hash()
+        assert key == RevealConfig().config_hash()
         assert len(key) == 64
-
-    def test_accepts_reveal_config_directly(self):
-        from repro.core import RevealConfig
-
-        apk = build_simple_apk("c.k.cfgobj")
-        assert reveal_cache_key(apk, RevealConfig()) == \
-            reveal_cache_key(apk, DexLego())
-        assert pipeline_config_key(RevealConfig()) == \
-            pipeline_config_key(DexLego())
 
     def test_config_hash_is_the_sole_config_input(self):
         # Two configs with equal config_hash() produce equal cache keys,
         # whatever else differs (archive_dir is not identity).
-        from repro.core import RevealConfig
-
         apk = build_simple_apk("c.k.sole")
         a = RevealConfig()
         b = RevealConfig(archive_dir="/tmp/elsewhere")
         assert a.config_hash() == b.config_hash()
         assert reveal_cache_key(apk, a) == reveal_cache_key(apk, b)
-
-    def test_rejects_non_config_objects(self):
-        with pytest.raises(TypeError):
-            reveal_cache_key(build_simple_apk("c.k.bad"), object())
 
 
 class TestMemoryBackend:

@@ -97,7 +97,12 @@ class TestIndexBuildQueryStats:
         assert main(["index", "build", "--index-dir", index_dir,
                      "--app-id", "g.app", "--json", archive]) == 0
         build = json.loads(capsys.readouterr().out)
-        assert build["registered"][0]["corpus_new"] >= 1
+        row = build["registered"][0]
+        assert row["corpus_new"] >= 1
+        # A build row carries the probe's counts, as a reveal's
+        # index_stats does.
+        assert row["index_known_methods"] == row["corpus_known"] == 0
+        assert row["index_executed_methods"] == row["corpus_new"]
 
         assert main(["index", "query", "--index-dir", index_dir,
                      "--signature", _SIG, "--json"]) == 0

@@ -1,12 +1,16 @@
 """Graceful degradation: a reveal must never fail because an optional
-subsystem (index, cluster, cache) is corrupt, foreign-versioned or
-unavailable — it degrades, warns once, and stamps the outcome."""
+subsystem (index, cluster, cache) is corrupt, foreign-versioned,
+unavailable or fails a write mid-reveal — it degrades, warns once, and
+stamps the outcome."""
 
 import json
 
+import pytest
+
 from repro import faults
+from repro.benchsuite.shared_corpus import build_shared_corpus_app
 from repro.core import RevealConfig
-from repro.faults import FAULT_OS_ERROR, FaultPlan, FaultRule
+from repro.faults import FAULT_OS_ERROR, FAULT_TORN_TMP, FaultPlan, FaultRule
 from repro.service import (
     EVENT_DEGRADED,
     STATUS_OK,
@@ -34,6 +38,17 @@ def _foreign_cluster_dir(tmp_path, name="cluster") -> str:
     directory.mkdir()
     (directory / "cluster_meta.json").write_text("{definitely not json")
     return str(directory)
+
+
+def _kinds_through_terminal(stream) -> list:
+    """Event kinds off ``stream`` up to and including the terminal one."""
+    kinds = []
+    while True:
+        event = stream.next(timeout=5)
+        assert event is not None, "terminal event never arrived"
+        kinds.append(event.kind)
+        if event.terminal:
+            return kinds
 
 
 class TestServiceDegrades:
@@ -107,18 +122,65 @@ class TestDegradedEvents:
             handle = server.submit(build_simple_apk("deg.events"))
             outcome = handle.wait(timeout=120)
             assert outcome is not None and outcome.degraded == ["index"]
-            kinds = []
-            while True:
-                event = stream.next(timeout=5)
-                assert event is not None, "terminal event never arrived"
-                kinds.append(event.kind)
-                if event.terminal:
-                    break
+            kinds = _kinds_through_terminal(stream)
             assert EVENT_DEGRADED in kinds
             assert kinds.index(EVENT_DEGRADED) < len(kinds) - 1
             degraded = [e for e in server.bus.history
                         if e.kind == EVENT_DEGRADED]
             assert degraded[0].payload["subsystems"] == ["index"]
+
+
+_PROBE_KEYS = {"index_known_methods", "index_executed_methods"}
+
+
+class TestMidRevealWriteFailures:
+    """A store write that fails inside a reveal costs later reveals'
+    savings or labels, never this reveal: it ends ``ok`` with the
+    fault-free revealed APK, names the store in ``degraded`` and
+    publishes that before the terminal event."""
+
+    @pytest.mark.parametrize("site, kind, subsystem", [
+        ("index.body.write", FAULT_OS_ERROR, "index"),
+        ("index.body.write", FAULT_TORN_TMP, "index"),
+        ("index.segment.append", FAULT_OS_ERROR, "index"),
+        ("cluster.segment.append", FAULT_OS_ERROR, "cluster"),
+    ])
+    def test_failed_write_degrades_not_fails(self, tmp_path, site, kind,
+                                             subsystem):
+        app = build_shared_corpus_app("com.deg.write", corpus_seed=3,
+                                      app_seed=1)
+
+        def config(name):
+            return RevealConfig(index_dir=str(tmp_path / name / "index"),
+                                cluster_dir=str(tmp_path / name / "cluster"))
+        want = BatchRevealService(config=config("clean"), workers=1) \
+            .reveal_one(RevealJob(app.package, app.apk))
+        assert want.status == STATUS_OK and want.degraded == []
+
+        plan = FaultPlan([FaultRule(site, kind)])
+        with faults.armed(plan), \
+                RevealServer(config=config("faulty"), workers=1) as server:
+            stream = server.bus.subscribe()
+            outcome = server.submit(app.apk).wait(timeout=120)
+            kinds = _kinds_through_terminal(stream)
+        assert [fired["site"] for fired in plan.fired] == [site]
+        assert outcome.status == STATUS_OK, outcome.error
+        assert outcome.revealed_apk.to_bytes() == \
+            want.revealed_apk.to_bytes()
+        assert outcome.degraded == [subsystem]
+        assert kinds.index(EVENT_DEGRADED) < len(kinds) - 1
+        if site == "index.segment.append":
+            # Registration failed: the probe's counts stay, the
+            # registration's never arrived.
+            assert set(outcome.index_stats) == _PROBE_KEYS | {"degraded"}
+        elif subsystem == "index":
+            # The body is emitted all the same and the reveal registers.
+            assert outcome.index_stats["degraded"].startswith(
+                "injected fault")
+            assert set(want.index_stats) < set(outcome.index_stats)
+        else:
+            assert outcome.index_stats == want.index_stats
+            assert outcome.cluster_stats == {}
 
 
 class TestGatewayStats:
