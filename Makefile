@@ -23,7 +23,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical; dump sizes equal to the render, one decode per collected instruction; replay collectors merge like plain ones, symbols at exit equal symbols at the step; one service's digest memo equals a fresh service per job"
+	@echo "make test-determinism - differential suite: replay backends, worker counts, resume across backends, corpus stores, resume merge, the offline boundary, front ends and repack, the shared boot classpath bit-identical; dump sizes equal to the render, one decode per collected instruction; replay collectors merge like plain ones, symbols at exit equal symbols at the step; one service's digest memo equals a fresh service per job; the DEX encoders, opcode facts, verifier and body writer equal the code they replaced"
 	@echo "make test-chaos  - seeded faults vs gateway + worker fleet (exactly-once, byte-identical artifacts), store crash consistency, the segment log and degraded reveals"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -70,6 +70,13 @@ test:
 # corpus index, and the index the digests it computed, across jobs must
 # reveal and store what a fresh service per job over the same store
 # directories does, and so must a two-thread server (service lifetime).
+# The DEX back end's per-opcode tables must give what the code they
+# replaced gave: each format's encoder the units, exception type and
+# message of the old chain of format tests, each opcode fact its old
+# string rule, the verifier the old verifier's problems in the same
+# order (DroidBench reveals and one mutation per check), and a
+# recording body writer the old writer's ops, so the index's bodies
+# keep their bytes (per-opcode tables).
 # Part of `make test` too; this target exists so CI (and bisects) can
 # run the contract in isolation with verbose per-case output.
 test-determinism:
@@ -80,7 +87,11 @@ test-determinism:
 		tests/index/test_index_pipeline.py::TestServiceLifetime \
 		tests/core/test_collection_sizes.py \
 		tests/core/test_decode_budget.py \
-		tests/core/test_replay_collector.py -q
+		tests/core/test_replay_collector.py \
+		tests/dex/test_formats.py::TestEncodersAgainstTheReferenceChain \
+		tests/dex/test_formats.py::TestOpcodeFacts \
+		tests/dex/test_verify.py::TestAgainstTheReferenceVerifier \
+		tests/core/test_body_writer.py -q
 
 # The chaos suite on its own: deterministic seeded fault schedules
 # (store I/O, network, worker kills) against a live gateway and a

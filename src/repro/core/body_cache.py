@@ -145,9 +145,11 @@ class BodyWriter:
     Every method forwards to the live builder immediately; when
     ``recording`` the call is also appended to :attr:`ops` in a
     symbolic, app-independent form (constant-pool references travel as
-    ``(kind, symbol)``, instrument fields as their suffix).  A body
-    that takes a non-portable path (reflective bridge invoke) calls
-    :meth:`disable` and is simply not cached.
+    ``(kind, symbol)``, instrument fields as their suffix).  An op is
+    built only while :attr:`ops` is a list: a writer that does not
+    record makes none.  A body that takes a non-portable path
+    (reflective bridge invoke) calls :meth:`disable` and is simply not
+    cached.
     """
 
     def __init__(self, reassembler, mb, record: MethodRecord,
@@ -157,10 +159,6 @@ class BodyWriter:
         self.record = record
         self.ops: list | None = [] if recording else None
 
-    def _rec(self, op: list) -> None:
-        if self.ops is not None:
-            self.ops.append(op)
-
     def disable(self) -> None:
         self.ops = None
 
@@ -168,15 +166,18 @@ class BodyWriter:
 
     def raw(self, name: str, *operands: int) -> None:
         self.mb.raw(name, *operands)
-        self._rec(["raw", name, list(operands)])
+        if self.ops is not None:
+            self.ops.append(["raw", name, list(operands)])
 
     def move(self, dst: int, src: int) -> None:
         self.mb.move(dst, src)
-        self._rec(["move", dst, src])
+        if self.ops is not None:
+            self.ops.append(["move", dst, src])
 
     def move_object(self, dst: int, src: int) -> None:
         self.mb.move_object(dst, src)
-        self._rec(["moveo", dst, src])
+        if self.ops is not None:
+            self.ops.append(["moveo", dst, src])
 
     def sym(self, name: str, kind: IndexKind, symbol: str,
             pre: list, post: list, outs: int = 0) -> None:
@@ -191,8 +192,9 @@ class BodyWriter:
         mb.raw(name, *pre, index, *post)
         if outs:
             mb._outs = max(mb._outs, outs)
-        self._rec(["sym", name, _KIND_TAGS[kind], symbol,
-                   list(pre), list(post), outs])
+        if self.ops is not None:
+            self.ops.append(["sym", name, _KIND_TAGS[kind], symbol,
+                             list(pre), list(post), outs])
 
     def ifield_read(self, suffix: str, reg: int) -> None:
         """``sget-boolean`` of an instrument field derived from the record.
@@ -207,43 +209,53 @@ class BodyWriter:
             self.record.signature, suffix)
         self.mb.field_op("sget-boolean", reg,
                          f"{INSTRUMENT_CLASS}->{name}:Z")
-        self._rec(["ifield", suffix, reg])
+        if self.ops is not None:
+            self.ops.append(["ifield", suffix, reg])
 
     def if_zero(self, cond: str, reg: int, label: str) -> None:
         self.mb.if_zero(cond, reg, label)
-        self._rec(["ifz", cond, reg, label])
+        if self.ops is not None:
+            self.ops.append(["ifz", cond, reg, label])
 
     def label(self, name: str) -> None:
         self.mb.label(name)
-        self._rec(["label", name])
+        if self.ops is not None:
+            self.ops.append(["label", name])
 
     def goto_(self, label: str) -> None:
         self.mb.goto_(label)
-        self._rec(["goto", label])
+        if self.ops is not None:
+            self.ops.append(["goto", label])
 
     def branch(self, name: str, operands: tuple, label: str) -> None:
         self.mb._emit_branch(name, tuple(operands), label)
-        self._rec(["br", name, list(operands), label])
+        if self.ops is not None:
+            self.ops.append(["br", name, list(operands), label])
 
     def packed_switch(self, reg: int, first_key: int,
                       labels: list[str]) -> None:
         self.mb.packed_switch(reg, first_key, labels)
-        self._rec(["pswitch", reg, first_key, list(labels)])
+        if self.ops is not None:
+            self.ops.append(["pswitch", reg, first_key, list(labels)])
 
     def sparse_switch(self, reg: int, cases: list[tuple[int, str]]) -> None:
         self.mb.sparse_switch(reg, cases)
-        self._rec(["sswitch", reg, [[key, label] for key, label in cases]])
+        if self.ops is not None:
+            self.ops.append(["sswitch", reg,
+                             [[key, label] for key, label in cases]])
 
     def fill_array_data(self, reg: int, element_width: int,
                         values: list[int]) -> None:
         self.mb.fill_array_data(reg, element_width, values)
-        self._rec(["fill", reg, element_width, list(values)])
+        if self.ops is not None:
+            self.ops.append(["fill", reg, element_width, list(values)])
 
     def try_range(self, start_label: str, end_label: str,
                   handlers: list[tuple[str | None, str]]) -> None:
         self.mb.try_range(start_label, end_label, handlers)
-        self._rec(["try", start_label, end_label,
-                   [[desc, label] for desc, label in handlers]])
+        if self.ops is not None:
+            self.ops.append(["try", start_label, end_label,
+                             [[desc, label] for desc, label in handlers]])
 
 
 def _intern(dex, kind: IndexKind, symbol: str) -> int:

@@ -580,7 +580,7 @@ class _TreeEmitter:
         if opcode.is_branch:
             target = collected.dex_pc + ins.branch_target
             label = self._resolve(node, target)
-            if name.startswith("goto"):
+            if not opcode.is_conditional_branch:
                 w.goto_(label)
             else:
                 w.branch(name, ins.operands[:-1], label)

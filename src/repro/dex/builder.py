@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dex.constants import AccessFlags, EncodedValueType, NO_INDEX
-from repro.dex.formats import FORMAT_UNITS
-from repro.dex.instructions import Instruction
-from repro.dex.opcodes import IndexKind, opcode_for
+from repro.dex.formats import ENCODERS
+from repro.dex.opcodes import IndexKind, OpcodeInfo, opcode_for
 from repro.dex.payloads import (
     FillArrayDataPayload,
     PackedSwitchPayload,
@@ -47,9 +46,11 @@ from repro.errors import AssemblyError
 
 @dataclass(slots=True)
 class _Pending:
-    """One not-yet-laid-out instruction."""
+    """One not-yet-laid-out instruction, with the opcode its mnemonic
+    named when it was emitted: layout and encoding read that entry's
+    unit count and format, never the mnemonic again."""
 
-    mnemonic: str
+    opcode: OpcodeInfo
     operands: tuple
     label: str | None = None  # branch/payload target label, if any
     pc: int = -1
@@ -263,8 +264,7 @@ class MethodBuilder:
 
     def raw(self, mnemonic: str, *operands: int) -> "MethodBuilder":
         """Emit an instruction with fully-resolved operands."""
-        opcode_for(mnemonic)  # validate
-        self._pending.append(_Pending(mnemonic, tuple(operands)))
+        self._pending.append(_Pending(opcode_for(mnemonic), operands))
         return self
 
     def label(self, name: str) -> "MethodBuilder":
@@ -274,7 +274,8 @@ class MethodBuilder:
         return self
 
     def _emit_branch(self, mnemonic: str, operands: tuple, label: str) -> None:
-        self._pending.append(_Pending(mnemonic, operands, label=label))
+        self._pending.append(
+            _Pending(opcode_for(mnemonic), operands, label=label))
 
     # -- convenience emitters ---------------------------------------------------
 
@@ -440,8 +441,8 @@ class MethodBuilder:
         pc = 0
         for pending in self._pending:
             pending.pc = pc
-            fmt = opcode_for(pending.mnemonic).fmt
-            pc += FORMAT_UNITS[fmt]
+            pc += pending.opcode.unit_count
+        code_end_pc = pc
         # Payloads go after the code, each 2-unit aligned.
         payload_pcs: dict[str, int] = {}
         for pending_payload in self._payloads:
@@ -451,27 +452,25 @@ class MethodBuilder:
             payload_pcs[pending_payload.label] = pc
             pc += self._payload_units(pending_payload.payload)
 
-        code_end_pc = (
-            self._pending[-1].pc
-            + FORMAT_UNITS[opcode_for(self._pending[-1].mnemonic).fmt]
-            if self._pending
-            else 0
-        )
         label_pcs = self._resolve_label_pcs(payload_pcs, code_end_pc)
 
         # Pass 2: encode with resolved relative offsets.
         units: list[int] = []
         for pending in self._pending:
+            info = pending.opcode
             operands = pending.operands
             if pending.label is not None:
                 target_pc = label_pcs[pending.label]
                 operands = (*operands, target_pc - pending.pc)
-            ins = Instruction.make(pending.mnemonic, *operands)
             if renumber is not None:
-                kind = ins.opcode.index_kind
+                kind = info.index_kind
                 if kind is not IndexKind.NONE:
-                    ins = ins.with_pool_index(renumber[kind][ins.pool_index])
-            encoded = ins.encode()
+                    new_index = renumber[kind]
+                    if info.fmt in ("35c", "3rc"):  # the pool index leads
+                        operands = (new_index[operands[0]], *operands[1:])
+                    else:
+                        operands = (*operands[:-1], new_index[operands[-1]])
+            encoded = ENCODERS[info.fmt](info.value, operands)
             if len(units) != pending.pc:
                 raise AssemblyError(
                     f"layout drift in {self.ref}: expected pc {pending.pc}, "

@@ -59,6 +59,205 @@ def _s_of(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
+# Per-format operand encoders.  Each takes the opcode byte and the
+# operand tuple (the layout :func:`decode` returns) and returns the code
+# units; range checks run in operand order and raise
+# :class:`DexEncodeError` naming the format.  Like the decoders below
+# they are chosen once per format (:data:`ENCODERS`), so encoding an
+# instruction is one lookup and one call.
+
+
+def _encode_10x(op: int, operands: tuple[int, ...]) -> list[int]:
+    return [op]
+
+
+def _encode_12x(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, b = operands
+    _check_range("12x", a, 0, 15)
+    _check_range("12x", b, 0, 15)
+    return [op | (a << 8) | (b << 12)]
+
+
+def _encode_11n(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, lit = operands
+    _check_range("11n", a, 0, 15)
+    _check_range("11n", lit, -8, 7)
+    return [op | (a << 8) | ((lit & 0xF) << 12)]
+
+
+def _encode_11x(op: int, operands: tuple[int, ...]) -> list[int]:
+    (a,) = operands
+    _check_range("11x", a, 0, 255)
+    return [op | (a << 8)]
+
+
+def _encode_10t(op: int, operands: tuple[int, ...]) -> list[int]:
+    (target,) = operands
+    _check_range("10t", target, -128, 127)
+    return [op | ((target & 0xFF) << 8)]
+
+
+def _encode_20t(op: int, operands: tuple[int, ...]) -> list[int]:
+    (target,) = operands
+    _check_range("20t", target, -32768, 32767)
+    return [op, _u16(target)]
+
+
+def _encode_22x(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, b = operands
+    _check_range("22x", a, 0, 255)
+    _check_range("22x", b, 0, 65535)
+    return [op | (a << 8), b]
+
+
+def _reg8_lit16(fmt: str):
+    """The 21t / 21s / 21h encoder: a register byte, a signed short."""
+
+    def encoder(op: int, operands: tuple[int, ...]) -> list[int]:
+        a, lit = operands
+        _check_range(fmt, a, 0, 255)
+        _check_range(fmt, lit, -32768, 32767)
+        return [op | (a << 8), _u16(lit)]
+
+    return encoder
+
+
+def _encode_21c(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, index = operands
+    _check_range("21c", a, 0, 255)
+    _check_range("21c", index, 0, 65535)
+    return [op | (a << 8), index]
+
+
+def _encode_23x(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, b, c = operands
+    _check_range("23x", a, 0, 255)
+    _check_range("23x", b, 0, 255)
+    _check_range("23x", c, 0, 255)
+    return [op | (a << 8), b | (c << 8)]
+
+
+def _encode_22b(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, b, lit = operands
+    _check_range("22b", a, 0, 255)
+    _check_range("22b", b, 0, 255)
+    _check_range("22b", lit, -128, 127)
+    return [op | (a << 8), b | ((lit & 0xFF) << 8)]
+
+
+def _nibbles_lit16(fmt: str):
+    """The 22t / 22s encoder: two register nibbles, a signed short."""
+
+    def encoder(op: int, operands: tuple[int, ...]) -> list[int]:
+        a, b, lit = operands
+        _check_range(fmt, a, 0, 15)
+        _check_range(fmt, b, 0, 15)
+        _check_range(fmt, lit, -32768, 32767)
+        return [op | (a << 8) | (b << 12), _u16(lit)]
+
+    return encoder
+
+
+def _encode_22c(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, b, index = operands
+    _check_range("22c", a, 0, 15)
+    _check_range("22c", b, 0, 15)
+    _check_range("22c", index, 0, 65535)
+    return [op | (a << 8) | (b << 12), index]
+
+
+def _encode_32x(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, b = operands
+    _check_range("32x", a, 0, 65535)
+    _check_range("32x", b, 0, 65535)
+    return [op, a, b]
+
+
+def _encode_30t(op: int, operands: tuple[int, ...]) -> list[int]:
+    (target,) = operands
+    _check_range("30t", target, -(1 << 31), (1 << 31) - 1)
+    value = target & 0xFFFFFFFF
+    return [op, value & 0xFFFF, value >> 16]
+
+
+def _reg8_lit32(fmt: str, lo: int, hi: int):
+    """The 31i / 31t / 31c encoder: a register byte, a 32-bit word in
+    ``[lo, hi]``."""
+
+    def encoder(op: int, operands: tuple[int, ...]) -> list[int]:
+        a, lit = operands
+        _check_range(fmt, a, 0, 255)
+        _check_range(fmt, lit, lo, hi)
+        value = lit & 0xFFFFFFFF
+        return [op | (a << 8), value & 0xFFFF, value >> 16]
+
+    return encoder
+
+
+def _encode_35c(op: int, operands: tuple[int, ...]) -> list[int]:
+    index, regs = operands[0], operands[1:]
+    count = len(regs)
+    if count > 5:
+        raise DexEncodeError(f"35c supports at most 5 registers, got {count}")
+    _check_range("35c", index, 0, 65535)
+    for reg in regs:
+        _check_range("35c", reg, 0, 15)
+    padded = (*regs, 0, 0, 0, 0, 0)
+    unit0 = op | (padded[4] << 8) | (count << 12)
+    unit2 = padded[0] | (padded[1] << 4) | (padded[2] << 8) | (padded[3] << 12)
+    return [unit0, index, unit2]
+
+
+def _encode_3rc(op: int, operands: tuple[int, ...]) -> list[int]:
+    index, first_reg, count = operands
+    _check_range("3rc", index, 0, 65535)
+    _check_range("3rc", first_reg, 0, 65535)
+    _check_range("3rc", count, 0, 255)
+    return [op | (count << 8), index, first_reg]
+
+
+def _encode_51l(op: int, operands: tuple[int, ...]) -> list[int]:
+    a, lit = operands
+    _check_range("51l", a, 0, 255)
+    _check_range("51l", lit, -(1 << 63), (1 << 63) - 1)
+    value = lit & 0xFFFFFFFFFFFFFFFF
+    return [
+        op | (a << 8),
+        value & 0xFFFF,
+        (value >> 16) & 0xFFFF,
+        (value >> 32) & 0xFFFF,
+        (value >> 48) & 0xFFFF,
+    ]
+
+
+ENCODERS = {
+    "10x": _encode_10x,
+    "12x": _encode_12x,
+    "11n": _encode_11n,
+    "11x": _encode_11x,
+    "10t": _encode_10t,
+    "20t": _encode_20t,
+    "22x": _encode_22x,
+    "21t": _reg8_lit16("21t"),
+    "21s": _reg8_lit16("21s"),
+    "21h": _reg8_lit16("21h"),
+    "21c": _encode_21c,
+    "23x": _encode_23x,
+    "22b": _encode_22b,
+    "22t": _nibbles_lit16("22t"),
+    "22s": _nibbles_lit16("22s"),
+    "22c": _encode_22c,
+    "32x": _encode_32x,
+    "30t": _encode_30t,
+    "31i": _reg8_lit32("31i", -(1 << 31), (1 << 31) - 1),
+    "31t": _reg8_lit32("31t", -(1 << 31), (1 << 31) - 1),
+    "31c": _reg8_lit32("31c", 0, 0xFFFFFFFF),
+    "35c": _encode_35c,
+    "3rc": _encode_3rc,
+    "51l": _encode_51l,
+}
+
+
 def encode(fmt: str, opcode: int, operands: tuple[int, ...]) -> list[int]:
     """Encode one instruction into its code units.
 
@@ -66,124 +265,10 @@ def encode(fmt: str, opcode: int, operands: tuple[int, ...]) -> list[int]:
     index), matching the order produced by :func:`decode`.
     """
     op = opcode & 0xFF
-    if fmt == "10x":
-        return [op]
-    if fmt == "12x":
-        a, b = operands
-        _check_range(fmt, a, 0, 15)
-        _check_range(fmt, b, 0, 15)
-        return [op | (a << 8) | (b << 12)]
-    if fmt == "11n":
-        a, lit = operands
-        _check_range(fmt, a, 0, 15)
-        _check_range(fmt, lit, -8, 7)
-        return [op | (a << 8) | ((lit & 0xF) << 12)]
-    if fmt == "11x":
-        (a,) = operands
-        _check_range(fmt, a, 0, 255)
-        return [op | (a << 8)]
-    if fmt == "10t":
-        (target,) = operands
-        _check_range(fmt, target, -128, 127)
-        return [op | ((target & 0xFF) << 8)]
-    if fmt == "20t":
-        (target,) = operands
-        _check_range(fmt, target, -32768, 32767)
-        return [op, _u16(target)]
-    if fmt == "22x":
-        a, b = operands
-        _check_range(fmt, a, 0, 255)
-        _check_range(fmt, b, 0, 65535)
-        return [op | (a << 8), b]
-    if fmt in ("21t", "21s"):
-        a, lit = operands
-        _check_range(fmt, a, 0, 255)
-        _check_range(fmt, lit, -32768, 32767)
-        return [op | (a << 8), _u16(lit)]
-    if fmt == "21h":
-        a, lit = operands
-        _check_range(fmt, a, 0, 255)
-        _check_range(fmt, lit, -32768, 32767)
-        return [op | (a << 8), _u16(lit)]
-    if fmt == "21c":
-        a, index = operands
-        _check_range(fmt, a, 0, 255)
-        _check_range(fmt, index, 0, 65535)
-        return [op | (a << 8), index]
-    if fmt == "23x":
-        a, b, c = operands
-        for reg in (a, b, c):
-            _check_range(fmt, reg, 0, 255)
-        return [op | (a << 8), b | (c << 8)]
-    if fmt == "22b":
-        a, b, lit = operands
-        _check_range(fmt, a, 0, 255)
-        _check_range(fmt, b, 0, 255)
-        _check_range(fmt, lit, -128, 127)
-        return [op | (a << 8), b | ((lit & 0xFF) << 8)]
-    if fmt in ("22t", "22s"):
-        a, b, lit = operands
-        _check_range(fmt, a, 0, 15)
-        _check_range(fmt, b, 0, 15)
-        _check_range(fmt, lit, -32768, 32767)
-        return [op | (a << 8) | (b << 12), _u16(lit)]
-    if fmt == "22c":
-        a, b, index = operands
-        _check_range(fmt, a, 0, 15)
-        _check_range(fmt, b, 0, 15)
-        _check_range(fmt, index, 0, 65535)
-        return [op | (a << 8) | (b << 12), index]
-    if fmt == "32x":
-        a, b = operands
-        _check_range(fmt, a, 0, 65535)
-        _check_range(fmt, b, 0, 65535)
-        return [op, a, b]
-    if fmt == "30t":
-        (target,) = operands
-        _check_range(fmt, target, -(1 << 31), (1 << 31) - 1)
-        value = target & 0xFFFFFFFF
-        return [op, value & 0xFFFF, value >> 16]
-    if fmt in ("31i", "31t", "31c"):
-        a, lit = operands
-        _check_range(fmt, a, 0, 255)
-        if fmt == "31c":
-            _check_range(fmt, lit, 0, 0xFFFFFFFF)
-        else:
-            _check_range(fmt, lit, -(1 << 31), (1 << 31) - 1)
-        value = lit & 0xFFFFFFFF
-        return [op | (a << 8), value & 0xFFFF, value >> 16]
-    if fmt == "35c":
-        index, regs = operands[0], operands[1:]
-        count = len(regs)
-        if count > 5:
-            raise DexEncodeError(f"35c supports at most 5 registers, got {count}")
-        _check_range(fmt, index, 0, 65535)
-        for reg in regs:
-            _check_range(fmt, reg, 0, 15)
-        padded = list(regs) + [0] * (5 - count)
-        g = padded[4]
-        unit0 = op | (g << 8) | (count << 12)
-        unit2 = padded[0] | (padded[1] << 4) | (padded[2] << 8) | (padded[3] << 12)
-        return [unit0, index, unit2]
-    if fmt == "3rc":
-        index, first_reg, count = operands
-        _check_range(fmt, index, 0, 65535)
-        _check_range(fmt, first_reg, 0, 65535)
-        _check_range(fmt, count, 0, 255)
-        return [op | (count << 8), index, first_reg]
-    if fmt == "51l":
-        a, lit = operands
-        _check_range(fmt, a, 0, 255)
-        _check_range(fmt, lit, -(1 << 63), (1 << 63) - 1)
-        value = lit & 0xFFFFFFFFFFFFFFFF
-        return [
-            op | (a << 8),
-            value & 0xFFFF,
-            (value >> 16) & 0xFFFF,
-            (value >> 32) & 0xFFFF,
-            (value >> 48) & 0xFFFF,
-        ]
-    raise DexEncodeError(f"unknown instruction format {fmt!r}")
+    encoder = ENCODERS.get(fmt)
+    if encoder is None:
+        raise DexEncodeError(f"unknown instruction format {fmt!r}")
+    return encoder(op, operands)
 
 
 # Per-format operand decoders.  Each takes ``(units, pos)`` and returns

@@ -31,9 +31,14 @@ from repro.errors import DexFormatError
 DECODE_TABLE: list[tuple[OpcodeInfo, object, int] | None] = [
     None
     if info is None
-    else (info, formats.decoder_for(info.fmt), formats.FORMAT_UNITS[info.fmt])
+    else (info, formats.decoder_for(info.fmt), info.unit_count)
     for info in OPCODE_TABLE
 ]
+
+# Format -> position of the relative offset among the operands: gotos
+# (10t/20t/30t), conditional branches (21t/22t), and switches and
+# fill-array-data (31t, whose offset points at the payload).
+_TARGET_OPERAND = {"10t": 0, "20t": 0, "30t": 0, "21t": 1, "22t": 2, "31t": 1}
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,12 @@ class Instruction:
 
     def encode(self) -> list[int]:
         """Encode back to code units."""
-        return formats.encode(self.opcode.fmt, self.opcode.value, self.operands)
+        opcode = self.opcode
+        return formats.ENCODERS[opcode.fmt](opcode.value, self.operands)
 
     @property
     def unit_count(self) -> int:
-        return formats.FORMAT_UNITS[self.opcode.fmt]
+        return self.opcode.unit_count
 
     # -- semantic accessors -----------------------------------------------
 
@@ -90,27 +96,20 @@ class Instruction:
     @property
     def branch_target(self) -> int:
         """Relative branch offset in code units (branches and switches)."""
-        if self.opcode.name.startswith("goto"):
-            return self.operands[0]
-        if self.opcode.fmt == "21t":
-            return self.operands[1]
-        if self.opcode.fmt == "22t":
-            return self.operands[2]
-        if self.opcode.fmt == "31t":  # switch / fill-array-data payload offset
-            return self.operands[1]
-        raise DexFormatError(f"{self.name} has no branch target")
+        position = _TARGET_OPERAND.get(self.opcode.fmt)
+        if position is None:
+            raise DexFormatError(f"{self.name} has no branch target")
+        return self.operands[position]
 
     def with_branch_target(self, offset: int) -> "Instruction":
         """Copy of this instruction with its relative offset replaced."""
-        if self.opcode.name.startswith("goto"):
-            return Instruction(self.opcode, (offset,))
-        if self.opcode.fmt == "21t":
-            return Instruction(self.opcode, (self.operands[0], offset))
-        if self.opcode.fmt == "22t":
-            return Instruction(self.opcode, (self.operands[0], self.operands[1], offset))
-        if self.opcode.fmt == "31t":
-            return Instruction(self.opcode, (self.operands[0], offset))
-        raise DexFormatError(f"{self.name} has no branch target")
+        position = _TARGET_OPERAND.get(self.opcode.fmt)
+        if position is None:
+            raise DexFormatError(f"{self.name} has no branch target")
+        operands = self.operands
+        return Instruction(
+            self.opcode, (*operands[:position], offset, *operands[position + 1:])
+        )
 
     @property
     def pool_index(self) -> int:
@@ -179,9 +178,10 @@ def iter_instructions(units: list[int]) -> list[tuple[int, Instruction]]:
             continue
         ins = Instruction.decode_at(units, pos)
         out.append((pos, ins))
-        if ins.opcode.fmt == "31t":
+        info = ins.opcode
+        if info.fmt == "31t":
             target = pos + ins.branch_target
             if 0 <= target < end:
                 payloads[target] = payload_unit_count(units, target)
-        pos += ins.unit_count
+        pos += info.unit_count
     return out

@@ -11,8 +11,9 @@ DESIGN.md "Known deviations".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.dex.formats import FORMAT_UNITS
 from repro.errors import DexFormatError
 
 
@@ -28,41 +29,48 @@ class IndexKind(enum.Enum):
 
 @dataclass(frozen=True)
 class OpcodeInfo:
-    """Static description of one opcode."""
+    """Static description of one opcode.
+
+    The control-flow facts and the unit count are fixed per opcode, so
+    they are worked out once, when the opcode's entry is made, and read
+    as plain fields by every per-instruction loop (emission, encoding,
+    verification, the interpreter).  They take no part in equality,
+    hashing or ``repr``: an opcode is still its value, name, format and
+    index kind.
+    """
 
     value: int
     name: str
     fmt: str
     index_kind: IndexKind = IndexKind.NONE
+    is_branch: bool = field(init=False, repr=False, compare=False)
+    is_conditional_branch: bool = field(init=False, repr=False, compare=False)
+    is_switch: bool = field(init=False, repr=False, compare=False)
+    is_invoke: bool = field(init=False, repr=False, compare=False)
+    is_return: bool = field(init=False, repr=False, compare=False)
+    is_throw: bool = field(init=False, repr=False, compare=False)
+    #: True if control may fall through to the next instruction.
+    can_continue: bool = field(init=False, repr=False, compare=False)
+    #: Code units one instruction of this opcode occupies.
+    unit_count: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_branch(self) -> bool:
-        return self.name.startswith(("if-", "goto"))
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return self.name.startswith("if-")
-
-    @property
-    def is_switch(self) -> bool:
-        return self.name in ("packed-switch", "sparse-switch")
-
-    @property
-    def is_invoke(self) -> bool:
-        return self.name.startswith("invoke-")
-
-    @property
-    def is_return(self) -> bool:
-        return self.name.startswith("return")
-
-    @property
-    def is_throw(self) -> bool:
-        return self.name == "throw"
-
-    @property
-    def can_continue(self) -> bool:
-        """True if control may fall through to the next instruction."""
-        return not (self.is_return or self.is_throw or self.name.startswith("goto"))
+    def __post_init__(self) -> None:
+        name = self.name
+        is_goto = name.startswith("goto")
+        is_return = name.startswith("return")
+        is_throw = name == "throw"
+        facts = {
+            "is_branch": name.startswith(("if-", "goto")),
+            "is_conditional_branch": name.startswith("if-"),
+            "is_switch": name in ("packed-switch", "sparse-switch"),
+            "is_invoke": name.startswith("invoke-"),
+            "is_return": is_return,
+            "is_throw": is_throw,
+            "can_continue": not (is_return or is_throw or is_goto),
+            "unit_count": FORMAT_UNITS[self.fmt],
+        }
+        for key, value in facts.items():
+            object.__setattr__(self, key, value)
 
 
 def _build_table() -> dict[int, OpcodeInfo]:

@@ -12,16 +12,47 @@ from __future__ import annotations
 
 from repro.dex.constants import NO_INDEX
 from repro.dex.instructions import Instruction
-from repro.dex.opcodes import IndexKind
+from repro.dex.opcodes import OPCODE_TABLE, IndexKind
 from repro.dex.payloads import decode_payload
 from repro.dex.structures import CodeItem, DexFile
 from repro.errors import VerificationError
+
+#: Format -> positions of its register operands.  35c and 3rc carry a
+#: register list instead (``None``), read by
+#: :attr:`~repro.dex.instructions.Instruction.invoke_registers`.
+_REGISTER_OPERANDS: dict[str, tuple[int, ...] | None] = {
+    "10x": (),
+    "12x": (0, 1),
+    "11n": (0,),
+    "11x": (0,),
+    "10t": (),
+    "20t": (),
+    "22x": (0, 1),
+    "21t": (0,),
+    "21s": (0,),
+    "21h": (0,),
+    "21c": (0,),
+    "23x": (0, 1, 2),
+    "22b": (0, 1),
+    "22t": (0, 1),
+    "22s": (0, 1),
+    "22c": (0, 1),
+    "32x": (0, 1),
+    "30t": (),
+    "31i": (0,),
+    "31t": (0,),
+    "31c": (0,),
+    "35c": None,
+    "3rc": None,
+    "51l": (0,),
+}
 
 
 def verify_dex(dex: DexFile) -> list[str]:
     """Verify ``dex``; returns a list of problem strings (empty = OK)."""
     problems: list[str] = []
     _check_pools(dex, problems)
+    pool_limits = _pool_limits(dex)
     for class_def in dex.class_defs:
         descriptor = _safe_descriptor(dex, class_def.class_idx)
         if class_def.superclass_idx != NO_INDEX and not (
@@ -36,7 +67,7 @@ def verify_dex(dex: DexFile) -> list[str]:
                 continue
             ref = dex.method_ref(method.method_idx)
             if method.code is not None:
-                _check_code(dex, f"{ref}", method.code, problems)
+                _check_code(dex, f"{ref}", method.code, pool_limits, problems)
     return problems
 
 
@@ -48,6 +79,19 @@ def assert_valid(dex: DexFile) -> None:
         raise VerificationError(
             f"DEX failed verification with {len(problems)} problem(s): {preview}"
         )
+
+
+def _pool_limits(dex: DexFile) -> list[int | None]:
+    """Per opcode byte, the size of the pool its index operand points
+    into (``None`` for opcodes without one): sized once per file."""
+    sizes = {
+        IndexKind.STRING: len(dex.strings),
+        IndexKind.TYPE: len(dex.type_ids),
+        IndexKind.FIELD: len(dex.field_ids),
+        IndexKind.METHOD: len(dex.method_ids),
+    }
+    return [None if info is None else sizes.get(info.index_kind)
+            for info in OPCODE_TABLE]
 
 
 def _check_pools(dex: DexFile, problems: list[str]) -> None:
@@ -67,26 +111,28 @@ def _check_pools(dex: DexFile, problems: list[str]) -> None:
     method_keys = [(m.class_idx, m.name_idx, m.proto_idx) for m in dex.method_ids]
     if method_keys != sorted(method_keys):
         problems.append("method pool not sorted")
-    seen_types: set[int] = set()
-    for class_def in dex.class_defs:
-        if class_def.class_idx in seen_types:
+    class_defs = dex.class_defs
+    first: dict[int, int] = {}  # class_idx -> position of its first def
+    for position, class_def in enumerate(class_defs):
+        first.setdefault(class_def.class_idx, position)
+    for position, class_def in enumerate(class_defs):
+        if first[class_def.class_idx] != position:
             problems.append(
                 f"duplicate class def {_safe_descriptor(dex, class_def.class_idx)}"
             )
-        seen_types.add(class_def.class_idx)
+            # A repeated def stands where the first def equal to it does.
+            position = class_defs.index(class_def)
         if class_def.superclass_idx != NO_INDEX:
-            parent = next(
-                (c for c in dex.class_defs if c.class_idx == class_def.superclass_idx),
-                None,
-            )
-            if parent is not None and dex.class_defs.index(parent) > dex.class_defs.index(class_def):
+            parent = first.get(class_def.superclass_idx)
+            if parent is not None and parent > position:
                 problems.append(
                     f"class {_safe_descriptor(dex, class_def.class_idx)} "
                     "defined before its superclass"
                 )
 
 
-def _check_code(dex: DexFile, where: str, code: CodeItem, problems: list[str]) -> None:
+def _check_code(dex: DexFile, where: str, code: CodeItem,
+                pool_limits: list[int | None], problems: list[str]) -> None:
     if code.ins_size > code.registers_size:
         problems.append(f"{where}: ins_size exceeds registers_size")
     try:
@@ -99,16 +145,15 @@ def _check_code(dex: DexFile, where: str, code: CodeItem, problems: list[str]) -
         return
     boundaries = {dex_pc for dex_pc, _ in instructions}
     for dex_pc, ins in instructions:
-        _check_instruction(dex, where, code, dex_pc, ins, boundaries, problems)
+        _check_instruction(where, code, dex_pc, ins, boundaries, pool_limits,
+                           problems)
     # Control must not fall off the end of the method.  Trailing nops are
     # alignment padding in front of switch/array payloads and are skipped.
-    trailing = [ins for _pc, ins in instructions]
-    while trailing and trailing[-1].name == "nop":
-        trailing.pop()
-    if trailing:
-        last_ins = trailing[-1]
-        if last_ins.opcode.can_continue and not last_ins.opcode.is_branch:
-            problems.append(f"{where}: control can fall off the end")
+    for _pc, last_ins in reversed(instructions):
+        if last_ins.name != "nop":
+            if last_ins.opcode.can_continue and not last_ins.opcode.is_branch:
+                problems.append(f"{where}: control can fall off the end")
+            break
     for try_block in code.tries:
         if try_block.start_addr not in boundaries:
             problems.append(f"{where}: try start {try_block.start_addr} misaligned")
@@ -124,74 +169,52 @@ def _check_code(dex: DexFile, where: str, code: CodeItem, problems: list[str]) -
 
 
 def _check_instruction(
-    dex: DexFile,
     where: str,
     code: CodeItem,
     dex_pc: int,
     ins: Instruction,
     boundaries: set[int],
+    pool_limits: list[int | None],
     problems: list[str],
 ) -> None:
-    kind = ins.opcode.index_kind
-    pools = {
-        IndexKind.STRING: len(dex.strings),
-        IndexKind.TYPE: len(dex.type_ids),
-        IndexKind.FIELD: len(dex.field_ids),
-        IndexKind.METHOD: len(dex.method_ids),
-    }
-    if kind is not IndexKind.NONE:
-        if not 0 <= ins.pool_index < pools[kind]:
-            problems.append(
-                f"{where}@{dex_pc}: {ins.name} {kind.value} index "
-                f"{ins.pool_index} out of range"
-            )
-    if ins.opcode.is_branch and not ins.opcode.is_switch:
+    opcode = ins.opcode
+    limit = pool_limits[opcode.value]
+    if limit is not None and not 0 <= ins.pool_index < limit:
+        problems.append(
+            f"{where}@{dex_pc}: {ins.name} {opcode.index_kind.value} index "
+            f"{ins.pool_index} out of range"
+        )
+    if opcode.is_branch:
         target = dex_pc + ins.branch_target
         if target not in boundaries:
             problems.append(
                 f"{where}@{dex_pc}: branch target {target} not an instruction"
             )
-    if ins.opcode.is_switch or ins.name == "fill-array-data":
+    elif opcode.fmt == "31t":  # a switch or fill-array-data: its payload
         target = dex_pc + ins.branch_target
         try:
             payload = decode_payload(code.insns, target)
         except Exception as exc:
             problems.append(f"{where}@{dex_pc}: bad payload ({exc})")
             return
-        if ins.opcode.is_switch:
+        if opcode.is_switch:
             for rel in payload.targets:
                 if dex_pc + rel not in boundaries:
                     problems.append(
                         f"{where}@{dex_pc}: switch target {dex_pc + rel} misaligned"
                     )
-    _check_registers(where, code, dex_pc, ins, problems)
-
-
-def _check_registers(
-    where: str, code: CodeItem, dex_pc: int, ins: Instruction, problems: list[str]
-) -> None:
-    regs: list[int] = []
-    fmt = ins.opcode.fmt
-    if fmt in ("35c", "3rc"):
+    positions = _REGISTER_OPERANDS[opcode.fmt]
+    if positions is None:
         regs = ins.invoke_registers
-    elif fmt in ("12x", "11n", "22t", "22s", "22c"):
-        count = {"12x": 2, "11n": 1, "22t": 2, "22s": 2, "22c": 2}[fmt]
-        regs = list(ins.operands[:count])
-    elif fmt in ("11x", "21t", "21s", "21h", "21c", "31i", "31t", "31c", "51l", "22x"):
-        regs = [ins.operands[0]]
-        if fmt == "22x":
-            regs.append(ins.operands[1])
-    elif fmt == "23x":
-        regs = list(ins.operands)
-    elif fmt == "22b":
-        regs = list(ins.operands[:2])
-    elif fmt == "32x":
-        regs = list(ins.operands)
+    else:
+        operands = ins.operands
+        regs = [operands[i] for i in positions]
+    size = code.registers_size
     for reg in regs:
-        if reg >= code.registers_size:
+        if reg >= size:
             problems.append(
                 f"{where}@{dex_pc}: {ins.name} uses v{reg} "
-                f"but method has {code.registers_size} registers"
+                f"but method has {size} registers"
             )
 
 

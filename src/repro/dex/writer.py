@@ -214,8 +214,8 @@ class _Writer:
             0,  # debug_info_off
             len(code.insns),
         )
-        for unit in code.insns:
-            out += struct.pack("<H", unit & 0xFFFF)
+        insns = code.insns
+        out += struct.pack(f"<{len(insns)}H", *[unit & 0xFFFF for unit in insns])
         if code.tries:
             if len(code.insns) % 2:
                 out += b"\x00\x00"  # padding to 4-align try_items

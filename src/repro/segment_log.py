@@ -221,15 +221,21 @@ class SegmentLog:
         reader opening mid-compaction sees either layout, never
         neither.  One gap remains: a row another live writer appends
         between this re-read and the unlink of its segment is lost.
+
+        The merged segment holds its lines sorted, so the same rows
+        compact to the same bytes whichever writers journalled them
+        (the open merges segments in the order of their random
+        writer-id names).
         """
         self.close()
         old = self._segment_names()
         self._read(old)  # corrupt_lines counts what the open saw
         merged = f"seg-compact-{uuid.uuid4().hex[:12]}.jsonl"
+        lines = sorted(json.dumps(row.to_dict(), sort_keys=True)
+                       for row in self.rows)
         faults.atomic_write_text(
             os.path.join(self.segments_dir, merged),
-            "".join(json.dumps(row.to_dict(), sort_keys=True) + "\n"
-                    for row in self.rows),
+            "".join(line + "\n" for line in lines),
             site=self._compact_site)
         for name in old:
             try:

@@ -236,9 +236,9 @@ def _products(outcome) -> tuple:
 
 def _store_files(root: str) -> dict:
     """Every file under both store directories after ``compact()`` +
-    ``build_families()``.  Writer ids name the segments, and the open
-    merges them in name order, so a segment is compared as its sorted
-    rows."""
+    ``build_families()``.  A compacted segment is named by a random
+    writer id, so it is keyed by its directory; its lines are sorted,
+    so its bytes do not depend on which writers journalled the rows."""
     index = CorpusIndex(os.path.join(root, "index"), create=False)
     index.compact()
     index.close()
@@ -253,7 +253,7 @@ def _store_files(root: str) -> dict:
                 data = fh.read()
             rel = os.path.relpath(os.path.join(dirpath, name), root)
             if os.path.basename(dirpath) == "segments":
-                rel, data = os.path.dirname(rel), sorted(data.splitlines())
+                rel = os.path.dirname(rel)
             assert rel not in files, rel  # one segment per store
             files[rel] = data
     return files

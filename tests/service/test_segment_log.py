@@ -5,6 +5,7 @@ Each contract runs against :class:`CorpusIndex` and
 :class:`ClusterStore` through their public API, since both journal
 through the one :class:`~repro.segment_log.SegmentLog`."""
 
+import itertools
 import json
 import os
 
@@ -201,3 +202,39 @@ class TestCompaction:
             [(0, "app5")]
         assert first.apps_with_norm("n005") == ["app5"]
         first.close()
+
+    def test_same_rows_compact_to_the_same_bytes_under_any_writer_ids(
+            self, tmp_path, monkeypatch, kind):
+        # Three writers journal the same rows in each trial; only their
+        # ids change, and with them the order the open merges their
+        # segments in.
+        rows = [kind.row(i, fuzzy=_fuzzy(i) if i % 2 else None)
+                for i in range(9)]
+        trials = (("aaa", "bbb", "ccc"), ("ccc", "bbb", "aaa"),
+                  ("bbb", "ccc", "aaa"))
+        compacted, held = [], []
+        for number, ids in enumerate(trials):
+            fresh = itertools.chain(
+                (f"{writer:0<12}" for writer in ids),
+                (f"z{number}{i:0>10}" for i in itertools.count()))
+            monkeypatch.setattr(
+                "repro.segment_log.uuid.uuid4",
+                lambda: type("Id", (), {"hex": next(fresh)})())
+            root = str(tmp_path / f"trial{number}")
+            writers = [kind.open(root) for _ in ids]
+            for i, row in enumerate(rows):
+                kind.add(writers[i % 3], row)
+            for writer in writers:
+                writer.close()
+            store = kind.open(root)
+            assert store.compact() == len(rows)
+            store.close()
+            directory = os.path.join(root, "segments")
+            (name,) = os.listdir(directory)
+            with open(os.path.join(directory, name), "rb") as fh:
+                compacted.append(fh.read())
+            reopened = kind.open(root, create=False)
+            held.append(set(kind.rows(reopened)))
+            reopened.close()
+        assert compacted[0] == compacted[1] == compacted[2]
+        assert held == [set(rows)] * 3
