@@ -53,7 +53,7 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
                    if report.wall_time_s else float("inf"))
         rows.append([
             name,
-            f"{report.workers}x {report.backend}",
+            f"{report.workers} thread(s)",
             f"{report.wall_time_s:.2f}s",
             f"{report.apps_per_sec:.2f}",
             f"{report.cache_hit_rate:.0%}",
@@ -64,7 +64,7 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
     print()
     print(render_table(
         "Batch reveal throughput (F-Droid corpus)",
-        ["Run", "Pool", "Wall", "Apps/s", "Hit Rate", "p50", "p95",
+        ["Run", "Workers", "Wall", "Apps/s", "Hit Rate", "p50", "p95",
          "vs Serial"],
         rows,
     ))

@@ -13,9 +13,21 @@ from __future__ import annotations
 from repro.dex.constants import NO_INDEX
 from repro.dex.instructions import Instruction
 from repro.dex.opcodes import OPCODE_TABLE, IndexKind
-from repro.dex.payloads import decode_payload
+from repro.dex.payloads import (
+    FillArrayDataPayload,
+    PackedSwitchPayload,
+    SparseSwitchPayload,
+    decode_payload,
+)
 from repro.dex.structures import CodeItem, DexFile
 from repro.errors import VerificationError
+
+#: The payload kind each 31t opcode must point at.
+_PAYLOAD_KINDS = {
+    "packed-switch": PackedSwitchPayload,
+    "sparse-switch": SparseSwitchPayload,
+    "fill-array-data": FillArrayDataPayload,
+}
 
 #: Format -> positions of its register operands.  35c and 3rc carry a
 #: register list instead (``None``), read by
@@ -197,7 +209,12 @@ def _check_instruction(
         except Exception as exc:
             problems.append(f"{where}@{dex_pc}: bad payload ({exc})")
             return
-        if opcode.is_switch:
+        if type(payload) is not _PAYLOAD_KINDS[ins.name]:
+            problems.append(
+                f"{where}@{dex_pc}: {ins.name} points at a "
+                f"{type(payload).__name__}"
+            )
+        elif opcode.is_switch:
             for rel in payload.targets:
                 if dex_pc + rel not in boundaries:
                     problems.append(

@@ -371,6 +371,22 @@ class CorpusIndex:
 
     def compact(self) -> int:
         """Fold every segment into one, atomically (see
-        :meth:`SegmentLog.compact`); returns entry count."""
+        :meth:`SegmentLog.compact`), and delete each body temp file
+        whose body is published; returns entry count.
+
+        A torn write leaves ``<digest>.json.<writer>.<thread>.tmp``
+        behind.  Once ``<digest>.json`` exists the temp file is debris:
+        the digest fixes the body's contents, and :meth:`put_body`
+        writes no temp file for a published body.
+        """
         with self._lock:
-            return self._log.compact()
+            count = self._log.compact()
+        for name in os.listdir(self.bodies_dir):
+            digest, sep, _rest = name.partition(".json.")
+            if sep and name.endswith(".tmp") and os.path.exists(
+                    self._body_path(digest)):
+                try:
+                    os.remove(os.path.join(self.bodies_dir, name))
+                except FileNotFoundError:
+                    pass  # another compaction swept it first
+        return count

@@ -6,8 +6,8 @@ the paper's evaluation (markets, app stores, analysis fleets):
 
 * :class:`~repro.service.batch.BatchRevealService` — per-app crash
   isolation and the one job path, ``reveal_one``, that every front end
-  below calls; ``reveal_batch`` runs a corpus on one of two backends,
-  thread (through a server) / process (a process pool)
+  below calls; ``reveal_batch`` is submit + await on an ephemeral
+  :class:`~repro.service.server.RevealServer`
 * :class:`~repro.service.server.RevealServer` — the job-oriented async
   front end: submit / poll / await / cancel, priority lanes,
   backpressure, an in-memory queue
@@ -44,7 +44,6 @@ from repro.service.artifacts import (
     is_artifact_digest,
 )
 from repro.service.batch import (
-    BACKENDS,
     BatchRevealService,
     RevealJob,
     default_worker_count,
@@ -110,6 +109,7 @@ from repro.service.cache import (
 from repro.service.outcomes import (
     ALL_STATUSES,
     CACHEABLE_STATUSES,
+    FAILED_STATUSES,
     STATUS_BUDGET_EXCEEDED,
     STATUS_CRASHED,
     STATUS_ERROR,
@@ -127,7 +127,6 @@ __all__ = [
     "ARTIFACT_REVEALED_APK",
     "ARTIFACT_REVEALED_DEX",
     "ArtifactStore",
-    "BACKENDS",
     "BatchReport",
     "BatchRevealService",
     "CACHEABLE_STATUSES",
@@ -145,6 +144,7 @@ __all__ = [
     "EVENT_WAVE",
     "EventBus",
     "EventStream",
+    "FAILED_STATUSES",
     "GatewayClient",
     "GatewayError",
     "HEARTBEAT_CANCELLED",

@@ -6,10 +6,9 @@ run it over *corpora*.  This module is that production posture:
 
 * a :class:`RevealJob` names one application plus its per-app knobs
   (device profile, drive callable, collect-only mode),
-* :class:`BatchRevealService` fans jobs across worker threads by
-  default (one of them for debugging) or a process pool for CPU-bound
-  fleets — with every job isolated so one crashing APK produces an
-  ``error`` record instead of aborting the batch,
+* :class:`BatchRevealService` fans jobs across worker threads (one of
+  them for debugging) — with every job isolated so one crashing APK
+  produces an ``error`` record instead of aborting the batch,
 * results flow through the content-addressed
   :class:`~repro.service.cache.RevealCache`, so re-running a corpus only
   pays for apps whose bytes or pipeline configuration changed,
@@ -22,21 +21,14 @@ job — cache lookup, pipeline run and the job's progress events — and
 every front end calls it: library callers directly,
 :class:`~repro.service.server.RevealServer` from its worker threads and
 the fleet's :class:`~repro.service.worker.RevealWorker` under a lease.
-``reveal_batch`` resolves cache hits once, then runs the misses
-through an ephemeral server (``thread``) or a process pool
-(``process``).
+``reveal_batch`` submits every job, cache hits included, to an
+ephemeral server and awaits the outcomes.
 
-Backend notes
--------------
-
-The ``process`` backend serialises each APK to bytes and rebuilds the
-pipeline in the worker, so it only ships jobs it can reconstruct there:
-no ``drive`` callable (closures do not pickle); the device profile —
-custom or registry — travels whole inside ``RevealConfig.to_dict()``.
-Jobs with a drive transparently run in the parent while the pool
-works.  On platforms whose process start method is not ``fork``,
-registered native libraries are not inherited by workers — thread
-remains the safe default everywhere.
+Reveals spread over processes two ways, neither of them here: across
+jobs, a fleet of ``worker`` processes drains one
+:class:`~repro.service.jobs.JobStore` (``submit --store`` fills it);
+inside one force-execution reveal, ``explore_backend="process"`` runs
+the replays in forked workers.
 """
 
 from __future__ import annotations
@@ -44,12 +36,11 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.config import RevealConfig, resolve_config
-from repro.core.pipeline import DexLego, open_optional_stores
+from repro.core.pipeline import Pipeline, open_optional_stores
 from repro.errors import StageError, VerificationError
 from repro.runtime.apk import Apk
 from repro.runtime.device import DeviceProfile
@@ -69,9 +60,6 @@ from repro.service.outcomes import (
     classify_result,
 )
 from repro.service.stats import BatchReport
-
-BACKENDS = ("thread", "process")
-
 
 #: Environment override consulted when a service (or experiment runner)
 #: does not pin a worker count; also settable via :func:`set_default_workers`.
@@ -147,12 +135,9 @@ class BatchRevealService:
         cluster_dir: str | None = None,
         config: RevealConfig | None = None,
         workers: int | None = None,
-        backend: str = "thread",
         cache: RevealCache | None = None,
         cache_dir: str | None = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend {backend!r} not one of {BACKENDS}")
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
         self.config = resolve_config(
@@ -171,13 +156,11 @@ class BatchRevealService:
         )
         self.workers = max(1, workers) if workers is not None \
             else default_worker_count()
-        self.backend = backend
         self.cache = cache if cache is not None else RevealCache(cache_dir)
         # One CorpusIndex and one ClusterStore, opened once and shared
-        # by every in-process job, so a batch dedups and labels against
-        # itself.  A store that fails to open warns once here and every
-        # reveal carries it in ``degraded``; process workers open their
-        # own from the directories inside the config dict.
+        # by every job, so a batch dedups and labels against itself.  A
+        # store that fails to open warns once here and every reveal
+        # carries it in ``degraded``.
         self.stores = open_optional_stores(self.config)
 
     # -- pipeline construction ---------------------------------------------
@@ -189,7 +172,7 @@ class BatchRevealService:
         return self.config.replace(device=job.device)
 
     def pipeline_for(self, job: RevealJob, observer=None,
-                     wave_observer=None) -> DexLego:
+                     wave_observer=None) -> Pipeline:
         """A fresh, job-private pipeline over the service's stores
         (runtimes are never shared).
 
@@ -204,8 +187,8 @@ class BatchRevealService:
             # their save/load round-trips; scope it per job.
             config = config.replace(
                 archive_dir=os.path.join(config.archive_dir, job.app_id))
-        return DexLego(config=config, observer=observer,
-                       wave_observer=wave_observer, stores=self.stores)
+        return Pipeline(config, observer=observer,
+                        wave_observer=wave_observer, stores=self.stores)
 
     def job_cache_key(self, job: RevealJob) -> str:
         salt = job.cache_salt
@@ -216,14 +199,12 @@ class BatchRevealService:
     # -- single job ---------------------------------------------------------
 
     def reveal_one(self, job: RevealJob | Apk, *, job_id: str | None = None,
-                   bus=None, cache_key: str | None = None) -> RevealOutcome:
+                   bus=None) -> RevealOutcome:
         """Run (or fetch) one job; never raises for per-app failures.
 
         Routed through :meth:`RevealCache.get_or_compute`, so two
         threads revealing the same bytes under the same config run one
-        pipeline and share the admitted record.  ``cache_key`` is a
-        precomputed key (``""`` meaning uncacheable), so a caller that
-        already hashed the APK does not pay for it twice.
+        pipeline and share the admitted record.
 
         With an :class:`~repro.service.events.EventBus`, the job's
         progress is published under ``job_id``: one ``stage`` event per
@@ -234,8 +215,7 @@ class BatchRevealService:
         belong to the front end.
         """
         job = self._coerce(job)
-        if cache_key is None:
-            cache_key = self.job_cache_key(job) if job.cacheable else ""
+        cache_key = self.job_cache_key(job) if job.cacheable else ""
         observer = wave_observer = None
         if bus is not None:
             def observer(event) -> None:
@@ -288,41 +268,17 @@ class BatchRevealService:
     def reveal_batch(self, jobs: Iterable[RevealJob | Apk]) -> BatchReport:
         """Run a corpus; outcomes come back in submission order.
 
-        Cache hits resolve in the calling thread (a warm corpus never
-        pays for queueing).  The misses run as ``submit`` + ``wait``
-        against an ephemeral
-        :class:`~repro.service.server.RevealServer`, or across a process
-        pool for the ``process`` backend.
+        Every job, cache hits included, is submitted to an ephemeral
+        :meth:`server` and runs through :meth:`reveal_one` on its
+        in-memory queue.
         """
-        job_list = [self._coerce(j) for j in jobs]
         started = time.perf_counter()
-        outcomes: list[RevealOutcome | None] = [None] * len(job_list)
-        # The key hashes every DEX and asset — compute it once per job.
-        pending: list[tuple[int, RevealJob, str]] = []
-        for index, job in enumerate(job_list):
-            key = self.job_cache_key(job) if job.cacheable else ""
-            cached = self.cache.get(key) if key else None
-            if cached is not None:
-                cached.app_id = job.app_id  # content-addressed, not name-addressed
-                outcomes[index] = cached
-            else:
-                pending.append((index, job, key))
-        if pending and self.backend == "process":
-            self._run_pool(pending, outcomes)
-        elif pending:
-            server = self.server()
-            try:
-                handles = [server.submit(job, cache_key=key)
-                           for _, job, key in pending]
-                for (index, _job, _key), handle in zip(pending, handles):
-                    outcomes[index] = handle.wait()
-            finally:
-                server.close()
+        with self.server() as server:
+            outcomes = server.await_many(server.submit_many(jobs))
         return BatchReport(
-            outcomes=[o for o in outcomes if o is not None],
+            outcomes=outcomes,
             wall_time_s=time.perf_counter() - started,
             workers=self.workers,
-            backend=self.backend,
         )
 
     # -- internals ----------------------------------------------------------
@@ -333,74 +289,26 @@ class BatchRevealService:
             return job
         return RevealJob(app_id=job.package, apk=job)
 
-    def _run_pool(
-        self,
-        pending: list[tuple[int, RevealJob, str]],
-        outcomes: list[RevealOutcome | None],
-    ) -> None:
-        """The process backend: jobs ship to a pool of worker processes
-        as picklable primitives.  A job with a ``drive`` callable
-        (closures do not pickle) runs in the parent while the pool
-        works; with one worker or one job, everything does."""
-        if self.workers <= 1 or len(pending) == 1:
-            shippable, local = [], pending
-        else:
-            shippable = [e for e in pending if e[1].drive is None]
-            local = [e for e in pending if e[1].drive is not None]
-        executor = (ProcessPoolExecutor(
-            max_workers=min(self.workers, len(shippable)))
-            if shippable else None)
-        try:
-            futures = [
-                (index, job, key, executor.submit(
-                    _process_reveal,
-                    job.app_id,
-                    job.apk.to_bytes(),
-                    self.config_for(job).to_dict(),
-                    job.collect_only,
-                    key,
-                ))
-                for index, job, key in shippable
-            ]
-            for index, job, key in local:
-                outcomes[index] = self.reveal_one(job, cache_key=key)
-            for index, job, key, future in futures:
-                try:
-                    outcome = future.result()
-                except Exception as exc:  # worker death must not kill the batch
-                    outcome = RevealOutcome(
-                        app_id=job.app_id,
-                        status=STATUS_ERROR,
-                        error=f"{type(exc).__name__}: {exc}",
-                        cache_key=key,
-                    )
-                if key:
-                    self.cache.put(key, outcome)
-                outcomes[index] = outcome
-        finally:
-            if executor is not None:
-                executor.shutdown()
-
     @staticmethod
-    def _degraded_for(lego, result=None) -> list:
+    def _degraded_for(pipeline: Pipeline, result=None) -> list:
         """Everything this reveal had to bypass: the result's list
         (:attr:`~repro.core.pipeline.RevealResult.degraded`), or, for a
         reveal that produced no result, the stores that failed to
         open."""
         if result is not None:
             return list(result.degraded)
-        return sorted(lego.pipeline.degraded)
+        return sorted(pipeline.degraded)
 
     def _run_job(self, job: RevealJob, key: str = "", observer=None,
                  wave_observer=None) -> RevealOutcome:
-        lego = self.pipeline_for(job, observer=observer,
-                                 wave_observer=wave_observer)
+        pipeline = self.pipeline_for(job, observer=observer,
+                                     wave_observer=wave_observer)
         started = time.perf_counter()
         try:
             if job.collect_only:
                 timings: dict = {}
-                collected = lego.pipeline.collect(job.apk, job.drive,
-                                                  timings=timings)
+                collected = pipeline.collect(job.apk, job.drive,
+                                             timings=timings)
                 return RevealOutcome(
                     app_id=job.app_id,
                     status=classify_result(collected),
@@ -411,10 +319,10 @@ class BatchRevealService:
                     stage_timings=timings,
                     exploration=(collected.force_report.to_summary()
                                  if collected.force_report else {}),
-                    degraded=self._degraded_for(lego),
+                    degraded=self._degraded_for(pipeline),
                     cache_key=key,
                 )
-            result = lego.reveal(job.apk, drive=job.drive)
+            result = pipeline.run(job.apk, job.drive)
             status = classify_result(result)
         except StageError as err:
             verify_failed = isinstance(err.cause, VerificationError)
@@ -425,7 +333,7 @@ class BatchRevealService:
                 error=(str(err.cause) if verify_failed else
                        f"{type(err.cause).__name__}: {err.cause}"),
                 failed_stage=err.stage,
-                degraded=self._degraded_for(lego),
+                degraded=self._degraded_for(pipeline),
                 cache_key=key,
             )
         except Exception as exc:
@@ -436,7 +344,7 @@ class BatchRevealService:
                 error="".join(
                     traceback.format_exception_only(type(exc), exc)
                 ).strip(),
-                degraded=self._degraded_for(lego),
+                degraded=self._degraded_for(pipeline),
                 cache_key=key,
             )
         return RevealOutcome(
@@ -451,36 +359,8 @@ class BatchRevealService:
                          if result.force_report else {}),
             index_stats=dict(result.index_stats),
             cluster_stats=dict(result.cluster_stats),
-            degraded=self._degraded_for(lego, result),
+            degraded=self._degraded_for(pipeline, result),
             cache_key=key,
             result=result,
         )
 
-
-def _process_reveal(
-    app_id: str,
-    apk_bytes: bytes,
-    config_dict: dict,
-    collect_only: bool,
-    cache_key: str,
-) -> RevealOutcome:
-    """Module-level worker body for the process backend.
-
-    Rebuilds the APK and pipeline from picklable primitives — the
-    configuration travels as ``RevealConfig.to_dict()`` — and returns
-    a slim outcome (serialised revealed APK, no live result object).
-    """
-    service = BatchRevealService(
-        config=RevealConfig.from_dict(config_dict),
-        workers=1,
-    )
-    job = RevealJob(app_id=app_id, apk=Apk.from_bytes(apk_bytes),
-                    collect_only=collect_only)
-    outcome = service._run_job(job, cache_key)
-    # Strip the live result: ship the serialised revealed APK instead.
-    if outcome.result is not None:
-        revealed = outcome.result.revealed_apk
-        if revealed is not None and revealed.dex_files:
-            outcome.revealed_apk_bytes = revealed.to_bytes()
-        outcome.result = None
-    return outcome

@@ -65,7 +65,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 import threading
 import time
 
@@ -75,7 +74,7 @@ from repro.core.exploration import (
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
 )
-from repro.service.batch import BACKENDS, BatchRevealService, RevealJob
+from repro.service.batch import BatchRevealService, RevealJob
 from repro.service.cli_contract import (
     EXIT_OK,
     EXIT_USAGE,
@@ -92,7 +91,7 @@ from repro.service.jobs import (
     JobStore,
     resolve_priority,
 )
-from repro.service.outcomes import STATUS_ERROR, STATUS_VERIFY_FAILED
+from repro.service.outcomes import FAILED_STATUSES
 
 CORPORA = ("fdroid", "aosp", "launch", "packed", "droidbench")
 
@@ -220,7 +219,7 @@ def registry_warmer():
     return warm
 
 
-def _service_from(args, backend: str | None = None) -> BatchRevealService:
+def _service_from(args, workers: int | None = None) -> BatchRevealService:
     return BatchRevealService(
         use_force_execution=args.force_execution,
         run_budget=args.budget,
@@ -231,8 +230,7 @@ def _service_from(args, backend: str | None = None) -> BatchRevealService:
         explore_backend=args.explore_backend,
         index_dir=args.index_dir,
         cluster_dir=args.cluster_dir,
-        workers=args.workers,
-        backend=backend or getattr(args, "backend", "thread"),
+        workers=workers,
         cache_dir=args.cache_dir,
     )
 
@@ -253,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="cap the corpus at the first N apps")
     batch.add_argument("--workers", type=int, default=2,
                        help="worker-pool size (default: 2)")
-    batch.add_argument("--backend", choices=BACKENDS, default="thread",
-                       help="pool flavour (default: thread)")
     _add_pipeline_flags(batch)
     batch.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON instead of tables")
@@ -366,9 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     worker.add_argument("--poll-interval", type=float, default=0.5,
                         help="store poll period while lingering "
                              "(default: 0.5s)")
-    worker.add_argument("--workers", type=int, default=1,
-                        help="thread-pool width inside this worker's "
-                             "pipeline service (default: 1)")
     _add_pipeline_flags(worker)
     worker.add_argument("--json", action="store_true",
                         help="emit a machine-readable drain report")
@@ -529,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
 
     jobs = build_corpus_jobs(args.corpus, args.limit)
     try:
-        service = _service_from(args)
+        service = _service_from(args, workers=args.workers)
     except OSError as exc:
         return usage_error(f"cannot use cache dir {args.cache_dir!r}: {exc}")
     report = service.reveal_batch(jobs)
@@ -566,8 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(report.render())
 
-    hard_failures = {STATUS_ERROR, STATUS_VERIFY_FAILED}
-    if any(o.status in hard_failures for o in report.outcomes):
+    if any(o.status in FAILED_STATUSES for o in report.outcomes):
         return failure()
     # An all-failure report (nothing resolved ``ok``) must not exit 0:
     # a calling script would read total failure as success.
@@ -588,7 +580,7 @@ def _run_serve(args) -> int:
 
     try:
         store = JobStore(args.store)
-        service = _service_from(args, backend="thread")
+        service = _service_from(args)
         workers = [RevealWorker(store, service=service,
                                 poll_interval_s=args.poll_interval)
                    for _ in range(max(1, args.workers))]
@@ -766,7 +758,7 @@ def _run_worker(args) -> int:
 
     try:
         store = JobStore(args.store)
-        service = _service_from(args, backend="thread")
+        service = _service_from(args)
         worker = RevealWorker(
             store, service=service, worker_id=args.worker_id,
             lease_ttl_s=args.lease_ttl,

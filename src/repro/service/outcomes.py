@@ -52,6 +52,10 @@ ALL_STATUSES = (
 #: excluded so a fixed pipeline (or fixed input) gets a fresh run.
 CACHEABLE_STATUSES = (STATUS_OK, STATUS_CRASHED, STATUS_BUDGET_EXCEEDED)
 
+#: The rest: statuses that resolve a job ``failed`` rather than ``done``
+#: and make ``reveal-batch`` exit non-zero.
+FAILED_STATUSES = (STATUS_VERIFY_FAILED, STATUS_ERROR)
+
 
 def classify_result(result) -> str:
     """Map a completed pipeline result to an outcome status.
@@ -113,9 +117,11 @@ class RevealOutcome:
       never changes ``status`` (that is the point).
     * ``cache_key`` — content-addressed key the record is stored under.
     * ``result`` — the live :class:`RevealResult` when the pipeline ran
-      in-process; ``None`` for disk-cache hits and process workers.
-    * ``revealed_apk_bytes`` — serialised revealed APK; set whenever the
-      full result object is unavailable (cache hits, process backend).
+      for this outcome; ``None`` for cache hits, outcomes rebuilt from a
+      summary and outcomes a server stripped (``keep_results=False``).
+    * ``revealed_apk_bytes`` — serialised revealed APK; set when the
+      record came from the cache or a worker fleet's artifact, where no
+      live result object exists.
     """
 
     app_id: str

@@ -1,7 +1,8 @@
 """RevealServer: a job-oriented, asynchronous front end for reveals.
 
 :meth:`~repro.service.batch.BatchRevealService.reveal_batch` is
-call-and-wait: hand over a corpus, block, get a report.  Production
+call-and-wait: hand over a corpus, block, get a report (it is this
+server's ``submit_many`` + ``await_many`` underneath).  Production
 consumers (market scanners, CI queues, analyst tooling) need the dual
 posture — submit work incrementally, watch it progress, prioritise the
 sample an analyst is waiting on over the nightly backfill, and cancel
@@ -57,15 +58,7 @@ from repro.service.jobs import (
     JobState,
     resolve_priority,
 )
-from repro.service.outcomes import (
-    STATUS_ERROR,
-    STATUS_VERIFY_FAILED,
-    RevealOutcome,
-)
-
-#: Statuses that resolve a job ``failed`` rather than ``done`` — the
-#: same pair the batch CLI treats as hard failures.
-FAILED_STATUSES = (STATUS_ERROR, STATUS_VERIFY_FAILED)
+from repro.service.outcomes import FAILED_STATUSES, STATUS_ERROR, RevealOutcome
 
 
 class QueueFull(RuntimeError):
@@ -127,7 +120,6 @@ class RevealServer(SubmitAPI):
         self._running = 0
         self._handles: dict[str, JobHandle] = {}
         self._jobs: dict[str, RevealJob] = {}
-        self._cache_keys: dict[str, str] = {}  # precomputed key hints
         self._threads: list[threading.Thread] = []
         self._started = False
         self._stop = False
@@ -194,7 +186,6 @@ class RevealServer(SubmitAPI):
         job_id: str | None = None,
         block: bool = False,
         timeout: float | None = None,
-        cache_key: str | None = None,
     ) -> JobHandle:
         """Enqueue one job; returns its handle immediately.
 
@@ -202,10 +193,7 @@ class RevealServer(SubmitAPI):
         the matching int); within a lane jobs run in submission order.
         When the queue holds ``max_pending`` jobs, raises
         :class:`QueueFull` — or, with ``block=True``, waits up to
-        ``timeout`` seconds for space.  ``cache_key`` is an optional
-        precomputed result-cache key (``""`` meaning uncacheable) so a
-        caller that already content-hashed the APK — the
-        ``reveal_batch`` prefilter — doesn't pay for it twice.
+        ``timeout`` seconds for space.
         """
         job = BatchRevealService._coerce(job)
         lane = resolve_priority(priority)
@@ -240,8 +228,6 @@ class RevealServer(SubmitAPI):
             handle = JobHandle(job_id, job.app_id, lane)
             self._handles[job_id] = handle
             self._jobs[job_id] = job
-            if cache_key is not None:
-                self._cache_keys[job_id] = cache_key
             self._queued += 1  # slot reserved before the heap push below
         return self._announce(job_id, handle, lane)
 
@@ -341,7 +327,6 @@ class RevealServer(SubmitAPI):
             handle.finished_at = time.time()
             self._queued -= 1
             self._jobs.pop(job_id, None)  # the APK is no longer needed
-            self._cache_keys.pop(job_id, None)
             announced = handle._announced
             self._cv.notify_all()
         if not announced:
@@ -393,11 +378,9 @@ class RevealServer(SubmitAPI):
         job = self._jobs[job_id]
         self.bus.publish(EVENT_STARTED, job_id, job.app_id,
                          payload={"queue_wait_s": handle.queue_wait_s})
-        with self._cv:
-            key = self._cache_keys.pop(job_id, None)
         try:
             outcome = self.service.reveal_one(job, job_id=job_id,
-                                              bus=self.bus, cache_key=key)
+                                              bus=self.bus)
         except Exception as exc:  # reveal_one never raises; belt and braces
             outcome = RevealOutcome(
                 app_id=job.app_id,

@@ -42,7 +42,6 @@ class BatchReport:
     outcomes: list[RevealOutcome] = field(default_factory=list)
     wall_time_s: float = 0.0
     workers: int = 1
-    backend: str = "thread"
 
     # -- counts -------------------------------------------------------------
 
@@ -98,7 +97,7 @@ class BatchReport:
     @property
     def queue_waits(self) -> list[float]:
         """Per-app submit→start waits; empty unless the batch queued
-        (direct pool runs report no queue wait)."""
+        (outcomes of direct ``reveal_one`` calls carry no queue wait)."""
         waits = [o.queue_wait_s for o in self.outcomes]
         return waits if any(w > 0 for w in waits) else []
 
@@ -207,7 +206,6 @@ class BatchReport:
             "p50_queue_wait_s": round(self.p50_queue_wait_s, 6),
             "p95_queue_wait_s": round(self.p95_queue_wait_s, 6),
             "workers": self.workers,
-            "backend": self.backend,
             "exploration": self.exploration_summary(),
             "index": self.index_summary(),
             "cluster": self.cluster_summary(),
@@ -221,7 +219,7 @@ class BatchReport:
         ) or "(empty batch)"
         lines = [
             f"batch: {self.total} app(s) via {self.workers} "
-            f"{self.backend} worker(s) in {self.wall_time_s:.2f}s "
+            f"worker(s) in {self.wall_time_s:.2f}s "
             f"({self.apps_per_sec:.2f} apps/sec)",
             f"outcomes: {breakdown}",
             f"cache: {self.cache_hits}/{self.total} hits "

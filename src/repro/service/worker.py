@@ -53,9 +53,8 @@ from repro.service.jobs import (
     JobState,
     JobStore,
 )
-from repro.service.outcomes import STATUS_ERROR, RevealOutcome
+from repro.service.outcomes import FAILED_STATUSES, STATUS_ERROR, RevealOutcome
 from repro.service.retry import Backoff, RetryPolicy, call_with_retries
-from repro.service.server import FAILED_STATUSES
 
 logger = logging.getLogger(__name__)
 

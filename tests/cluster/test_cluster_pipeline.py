@@ -80,15 +80,12 @@ class TestClusterStatsSurfaces:
 
 
 class TestWorkerCountDeterminism:
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 4),
-        ("process", 2),
-    ])
+    @pytest.mark.parametrize("workers", [2, 4])
     def test_families_byte_identical_across_worker_counts(
-            self, tmp_path, backend, workers):
+            self, tmp_path, workers):
         # Same corpus, different parallelism → the family snapshot must
         # not move a byte.  The single-worker run is the anchor every
-        # other (backend, workers) combination is compared to.
+        # other worker count is compared to.
         apps = build_shared_corpus(4, **_CORPUS_KW)
         anchor_dir = str(tmp_path / "anchor")
         BatchRevealService(cluster_dir=anchor_dir,
@@ -97,10 +94,10 @@ class TestWorkerCountDeterminism:
         anchor = anchor_store.build_families().to_json()
         anchor_store.close()
 
-        probe_dir = str(tmp_path / f"{backend}-{workers}")
+        probe_dir = str(tmp_path / f"workers-{workers}")
         report = BatchRevealService(
-            cluster_dir=probe_dir, workers=workers,
-            backend=backend).reveal_batch(_jobs(list(reversed(apps))))
+            cluster_dir=probe_dir,
+            workers=workers).reveal_batch(_jobs(list(reversed(apps))))
         # Every reveal really labeled: a store that failed to open
         # would pass silently as ``ok`` with ``degraded=['cluster']``.
         assert [(o.status, o.degraded) for o in report.outcomes] == \

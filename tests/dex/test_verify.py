@@ -630,3 +630,31 @@ class TestAgainstTheReferenceVerifier:
             problems = _same_problems(dex)
             assert any(f"uses v{size} but method has {size} registers"
                        in problem for problem in problems), (info.name, problems)
+
+
+def _point_at_payload_of(name, other):
+    """The base program with ``name``'s payload offset aimed at the
+    payload ``other`` reads."""
+    dex = _base()
+    code = _code(dex)
+    pc, ins = _at(code, name)
+    other_pc, other_ins = _at(code, other)
+    payload_pc = other_pc + other_ins.branch_target
+    _patch(code, pc, ins.with_branch_target(payload_pc - pc))
+    return dex
+
+
+class TestPayloadKinds:
+    """A 31t must point at a payload of its own kind."""
+
+    def test_a_switch_at_an_array_payload_is_reported(self):
+        problems = verify_dex(
+            _point_at_payload_of("packed-switch", "fill-array-data"))
+        assert any("packed-switch points at a FillArrayDataPayload" in p
+                   for p in problems), problems
+
+    def test_an_array_fill_at_a_switch_payload_is_reported(self):
+        problems = verify_dex(
+            _point_at_payload_of("fill-array-data", "packed-switch"))
+        assert any("fill-array-data points at a PackedSwitchPayload" in p
+                   for p in problems), problems

@@ -353,16 +353,11 @@ class TestIndexStatsSurfaces:
             assert {"bodies_emitted", "bodies_replayed",
                     "corpus_known", "corpus_new"} <= payload.keys()
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 4),
-        ("process", 2),
-    ])
-    def test_parallel_backends_carry_index_stats(self, tmp_path,
-                                                 backend, workers):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_batch_carries_index_stats(self, tmp_path, workers):
         apps = build_shared_corpus(4, **_CORPUS_KW)
         service = BatchRevealService(
-            index_dir=str(tmp_path / "idx"),
-            backend=backend, workers=workers)
+            index_dir=str(tmp_path / "idx"), workers=workers)
         report = service.reveal_batch(_jobs(apps))
         assert report.ok_count == 4
         for outcome in report.outcomes:

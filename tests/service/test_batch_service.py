@@ -1,7 +1,5 @@
 """BatchRevealService: parallelism, caching, and crash isolation."""
 
-import multiprocessing
-
 import pytest
 
 from repro.dex import assemble
@@ -71,16 +69,12 @@ class TestBatchBasics:
         """Ordering independence: pool size is invisible in the output."""
         jobs = _corpus(5, "svc.order")
         serial = BatchRevealService(workers=1)
-        pooled = BatchRevealService(workers=4, backend="thread")
+        pooled = BatchRevealService(workers=4)
         a, b = serial.reveal_batch(jobs), pooled.reveal_batch(jobs)
         assert [o.app_id for o in a.outcomes] == [o.app_id for o in b.outcomes]
         assert [o.status for o in a.outcomes] == [o.status for o in b.outcomes]
         assert [o.dump_size_bytes for o in a.outcomes] == \
             [o.dump_size_bytes for o in b.outcomes]
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            BatchRevealService(backend="fibers")
 
     def test_rejects_config_plus_kwargs(self):
         from repro.core import RevealConfig
@@ -256,57 +250,6 @@ class TestCrashIsolation:
                       collect_only=True))
         assert outcome.status == STATUS_OK
         assert set(outcome.stage_timings) == {"collect"}
-
-
-class TestProcessBackend:
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="process backend test relies on fork inheritance",
-    )
-    def test_process_pool_reveals(self):
-        report = BatchRevealService(workers=2, backend="process") \
-            .reveal_batch(_corpus(3, "svc.proc"))
-        assert all(o.status == STATUS_OK for o in report.outcomes)
-        assert [o.app_id for o in report.outcomes] == ["app0", "app1", "app2"]
-        # Process workers ship the revealed APK back as bytes.
-        assert report.outcomes[0].result is None
-        assert report.outcomes[0].revealed_apk is not None
-
-    def test_custom_device_jobs_ship_whole_profiles(self):
-        # Workers rebuild the full device profile from
-        # RevealConfig.to_dict(), so custom profiles ship fine; only a
-        # drive callable (unpicklable) keeps a job in the parent.
-        import dataclasses
-
-        from repro.runtime import NEXUS_5X
-
-        custom = dataclasses.replace(NEXUS_5X, imei="999999999999999")
-        service = BatchRevealService(backend="process", workers=2,
-                                     device=custom)
-        jobs = _corpus(2, "svc.dev")
-        report = service.reveal_batch(jobs)
-        assert all(o.status == STATUS_OK for o in report.outcomes)
-        # Both jobs shipped (no live result comes back from a worker
-        # process), and ran under the custom profile: their keys carry
-        # its config hash.
-        assert all(o.result is None for o in report.outcomes)
-        assert [o.cache_key for o in report.outcomes] == \
-            [service.job_cache_key(job) for job in jobs]
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="process backend test relies on fork inheritance",
-    )
-    def test_process_pool_falls_back_for_drive_jobs(self):
-        drive = lambda driver: driver.run_standard_session()
-        jobs = [
-            RevealJob("plain", build_simple_apk("svc.procmix.a")),
-            RevealJob("driven", build_simple_apk("svc.procmix.b"),
-                      drive=drive),
-        ]
-        report = BatchRevealService(workers=2, backend="process") \
-            .reveal_batch(jobs)
-        assert [o.status for o in report.outcomes] == [STATUS_OK, STATUS_OK]
 
 
 class TestExplorationSurface:

@@ -182,6 +182,29 @@ class TestMidRevealWriteFailures:
             assert outcome.index_stats == want.index_stats
             assert outcome.cluster_stats == {}
 
+    def test_compaction_sweeps_a_torn_body_tmp(self, tmp_path):
+        # A torn body write leaves its temp file; a later reveal
+        # publishes that body, and compaction then deletes the debris.
+        app = build_shared_corpus_app("com.deg.sweep", corpus_seed=3,
+                                      app_seed=1)
+        config = RevealConfig(index_dir=str(tmp_path / "index"))
+        bodies = tmp_path / "index" / "bodies"
+        plan = FaultPlan([FaultRule("index.body.write", FAULT_TORN_TMP)])
+        with faults.armed(plan):
+            torn = BatchRevealService(config=config, workers=1) \
+                .reveal_one(RevealJob(app.package, app.apk))
+        assert torn.status == STATUS_OK and torn.degraded == ["index"]
+        debris = [p.name for p in bodies.iterdir() if p.suffix == ".tmp"]
+        assert len(debris) == 1
+
+        service = BatchRevealService(config=config, workers=1)
+        again = service.reveal_one(RevealJob(app.package, app.apk))
+        assert again.status == STATUS_OK and again.degraded == []
+        published = debris[0].partition(".json.")[0] + ".json"
+        assert (bodies / published).exists()
+        service.stores.index.compact()
+        assert not [p for p in bodies.iterdir() if p.suffix == ".tmp"]
+
 
 class TestGatewayStats:
     def test_stats_count_degraded_reveals(self, tmp_path):

@@ -412,24 +412,6 @@ class TestJobStorePersistence:
                           if e["kind"] == kind]
             assert sorted(journalled) == sorted(job_ids), kind
 
-    def test_precomputed_cache_key_is_used(self):
-        service = BatchRevealService(workers=1)
-        calls = []
-        original = service.job_cache_key
-
-        def counting(job):
-            calls.append(job.app_id)
-            return original(job)
-
-        service.job_cache_key = counting
-        with RevealServer(service=service) as server:
-            job = _job("prekey")
-            key = original(job)
-            handle = server.submit(job, cache_key=key)
-            outcome = handle.wait(timeout=30)
-        assert outcome.status == "ok" and outcome.cache_key == key
-        assert calls == []  # the hint made the worker skip re-hashing
-
     def test_cancelled_job_persists_cancelled(self, tmp_path):
         store_dir = str(tmp_path / "queue")
         store = JobStore(store_dir)

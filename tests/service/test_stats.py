@@ -1,8 +1,12 @@
-"""BatchReport aggregates and the percentile helper."""
+"""BatchReport aggregates, the percentile helper and the status
+partition."""
 
 import pytest
 
 from repro.service import (
+    ALL_STATUSES,
+    CACHEABLE_STATUSES,
+    FAILED_STATUSES,
     STATUS_CRASHED,
     STATUS_ERROR,
     STATUS_OK,
@@ -15,6 +19,13 @@ from repro.service import (
 def _outcome(status=STATUS_OK, latency=0.1, hit=False, app_id="a"):
     return RevealOutcome(app_id=app_id, status=status, latency_s=latency,
                          cache_hit=hit)
+
+
+class TestStatuses:
+    def test_cacheable_and_failed_statuses_partition_all(self):
+        assert not set(CACHEABLE_STATUSES) & set(FAILED_STATUSES)
+        assert sorted(CACHEABLE_STATUSES + FAILED_STATUSES) == \
+            sorted(ALL_STATUSES)
 
 
 class TestPercentile:
@@ -50,7 +61,6 @@ class TestBatchReport:
             ],
             wall_time_s=2.0,
             workers=2,
-            backend="thread",
         )
         assert report.total == 4
         assert report.ok_count == 2
@@ -80,11 +90,11 @@ class TestBatchReport:
 
     def test_render_mentions_throughput_and_cache(self):
         report = BatchReport(outcomes=[_outcome(hit=True)], wall_time_s=0.5,
-                             workers=3, backend="thread")
+                             workers=3)
         text = report.render()
         assert "apps/sec" in text
         assert "1/1 hits" in text
-        assert "3 thread worker(s)" in text
+        assert "3 worker(s)" in text
 
 
 class TestQueueWaits:
