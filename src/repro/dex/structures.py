@@ -242,6 +242,31 @@ class DexFile:
         # dropped whenever canonicalize reorders the pools.
         self._ref_cache: dict[tuple[str, int], object] = {}
 
+    def with_own_pools(self) -> "DexFile":
+        """A DEX that shares this one's class definitions and code but
+        interns into pools of its own.
+
+        A reveal runs on one: the runtime never writes a class
+        definition or a code item (a loaded method runs on a copy of
+        its code), but self-modifying code interns strings and refs
+        into the DEX its class came from.  The copy is never written:
+        canonicalizing it would remap the code it shares.
+        """
+        dex = DexFile()
+        dex.strings = list(self.strings)
+        dex.type_ids = list(self.type_ids)
+        dex.protos = list(self.protos)
+        dex.field_ids = list(self.field_ids)
+        dex.method_ids = list(self.method_ids)
+        dex.class_defs = list(self.class_defs)
+        dex._string_index = dict(self._string_index)
+        dex._type_index = dict(self._type_index)
+        dex._proto_index = dict(self._proto_index)
+        dex._field_index = dict(self._field_index)
+        dex._method_index = dict(self._method_index)
+        dex._ref_cache = dict(self._ref_cache)
+        return dex
+
     # -- interning ---------------------------------------------------------
 
     def intern_string(self, value: str) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from repro.core.config import RevealConfig, resolve_config
@@ -204,7 +204,12 @@ class BatchRevealService:
 
         Routed through :meth:`RevealCache.get_or_compute`, so two
         threads revealing the same bytes under the same config run one
-        pipeline and share the admitted record.
+        pipeline and share the admitted record.  The pipeline runs on
+        DEX files that intern into pools of their own
+        (:meth:`~repro.dex.structures.DexFile.with_own_pools`):
+        self-modifying code interns strings and refs into the DEX it
+        runs from, and the caller's APK must keep its bytes and its
+        key.
 
         With an :class:`~repro.service.events.EventBus`, the job's
         progress is published under ``job_id``: one ``stage`` event per
@@ -230,9 +235,13 @@ class BatchRevealService:
                 bus.publish(EVENT_WAVE, job_id, job.app_id,
                             payload=dict(snapshot))
 
-        outcome, hit = self.cache.get_or_compute(
-            cache_key,
-            lambda: self._run_job(job, cache_key, observer, wave_observer))
+        def compute() -> RevealOutcome:
+            apk = replace(job.apk, dex_files=[
+                dex.with_own_pools() for dex in job.apk.dex_files])
+            return self._run_job(replace(job, apk=apk), cache_key,
+                                 observer, wave_observer)
+
+        outcome, hit = self.cache.get_or_compute(cache_key, compute)
         if hit:
             outcome.app_id = job.app_id  # content-addressed, not name-addressed
         if bus is None:

@@ -64,6 +64,12 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
+#: Writing a DEX canonicalizes its pools in place, so two threads must
+#: not write one :class:`~repro.dex.structures.DexFile` at once (one
+#: APK object queued twice).
+_WRITE_LOCK = threading.Lock()
+
+
 def apk_content_key(apk: Apk) -> str:
     """SHA-256 over the APK's content: the manifest, each DEX, the
     assets and the JNI libraries.  Writing a DEX canonicalizes its
@@ -73,8 +79,9 @@ def apk_content_key(apk: Apk) -> str:
     manifest = json.dumps([apk.package, apk.main_activity, apk.activities,
                            apk.version])
     digest.update(manifest.encode("utf-8"))
-    for dex in apk.dex_files:
-        payload = write_dex(dex)
+    with _WRITE_LOCK:
+        payloads = [write_dex(dex) for dex in apk.dex_files]
+    for payload in payloads:
         digest.update(len(payload).to_bytes(8, "little"))
         digest.update(payload)
     for path in sorted(apk.assets):

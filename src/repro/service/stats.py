@@ -96,10 +96,8 @@ class BatchReport:
 
     @property
     def queue_waits(self) -> list[float]:
-        """Per-app submit→start waits; empty unless the batch queued
-        (outcomes of direct ``reveal_one`` calls carry no queue wait)."""
-        waits = [o.queue_wait_s for o in self.outcomes]
-        return waits if any(w > 0 for w in waits) else []
+        """Per-app submit→start waits, in submission order."""
+        return [o.queue_wait_s for o in self.outcomes]
 
     @property
     def p50_queue_wait_s(self) -> float:

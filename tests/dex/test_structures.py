@@ -41,6 +41,23 @@ class TestInterning:
         b = dex.intern_method("Lcom/a/B;", "y", "I", ("I",))
         assert dex.method_ids[a].proto_idx == dex.method_ids[b].proto_idx
 
+    def test_own_pools_leave_the_source_alone(self):
+        dex = DexFile()
+        run = dex.intern_method("Lcom/a/B;", "run", "V")
+        pools = (list(dex.strings), list(dex.type_ids), list(dex.protos),
+                 list(dex.method_ids), list(dex.field_ids))
+        view = dex.with_own_pools()
+        assert view.method_ref(run) == dex.method_ref(run)
+        assert view.intern_method("Lcom/a/B;", "run", "V") == run
+        added = view.intern_method("Lcom/a/C;", "go", "I", ("J",))
+        view.intern_field("Lcom/a/C;", "flag", "Z")
+        view.intern_string("only in the view")
+        assert view.method_ref(added).signature == "Lcom/a/C;->go(J)I"
+        assert (dex.strings, dex.type_ids, dex.protos, dex.method_ids,
+                dex.field_ids) == pools
+        assert dex.intern_method("Lcom/a/D;", "x", "V") == added
+        assert view.class_defs == dex.class_defs
+
 
 class TestSignatureParsing:
     def test_split_type_list(self):

@@ -160,6 +160,43 @@ class TestCacheIntegration:
         assert outcome.cache_hit and outcome.app_id == "second-name"
 
 
+class TestCallersApkIsUntouched:
+    """SelfMod1 interns strings into the DEX it runs from and patches its
+    code; the reveal must run on a copy, so the caller's APK keeps its
+    bytes and its cache key."""
+
+    def _selfmod(self):
+        from repro.benchsuite import sample_by_name
+
+        sample = sample_by_name("SelfMod1")
+        return sample, sample.build_apk()
+
+    def test_reveal_leaves_the_apk_bytes_alone(self):
+        sample, apk = self._selfmod()
+        service = BatchRevealService()
+        job = RevealJob("a", apk, device=sample.device)
+        before, key = apk.to_bytes(), service.job_cache_key(job)
+        assert service.reveal_one(job).status == STATUS_OK
+        assert apk.to_bytes() == before
+        assert service.job_cache_key(job) == key
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_same_apk_queued_again_in_one_batch_hits(self, workers):
+        sample, apk = self._selfmod()
+        names = "abcdef"
+        report = BatchRevealService(workers=workers).reveal_batch(
+            [RevealJob(name, apk, device=sample.device) for name in names])
+        outcomes = report.outcomes
+        assert [o.app_id for o in outcomes] == list(names)
+        # At one worker "a" runs first; at four the jobs race for the
+        # key, one reveals and the others wait for its record.
+        assert sum(not o.cache_hit for o in outcomes) == 1
+        if workers == 1:
+            assert not outcomes[0].cache_hit
+        assert {o.status for o in outcomes} == {STATUS_OK}
+        assert len({o.dump_size_bytes for o in outcomes}) == 1
+
+
 class TestCrashIsolation:
     def test_vm_crash_is_an_outcome_not_an_abort(self):
         jobs = [

@@ -114,13 +114,21 @@ class TestQueueWaits:
         assert "queue wait:" in report.render()
 
     def test_no_queue_no_noise(self):
-        # A pool run that never queued reports zeros and no render line.
-        report = BatchReport(outcomes=[_outcome(), _outcome()],
-                             wall_time_s=1.0)
+        # An empty batch queued nothing: zeros and no render line.
+        report = BatchReport()
         assert report.queue_waits == []
         assert report.p50_queue_wait_s == 0.0
         assert "queue wait:" not in report.render()
         assert report.summary()["p95_queue_wait_s"] == 0.0
+
+    def test_zero_waits_are_reported(self):
+        # Every outcome of a batch was queued, so a zero wait is a
+        # measurement, not a missing one.
+        report = BatchReport(outcomes=[_outcome(), _outcome()],
+                             wall_time_s=1.0)
+        assert report.queue_waits == [0.0, 0.0]
+        assert report.p50_queue_wait_s == 0.0
+        assert "queue wait: p50=0.0ms" in report.render()
 
     def test_outcome_summary_carries_queue_wait(self):
         outcome = self._waited(0.125)
