@@ -15,6 +15,8 @@ p95 per-app latency for each configuration, plus the speedup relative
 to the serial leg.
 """
 
+import gc
+
 from benchmarks.conftest import run_once
 from repro.benchsuite import all_fdroid_apps
 from repro.harness.tables import render_table
@@ -33,12 +35,18 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
     reports = {}
 
     def run():
+        # Each leg starts from a collected heap: a full collection of an
+        # earlier leg's garbage would otherwise land in whichever leg
+        # crosses the threshold and be timed as that leg's.
+        gc.collect()
         reports["serial"] = BatchRevealService(workers=1).reveal_batch(jobs)
+        gc.collect()
         reports["parallel"] = BatchRevealService(
             workers=WORKERS, cache_dir=cache_dir
         ).reveal_batch(jobs)
         # A fresh service instance against the same directory: only the
         # persisted cache can explain hits.
+        gc.collect()
         reports["warm"] = BatchRevealService(
             workers=WORKERS, cache_dir=cache_dir
         ).reveal_batch(jobs)

@@ -20,6 +20,7 @@ from benchmarks.conftest import quick_mode, run_once
 from repro.benchsuite.shared_corpus import build_shared_corpus
 from repro.cluster.lsh import LshIndex
 from repro.cluster.store import ClusterStore
+from repro.core import RevealConfig
 from repro.harness.tables import render_table
 from repro.index.fuzzy import fuzzy_digest
 from repro.service import BatchRevealService, RevealJob
@@ -110,7 +111,8 @@ def test_reveal_and_label_throughput(benchmark, tmp_path):
     box = {}
 
     def run():
-        service = BatchRevealService(cluster_dir=cluster_dir, workers=1)
+        service = BatchRevealService(
+            config=RevealConfig(cluster_dir=cluster_dir), workers=1)
         box["report"] = service.reveal_batch(jobs)
         store = ClusterStore(cluster_dir, create=False)
         start = time.perf_counter()

@@ -20,6 +20,7 @@ asserted here and, byte-identity included, in
 
 from benchmarks.conftest import quick_mode, run_once
 from repro.benchsuite.shared_corpus import build_shared_corpus
+from repro.core import RevealConfig
 from repro.harness.tables import render_table
 from repro.service import BatchRevealService, RevealJob
 
@@ -40,12 +41,13 @@ def test_corpus_index_cold_vs_warm(benchmark, tmp_path):
     def run():
         reports["no-index"] = BatchRevealService(
             workers=1).reveal_batch(_jobs(cold_apps))
+        indexed = RevealConfig(index_dir=index_dir)
         reports["cold"] = BatchRevealService(
-            index_dir=index_dir, workers=1).reveal_batch(_jobs(cold_apps))
+            config=indexed, workers=1).reveal_batch(_jobs(cold_apps))
         # A fresh service against the same directory and a second wave
         # of *new* apps: only the persisted index can explain replays.
         reports["warm"] = BatchRevealService(
-            index_dir=index_dir, workers=1).reveal_batch(_jobs(warm_apps))
+            config=indexed, workers=1).reveal_batch(_jobs(warm_apps))
         return reports
 
     run_once(benchmark, run)

@@ -48,8 +48,7 @@ def _run_fleet(jobs, fleet, tmp_root):
         client = GatewayClient(gateway.url, poll_interval_s=0.05)
         handles = client.submit_many(jobs)
         workers = [
-            RevealWorker(store, worker_id=f"bench-w{i}", workers=1,
-                         poll_interval_s=0.05)
+            RevealWorker(store, worker_id=f"bench-w{i}", poll_interval_s=0.05)
             for i in range(fleet)
         ]
         threads = [

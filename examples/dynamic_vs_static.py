@@ -7,7 +7,7 @@ revealed APKs — reproducing the paper's Table IV row by row.
 Run:  python examples/dynamic_vs_static.py
 """
 
-from repro import DexLego, horndroid, taintart, taintdroid
+from repro import RevealConfig, horndroid, reveal_apk, taintart, taintdroid
 from repro.benchsuite import TABLE_IV_SAMPLES, sample_by_name
 from repro.runtime import EMULATOR, NEXUS_5X, AndroidRuntime, AppDriver
 
@@ -32,8 +32,8 @@ def main() -> None:
         sample = sample_by_name(name)
         td = run_tracker(sample, taintdroid, EMULATOR)
         ta = run_tracker(sample, taintart, NEXUS_5X)
-        revealed = DexLego(device=sample.device).reveal(
-            sample.build_apk()
+        revealed = reveal_apk(
+            sample.build_apk(), RevealConfig(device=sample.device)
         ).revealed_apk
         flows = tool.analyze(revealed).flows
         dl = len({(f.source_tag, f.sink_signature) for f in flows})

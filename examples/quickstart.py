@@ -12,10 +12,10 @@ from repro import (
     AndroidRuntime,
     Apk,
     AppDriver,
-    DexLego,
     assemble,
     flowdroid,
     register_native_library,
+    reveal_apk,
 )
 from repro.dex.instructions import Instruction
 
@@ -111,7 +111,7 @@ def main() -> None:
     print()
 
     print("=== 3. DexLego: collect -> reassemble -> verify -> repack ===")
-    result = DexLego().reveal(apk)
+    result = reveal_apk(apk)
     print(f"collector stats: {result.collector_stats}")
     print("stage timings:  " + "  ".join(
         f"{stage}={seconds * 1000:.1f}ms"

@@ -9,7 +9,7 @@ each into a direct call through a generated bridge.
 Run:  python examples/reflection_resolution.py
 """
 
-from repro import DexLego, droidsafe, flowdroid, horndroid
+from repro import droidsafe, flowdroid, horndroid, reveal_apk
 from repro.benchsuite import sample_by_name
 
 ADVANCED = ["ReflectAdv0", "ReflectAdv1", "ReflectAdv2",
@@ -27,7 +27,7 @@ def main() -> None:
         original = "/".join(
             "Y" if t.analyze(apk).detected else "n" for t in tools
         )
-        revealed = DexLego().reveal(apk).revealed_apk
+        revealed = reveal_apk(apk).revealed_apk
         after = "/".join(
             "Y" if t.analyze(revealed).detected else "n" for t in tools
         )
@@ -36,7 +36,7 @@ def main() -> None:
 
     # Show what the rewrite actually emits.
     sample = sample_by_name("ReflectAdv2")
-    result = DexLego().reveal(sample.build_apk())
+    result = reveal_apk(sample.build_apk())
     dex = result.reassembled_dex
     from repro.core import INSTRUMENT_CLASS
 

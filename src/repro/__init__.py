@@ -24,10 +24,10 @@ Layer map (bottom-up):
 
 Quickstart::
 
-    from repro import DexLego, Apk, assemble, flowdroid
+    from repro import Apk, assemble, flowdroid, reveal_apk
 
     apk = Apk("com.example", "Lcom/example/Main;", [assemble(SMALI)])
-    revealed = DexLego().reveal(apk).revealed_apk
+    revealed = reveal_apk(apk).revealed_apk
     print(flowdroid().analyze(revealed).flows)
 """
 
@@ -39,7 +39,6 @@ from repro.analysis import (
     taintdroid,
 )
 from repro.core import (
-    DexLego,
     DexLegoCollector,
     Pipeline,
     RevealConfig,
@@ -70,7 +69,6 @@ __all__ = [
     "BatchRevealService",
     "DexBuilder",
     "DexFile",
-    "DexLego",
     "DexLegoCollector",
     "Pipeline",
     "ReproError",

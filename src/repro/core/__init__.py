@@ -9,13 +9,14 @@ This package is the paper's primary contribution:
 * :class:`~repro.core.force_execution.ForceExecutionEngine` — iterative
   force execution (the code coverage improvement module)
 * :class:`~repro.core.config.RevealConfig` — frozen, hashable,
-  JSON-round-trippable pipeline configuration
+  self-hashing pipeline configuration: the one way to configure a
+  reveal
 * :mod:`repro.core.stages` — the four composable stages
   (collect → reassemble → verify → repack)
-* :class:`~repro.core.pipeline.Pipeline` — the stage conductor, with
-  :class:`~repro.core.pipeline.DexLego` as the paper-shaped facade and
-  :func:`~repro.core.pipeline.reveal_from_archive` as the offline-only
-  entry point
+* :class:`~repro.core.pipeline.Pipeline` — the stage conductor, the one
+  class that runs a reveal, with :func:`~repro.core.pipeline.reveal_apk`
+  as its one-shot and :func:`~repro.core.pipeline.reveal_from_archive`
+  as the offline-only entry point
 """
 
 from repro.core.collection_files import CollectionArchive
@@ -42,7 +43,6 @@ from repro.core.force_execution import (
 from repro.core.replay import ReplaySpec, TraceDelta, execute_replay
 from repro.core.method_store import MethodRecord, MethodStore
 from repro.core.pipeline import (
-    DexLego,
     Pipeline,
     RevealResult,
     resume_exploration,
@@ -83,7 +83,6 @@ __all__ = [
     "CollectionTree",
     "CollectResult",
     "CollectStage",
-    "DexLego",
     "DexLegoCollector",
     "ForceExecutionEngine",
     "ForceExecutionReport",

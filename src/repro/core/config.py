@@ -4,10 +4,10 @@ The paper separates *what* DexLego does (collect, reassemble, verify,
 repack) from *how* it is parameterised (device identity, execution
 budget, force-execution knobs).  :class:`RevealConfig` is that second
 half as a value object: frozen (hashable, safe as a dict key or cache
-key component), JSON-round-trippable (shippable to process workers and
-storable next to archives), and self-hashing (``config_hash()`` is the
-sole configuration input to the service layer's content-addressed
-cache keys).
+key component) and self-hashing (``config_hash()`` is the sole
+configuration input to the service layer's content-addressed cache
+keys).  It is the one way to configure a reveal, and
+:class:`~repro.core.pipeline.Pipeline` the one class that runs it.
 
 ``archive_dir``, ``index_dir`` and ``cluster_dir`` are deliberately
 excluded from the identity hash: where the collection files land on
@@ -30,24 +30,6 @@ from repro.core.exploration import (
     STRATEGY_BFS,
 )
 from repro.runtime.device import NEXUS_5X, DeviceProfile
-
-
-def resolve_config(config: "RevealConfig | None", **knobs) -> "RevealConfig":
-    """Constructor-argument resolution shared by the pipeline facades.
-
-    Callers accept either a ready ``config=`` or the historical
-    individual knobs (``None`` meaning "not passed"); mixing the two
-    is rejected rather than silently dropping a knob.
-    """
-    explicit = {key: value for key, value in knobs.items() if value is not None}
-    if config is not None:
-        if explicit:
-            raise ValueError(
-                "pass either config= or the individual knobs "
-                f"({', '.join(sorted(explicit))}), not both"
-            )
-        return config
-    return RevealConfig(**explicit)
 
 
 @dataclass(frozen=True)
@@ -131,7 +113,7 @@ class RevealConfig:
         """A copy with some fields swapped (frozen-friendly)."""
         return dataclasses.replace(self, **changes)
 
-    # -- JSON round trip ----------------------------------------------------
+    # -- identity -----------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
@@ -148,36 +130,6 @@ class RevealConfig:
             "index_dir": self.index_dir,
             "cluster_dir": self.cluster_dir,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RevealConfig":
-        device = data.get("device", NEXUS_5X)
-        if isinstance(device, dict):
-            device = DeviceProfile(**device)
-        return cls(
-            device=device,
-            use_force_execution=data.get("use_force_execution", False),
-            run_budget=data.get("run_budget", 2_000_000),
-            archive_dir=data.get("archive_dir"),
-            force_iterations=data.get("force_iterations", 25),
-            exploration_strategy=data.get("exploration_strategy",
-                                          STRATEGY_BFS),
-            max_paths=data.get("max_paths"),
-            path_budget=data.get("path_budget"),
-            explore_workers=data.get("explore_workers", 1),
-            explore_backend=data.get("explore_backend", BACKEND_SERIAL),
-            index_dir=data.get("index_dir"),
-            cluster_dir=data.get("cluster_dir"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RevealConfig":
-        return cls.from_dict(json.loads(text))
-
-    # -- identity -----------------------------------------------------------
 
     def fingerprint(self) -> dict:
         """The identity-relevant slice: everything except the two paths.

@@ -10,9 +10,9 @@ half, and :func:`reveal_from_archive` runs only the offline half over
 previously saved collection files (re-run reassembly after a
 reassembler fix without re-driving the app).
 
-:class:`DexLego` and :func:`reveal_apk` remain as thin facades so the
-paper-shaped call sites — ``DexLego(run_budget=...).reveal(apk)`` —
-keep working unchanged.
+A :class:`~repro.core.config.RevealConfig` is the one way to configure
+a reveal, and :class:`Pipeline` the one class that runs it;
+:func:`reveal_apk` is ``Pipeline(config).run(apk)``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.collection_files import CollectionArchive
-from repro.core.config import RevealConfig, resolve_config
+from repro.core.config import RevealConfig
 from repro.core.force_execution import ForceExecutionReport
 from repro.core.stages import (
     STAGE_COLLECT,
@@ -41,7 +41,6 @@ from repro.core.stages import (
 from repro.dex.structures import DexFile
 from repro.errors import StageError
 from repro.runtime.apk import Apk
-from repro.runtime.device import DeviceProfile
 
 logger = logging.getLogger(__name__)
 
@@ -296,16 +295,15 @@ class Pipeline:
         cluster store, over ``collected.archive``."""
         archive = collected.archive
         app_id = apk.package if apk is not None else None
-        dex = self._timed(STAGE_REASSEMBLE, timings,
-                          self.reassemble_stage.run, archive, app_id,
-                          self.config.archive_dir)
+        dex, index_stats = self._timed(STAGE_REASSEMBLE, timings,
+                                       self.reassemble_stage.run, archive,
+                                       app_id, self.config.archive_dir)
         dex = self._timed(STAGE_VERIFY, timings, self.verify_stage.run, dex)
         revealed = None
         if apk is not None:
             revealed = self._timed(STAGE_REPACK, timings,
                                    self.repack_stage.run, apk, dex)
         degraded = set(self.degraded)
-        index_stats = self.reassemble_stage.last_index_stats
         if "degraded" in index_stats:
             degraded.add("index")
         cluster_stats = self._cluster_stats(archive, app_id)
@@ -352,63 +350,9 @@ class Pipeline:
         return stats
 
 
-class DexLego:
-    """The DexLego system: JIT collection + offline reassembly.
-
-    Back-compat facade over :class:`Pipeline`: the historical kwargs
-    construct a :class:`RevealConfig`, or pass ``config=`` directly.
-    """
-
-    def __init__(
-        self,
-        device: DeviceProfile | None = None,
-        use_force_execution: bool | None = None,
-        run_budget: int | None = None,
-        archive_dir: str | None = None,
-        force_iterations: int | None = None,
-        index_dir: str | None = None,
-        cluster_dir: str | None = None,
-        config: RevealConfig | None = None,
-        observer: PipelineObserver | None = None,
-        wave_observer=None,
-        stores: OptionalStores | None = None,
-    ) -> None:
-        config = resolve_config(
-            config,
-            device=device,
-            use_force_execution=use_force_execution,
-            run_budget=run_budget,
-            archive_dir=archive_dir,
-            force_iterations=force_iterations,
-            index_dir=index_dir,
-            cluster_dir=cluster_dir,
-        )
-        self.config = config
-        self.pipeline = Pipeline(config, observer=observer,
-                                 wave_observer=wave_observer, stores=stores)
-
-    # -- collection -----------------------------------------------------------
-
-    def collect(self, apk: Apk, drive=None) -> CollectResult:
-        """The on-device half: archive + drive outcome, nothing faked."""
-        return self.pipeline.collect(apk, drive)
-
-    # -- full pipeline -----------------------------------------------------------
-
-    def reveal(self, apk: Apk, drive=None) -> RevealResult:
-        return self.pipeline.run(apk, drive)
-
-    def reveal_from_archive(
-        self,
-        source: CollectionArchive | str | os.PathLike,
-        apk: Apk | None = None,
-    ) -> RevealResult:
-        return self.pipeline.reveal_from_archive(source, apk)
-
-
-def reveal_apk(apk: Apk, **kwargs) -> RevealResult:
-    """Convenience one-shot: ``DexLego(**kwargs).reveal(apk)``."""
-    return DexLego(**kwargs).reveal(apk)
+def reveal_apk(apk: Apk, config: RevealConfig | None = None) -> RevealResult:
+    """Convenience one-shot: ``Pipeline(config).run(apk)``."""
+    return Pipeline(config).run(apk)
 
 
 def reveal_from_archive(

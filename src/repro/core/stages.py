@@ -197,20 +197,21 @@ class ReassembleStage:
         #: (already-revealed bodies are replayed instead of re-emitted)
         #: and given this reveal's digests.
         self.index = index
-        #: Dedup accounting of the most recent :meth:`run` (empty
-        #: without an index): the probe's known vs executed methods,
-        #: then bodies emitted vs replayed and corpus known vs new, or
-        #: ``degraded`` with the reason an index write failed.
-        self.last_index_stats: dict = {}
 
     def run(self, archive: CollectionArchive, app_id: str | None = None,
-            artifact: str | None = None) -> DexFile:
+            artifact: str | None = None) -> tuple[DexFile, dict]:
         """Reassemble ``archive``; with an index, its entries name
-        ``app_id`` and ``artifact``."""
-        self.last_index_stats = {}
+        ``app_id`` and ``artifact``.
+
+        Returns the DEX and its dedup accounting (empty without an
+        index): the probe's known vs executed methods, then bodies
+        emitted vs replayed and corpus known vs new, or ``degraded``
+        with the reason an index write failed.
+        """
         try:
             store = archive.collector.method_store
-            digests = stats = None
+            digests = None
+            stats: dict = {}
             if self.index is not None:
                 digests = archive.method_digests(self.index)
                 stats = self.index.probe_method_store(store, digests)
@@ -235,8 +236,7 @@ class ReassembleStage:
                     failure = exc
                 if failure is not None:
                     stats["degraded"] = str(failure)
-                self.last_index_stats = stats
-            return read_dex(write_dex(dex))
+            return read_dex(write_dex(dex)), stats
         except Exception as exc:
             raise StageError(self.name, exc) from exc
 

@@ -39,7 +39,7 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from repro.core.config import RevealConfig, resolve_config
+from repro.core.config import RevealConfig
 from repro.core.pipeline import Pipeline, open_optional_stores
 from repro.errors import StageError, VerificationError
 from repro.runtime.apk import Apk
@@ -117,22 +117,17 @@ class RevealJob:
 
 
 class BatchRevealService:
-    """Parallel, cached collect→reassemble→verify over an APK corpus."""
+    """Parallel, cached collect→reassemble→verify over an APK corpus.
+
+    ``config`` parameterises every reveal (default ``RevealConfig()``);
+    ``workers`` is the thread count of :meth:`reveal_batch`'s server
+    (default :func:`default_worker_count`); results are cached in
+    ``cache``, or in a :class:`RevealCache` over ``cache_dir``.
+    """
 
     def __init__(
         self,
         *,
-        device: DeviceProfile | None = None,
-        use_force_execution: bool | None = None,
-        run_budget: int | None = None,
-        force_iterations: int | None = None,
-        exploration_strategy: str | None = None,
-        max_paths: int | None = None,
-        path_budget: int | None = None,
-        explore_workers: int | None = None,
-        explore_backend: str | None = None,
-        index_dir: str | None = None,
-        cluster_dir: str | None = None,
         config: RevealConfig | None = None,
         workers: int | None = None,
         cache: RevealCache | None = None,
@@ -140,20 +135,7 @@ class BatchRevealService:
     ) -> None:
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
-        self.config = resolve_config(
-            config,
-            device=device,
-            use_force_execution=use_force_execution,
-            run_budget=run_budget,
-            force_iterations=force_iterations,
-            exploration_strategy=exploration_strategy,
-            max_paths=max_paths,
-            path_budget=path_budget,
-            explore_workers=explore_workers,
-            explore_backend=explore_backend,
-            index_dir=index_dir,
-            cluster_dir=cluster_dir,
-        )
+        self.config = config or RevealConfig()
         self.workers = max(1, workers) if workers is not None \
             else default_worker_count()
         self.cache = cache if cache is not None else RevealCache(cache_dir)

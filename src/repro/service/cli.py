@@ -68,6 +68,7 @@ import os
 import threading
 import time
 
+from repro.core.config import RevealConfig
 from repro.core.exploration import (
     ALL_STRATEGIES,
     BACKEND_SERIAL,
@@ -220,7 +221,7 @@ def registry_warmer():
 
 
 def _service_from(args, workers: int | None = None) -> BatchRevealService:
-    return BatchRevealService(
+    config = RevealConfig(
         use_force_execution=args.force_execution,
         run_budget=args.budget,
         exploration_strategy=args.strategy,
@@ -230,9 +231,9 @@ def _service_from(args, workers: int | None = None) -> BatchRevealService:
         explore_backend=args.explore_backend,
         index_dir=args.index_dir,
         cluster_dir=args.cluster_dir,
-        workers=workers,
-        cache_dir=args.cache_dir,
     )
+    return BatchRevealService(config=config, workers=workers,
+                              cache_dir=args.cache_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -958,7 +959,8 @@ def _run_index_build(args) -> int:
             app_id = args.app_id or os.path.basename(os.path.normpath(path))
             try:
                 archive = CollectionArchive.load(path)
-                stage.run(archive, app_id=app_id, artifact=path)
+                _dex, stats = stage.run(archive, app_id=app_id,
+                                        artifact=path)
             except OSError as exc:
                 return usage_error(f"cannot read archive {path!r}: {exc}")
             except ValueError as exc:
@@ -967,7 +969,7 @@ def _run_index_build(args) -> int:
                 return failure(f"reassembly failed in the {err.stage} "
                                f"stage for {path!r}: {err.cause}")
             registered.append({"archive": path, "app_id": app_id,
-                               **stage.last_index_stats})
+                               **stats})
     finally:
         index.close()
     if args.json:

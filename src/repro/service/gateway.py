@@ -10,7 +10,8 @@ the repo's no-new-dependencies rule):
     Submit an APK for revealing.  Raw APK bytes (``X-Reveal-App-Id``
     and ``X-Reveal-Priority`` headers) or a JSON envelope
     (``{"app_id", "apk_b64", "priority", "collect_only",
-    "cache_salt", "meta"}``).  Returns ``201`` with the job id.  An
+    "cache_salt", "meta"}``; a field of the wrong JSON type is a
+    ``400``).  Returns ``201`` with the job id.  An
     ``Idempotency-Key`` header makes retries safe: the same key
     returns the original job (``200``, ``"deduplicated": true``)
     instead of enqueuing a duplicate.
@@ -78,6 +79,15 @@ MAX_UPLOAD_BYTES_DEFAULT = 64 * 1024 * 1024
 #: ``?follow=1`` tails stop after this many seconds without a terminal
 #: event unless the client asked for a different ``?timeout=``.
 FOLLOW_TIMEOUT_DEFAULT_S = 30.0
+
+#: The JSON envelope's optional fields, the type each must have (its
+#: empty value is the default), and how a 400 names that type.
+_ENVELOPE_TYPES = (
+    ("app_id", str, "a string"),
+    ("cache_salt", str, "a string"),
+    ("collect_only", bool, "a boolean"),
+    ("meta", dict, "a JSON object"),
+)
 
 
 class _RateLimiter:
@@ -451,6 +461,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             if not isinstance(envelope, dict):
                 self._error(400, "envelope must be a JSON object")
                 return
+            for name, kind, noun in _ENVELOPE_TYPES:
+                if not isinstance(envelope.get(name, kind()), kind):
+                    self._error(400, f"envelope field {name!r} must be {noun}")
+                    return
             app_id = envelope.get("app_id", "")
             try:
                 apk_bytes = base64.b64decode(envelope["apk_b64"])
@@ -458,9 +472,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 self._error(400, "envelope carries no decodable apk_b64")
                 return
             priority_raw = envelope.get("priority", PRIORITY_NORMAL)
-            collect_only = bool(envelope.get("collect_only", False))
-            cache_salt = str(envelope.get("cache_salt", ""))
-            meta = dict(envelope.get("meta") or {})
+            collect_only = envelope.get("collect_only", False)
+            cache_salt = envelope.get("cache_salt", "")
+            meta = dict(envelope.get("meta", {}))
         else:
             apk_bytes = body
             app_id = self.headers.get("X-Reveal-App-Id", "")

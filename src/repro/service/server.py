@@ -69,9 +69,9 @@ class RevealServer(SubmitAPI):
     """Async job server over a :class:`BatchRevealService`.
 
     ``service`` supplies the pipeline configuration, result cache and
-    per-job execution; construct one explicitly to share its cache with
-    other consumers, or pass service kwargs (``config=``,
-    ``cache_dir=``, ``run_budget=``...) and the server builds its own.
+    per-job execution; construct one explicitly to configure the
+    reveals or share its cache with other consumers, or omit it and the
+    server builds a default :class:`BatchRevealService`.
 
     ``workers`` threads execute jobs (default: the service's worker
     count).  ``max_pending`` bounds the queue; ``None`` is unbounded.
@@ -88,17 +88,10 @@ class RevealServer(SubmitAPI):
         autostart: bool = True,
         observers=None,
         keep_results: bool = True,
-        **service_kwargs,
     ) -> None:
-        if service is not None and service_kwargs:
-            raise ValueError(
-                f"pass either service or service kwargs, not both "
-                f"(got {sorted(service_kwargs)})"
-            )
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.service = service if service is not None \
-            else BatchRevealService(**service_kwargs)
+        self.service = service or BatchRevealService()
         #: With ``keep_results=False`` terminal outcomes are stripped of
         #: their live result and serialised APK before landing on the
         #: handle — a long-lived server would otherwise retain one

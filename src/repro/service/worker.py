@@ -163,10 +163,10 @@ class RevealWorker:
     """One fleet member: claims, reveals, heartbeats, completes.
 
     ``store`` is the shared queue (path or :class:`JobStore`);
-    ``service`` the pipeline executor (built from ``service_kwargs``
-    when omitted, exactly like :class:`RevealServer` does).  Artifacts
-    land in ``artifact_store`` — default ``<store>/artifacts``, the
-    location the gateway serves from.
+    ``service`` the pipeline executor (a default
+    :class:`BatchRevealService` when omitted, as for
+    :class:`RevealServer`).  Artifacts land in ``artifact_store`` —
+    default ``<store>/artifacts``, the location the gateway serves from.
 
     The worker publishes the same event vocabulary as the in-process
     server on its own :class:`EventBus`, with every event journalled to
@@ -184,16 +184,9 @@ class RevealWorker:
         poll_interval_s: float = 0.2,
         artifact_store: ArtifactStore | str | None = None,
         retry: RetryPolicy | None = None,
-        **service_kwargs,
     ) -> None:
-        if service is not None and service_kwargs:
-            raise ValueError(
-                f"pass either service or service kwargs, not both "
-                f"(got {sorted(service_kwargs)})"
-            )
         self.store = JobStore(store) if isinstance(store, str) else store
-        self.service = service if service is not None \
-            else BatchRevealService(**service_kwargs)
+        self.service = service or BatchRevealService()
         self.worker_id = worker_id or default_worker_id()
         self.lease_ttl_s = lease_ttl_s
         self.poll_interval_s = poll_interval_s

@@ -79,9 +79,9 @@ class TestLeakSites:
 
 
 def DexLegoReveal(apk):
-    from repro.core import DexLego
+    from repro.core import reveal_apk
 
-    return DexLego().reveal(apk).revealed_apk
+    return reveal_apk(apk).revealed_apk
 
 
 class TestCorpora:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.benchsuite.shared_corpus import build_shared_corpus
 from repro.cluster.store import ClusterStore
+from repro.core import RevealConfig
 from repro.service import (
     EVENT_CLUSTER,
     BatchRevealService,
@@ -33,7 +34,7 @@ class TestClusterStatsSurfaces:
     def test_outcomes_carry_cluster_stats(self, tmp_path):
         apps = build_shared_corpus(3, **_CORPUS_KW)
         service = BatchRevealService(
-            cluster_dir=str(tmp_path / "fam"), workers=1)
+            config=RevealConfig(cluster_dir=str(tmp_path / "fam")), workers=1)
         report = service.reveal_batch(_jobs(apps))
         assert report.ok_count == 3
         for outcome in report.outcomes:
@@ -53,7 +54,7 @@ class TestClusterStatsSurfaces:
     def test_server_publishes_cluster_events(self, tmp_path):
         apps = build_shared_corpus(2, **_CORPUS_KW)
         service = BatchRevealService(
-            cluster_dir=str(tmp_path / "fam"), workers=1)
+            config=RevealConfig(cluster_dir=str(tmp_path / "fam")), workers=1)
         with RevealServer(service=service) as server:
             handles = server.submit_many(_jobs(apps))
             outcomes = server.await_many(handles)
@@ -69,7 +70,8 @@ class TestClusterStatsSurfaces:
     def test_store_persists_across_service_instances(self, tmp_path):
         cluster_dir = str(tmp_path / "fam")
         first = build_shared_corpus(2, **_CORPUS_KW)
-        BatchRevealService(cluster_dir=cluster_dir, workers=1) \
+        BatchRevealService(
+            config=RevealConfig(cluster_dir=cluster_dir), workers=1) \
             .reveal_batch(_jobs(first))
 
         store = ClusterStore(cluster_dir, create=False)
@@ -88,7 +90,7 @@ class TestWorkerCountDeterminism:
         # other worker count is compared to.
         apps = build_shared_corpus(4, **_CORPUS_KW)
         anchor_dir = str(tmp_path / "anchor")
-        BatchRevealService(cluster_dir=anchor_dir,
+        BatchRevealService(config=RevealConfig(cluster_dir=anchor_dir),
                            workers=1).reveal_batch(_jobs(apps))
         anchor_store = ClusterStore(anchor_dir, create=False)
         anchor = anchor_store.build_families().to_json()
@@ -96,7 +98,7 @@ class TestWorkerCountDeterminism:
 
         probe_dir = str(tmp_path / f"workers-{workers}")
         report = BatchRevealService(
-            cluster_dir=probe_dir,
+            config=RevealConfig(cluster_dir=probe_dir),
             workers=workers).reveal_batch(_jobs(list(reversed(apps))))
         # Every reveal really labeled: a store that failed to open
         # would pass silently as ``ok`` with ``degraded=['cluster']``.

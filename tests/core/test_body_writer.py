@@ -14,6 +14,7 @@ from repro.benchsuite import droidbench_samples
 from repro.benchsuite.shared_corpus import build_shared_corpus_app
 from repro.core import body_cache, reassembler
 from repro.core.body_cache import _KIND_TAGS, BodyWriter, _intern
+from repro.core.config import RevealConfig
 from repro.core.pipeline import reveal_apk
 from repro.dex import write_dex
 from repro.dex.opcodes import IndexKind
@@ -164,8 +165,8 @@ class TestNonRecordingEmission:
         def reveal():
             for sample in _samples():
                 for force in (False, True):
-                    reveal_apk(sample.build_apk(), device=sample.device,
-                               use_force_execution=force)
+                    reveal_apk(sample.build_apk(), RevealConfig(
+                        device=sample.device, use_force_execution=force))
 
         executed = _lines_run(reveal)
         assert returned and all(ops is None for ops in returned)
@@ -175,8 +176,8 @@ class TestNonRecordingEmission:
     def test_a_recording_reveal_builds_its_ops(self, monkeypatch, tmp_path):
         returned = _returned_ops(monkeypatch)
         app = build_shared_corpus_app("org.rec.app0", corpus_seed=1)
-        service = BatchRevealService(workers=1,
-                                     index_dir=str(tmp_path / "index"))
+        service = BatchRevealService(config=RevealConfig(
+            index_dir=str(tmp_path / "index")), workers=1)
         executed = _lines_run(
             lambda: service.reveal_one(RevealJob(app.package, app.apk)))
         service.stores.index.close()
@@ -187,7 +188,8 @@ class TestNonRecordingEmission:
 def _fleet_reveal(root: str, apps) -> tuple[list, dict]:
     """Each app's revealed DEX bytes through one service with a corpus
     index at ``root``, and every ``bodies/*.json`` it stored."""
-    service = BatchRevealService(workers=1, index_dir=root)
+    service = BatchRevealService(config=RevealConfig(index_dir=root),
+                                 workers=1)
     dexes = []
     for app in apps:
         outcome = service.reveal_one(RevealJob(app.package, app.apk))

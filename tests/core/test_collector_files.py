@@ -8,8 +8,8 @@ import pytest
 from repro.core import (
     CollectionArchive,
     CollectStage,
-    DexLego,
     DexLegoCollector,
+    Pipeline,
     RevealConfig,
     resume_exploration,
     reveal_from_archive,
@@ -113,8 +113,8 @@ class TestCollectionArchive:
         assert sizes[1] > sizes[0] * 2
 
     def test_archive_dir_pipeline_boundary(self, tmp_path):
-        lego = DexLego(archive_dir=str(tmp_path / "files"))
-        result = lego.reveal(build_simple_apk("c.boundary"))
+        pipeline = Pipeline(RevealConfig(archive_dir=str(tmp_path / "files")))
+        result = pipeline.run(build_simple_apk("c.boundary"))
         assert os.path.isdir(str(tmp_path / "files"))
         assert result.reassembled_dex.find_class("Lcom/fix/Simple;") is not None
 

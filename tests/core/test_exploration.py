@@ -9,10 +9,10 @@ from repro.core import (
     ALL_STRATEGIES,
     CollectionArchive,
     CollectStage,
-    DexLego,
     ExplorationScheduler,
     ForceExecutionEngine,
     PathFile,
+    Pipeline,
     RevealConfig,
     resume_exploration,
     reveal_apk,
@@ -369,7 +369,7 @@ class TestResume:
         apk = _multi_apk("x.noop")
         config = RevealConfig(use_force_execution=True, force_iterations=8,
                               archive_dir=str(tmp_path))
-        first = DexLego(config=config).reveal(apk)
+        first = Pipeline(config).run(apk)
         assert first.force_report.frontier_pending == 0
         classes_before = set(first.archive.collector.classes)
 
@@ -550,11 +550,6 @@ class TestLazyFrontier:
 
 
 class TestConfigKnobs:
-    def test_knobs_round_trip(self):
-        cfg = RevealConfig(exploration_strategy=STRATEGY_RARITY, max_paths=9,
-                           path_budget=100, explore_workers=4)
-        assert RevealConfig.from_json(cfg.to_json()) == cfg
-
     def test_knobs_feed_config_hash(self):
         base = RevealConfig().config_hash()
         assert base != RevealConfig(
@@ -567,11 +562,11 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="strategy"):
             RevealConfig(exploration_strategy="random")
 
-    def test_dexlego_facade_passes_knobs_to_engine(self):
+    def test_pipeline_passes_knobs_to_engine(self):
         cfg = RevealConfig(use_force_execution=True, force_iterations=8,
                            exploration_strategy=STRATEGY_DFS,
                            explore_workers=2, max_paths=50)
-        result = DexLego(config=cfg).reveal(_multi_apk("x.facade"))
+        result = Pipeline(cfg).run(_multi_apk("x.facade"))
         assert result.force_report.strategy == STRATEGY_DFS
         assert result.force_report.workers == 2
         assert result.force_report.fully_covered_sites == 4

@@ -2,7 +2,7 @@
 
 
 from repro.analysis import horndroid
-from repro.core import INSTRUMENT_CLASS, DexLego
+from repro.core import INSTRUMENT_CLASS, reveal_apk
 from repro.dex import assemble, assert_valid
 from repro.runtime import AndroidRuntime, Apk, AppDriver
 
@@ -11,11 +11,11 @@ from tests.conftest import build_simple_apk
 
 class TestBasicReassembly:
     def test_revealed_dex_is_valid(self):
-        result = DexLego().reveal(build_simple_apk("r.valid"))
+        result = reveal_apk(build_simple_apk("r.valid"))
         assert_valid(result.reassembled_dex)
 
     def test_semantics_preserved_on_reexecution(self):
-        result = DexLego().reveal(build_simple_apk("r.sem"))
+        result = reveal_apk(build_simple_apk("r.sem"))
         runtime = AndroidRuntime()
         driver = AppDriver(runtime, result.revealed_apk)
         report = driver.launch()
@@ -37,7 +37,7 @@ class TestBasicReassembly:
 .end method
 """
         apk = Apk("r.sv", "Lr/Sv;", [assemble(text)])
-        dex = DexLego().reveal(apk).reassembled_dex
+        dex = reveal_apk(apk).reassembled_dex
         cls = dex.find_class("Lr/Sv;")
         values = {}
         for encoded, value in zip(cls.static_fields, cls.static_values):
@@ -63,7 +63,7 @@ class TestBasicReassembly:
 .end method
 """
         apk = Apk("r.stub", "Lr/Stub;", [assemble(text)])
-        dex = DexLego().reveal(apk).reassembled_dex
+        dex = reveal_apk(apk).reassembled_dex
         cls = dex.find_class("Lr/Stub;")
         never = next(
             m for m in cls.all_methods()
@@ -87,7 +87,7 @@ class TestBasicReassembly:
 .end method
 """
         apk = Apk("r.half", "Lr/Half;", [assemble(text)])
-        dex = DexLego().reveal(apk).reassembled_dex
+        dex = reveal_apk(apk).reassembled_dex
         cls = dex.find_class("Lr/Half;")
         method = cls.all_methods()[0]
         literals = [
@@ -115,7 +115,7 @@ class TestBasicReassembly:
 .end method
 """
         apk = Apk("r.try", "Lr/Try;", [assemble(text)])
-        result = DexLego().reveal(apk)
+        result = reveal_apk(apk)
         cls = result.reassembled_dex.find_class("Lr/Try;")
         method = cls.all_methods()[0]
         assert len(method.code.tries) == 1
@@ -152,7 +152,7 @@ class TestBasicReassembly:
 .end method
 """
         apk = Apk("r.sw", "Lr/Sw;", [assemble(text)])
-        result = DexLego().reveal(apk)
+        result = reveal_apk(apk)
         runtime = AndroidRuntime()
         AppDriver(runtime, result.revealed_apk).launch()
         assert runtime.class_linker.lookup("Lr/Sw;").statics["out"] == 20
@@ -163,7 +163,7 @@ class TestSelfModifyingReassembly:
         from repro.benchsuite import sample_by_name
 
         sample = sample_by_name("SelfMod0")
-        return DexLego().reveal(sample.build_apk())
+        return reveal_apk(sample.build_apk())
 
     def test_both_versions_present(self):
         dex = self._selfmod_result().reassembled_dex
@@ -209,7 +209,7 @@ class TestSelfModifyingReassembly:
         from repro.benchsuite import sample_by_name
 
         sample = sample_by_name("SelfMod3")
-        result = DexLego().reveal(sample.build_apk())
+        result = reveal_apk(sample.build_apk())
         assert_valid(result.reassembled_dex)
         dex = result.reassembled_dex
         cls = dex.find_class("Lde/bench/selfmod/SelfMod3;")
@@ -228,7 +228,7 @@ class TestSelfModifyingReassembly:
         from repro.benchsuite import sample_by_name
 
         sample = sample_by_name("SelfMod2")
-        result = DexLego().reveal(sample.build_apk())
+        result = reveal_apk(sample.build_apk())
         dex = result.reassembled_dex
         cls = dex.find_class("Lde/bench/selfmod/SelfMod2;")
         guarded = next(
@@ -245,7 +245,7 @@ class TestReflectionRewrite:
         from repro.benchsuite import sample_by_name
 
         sample = sample_by_name("ReflectAdv1")
-        result = DexLego().reveal(sample.build_apk())
+        result = reveal_apk(sample.build_apk())
         dex = result.reassembled_dex
         cls = dex.find_class("Lde/bench/reflect/ReflectAdv1;")
         on_create = next(
@@ -267,7 +267,7 @@ class TestReflectionRewrite:
         from repro.benchsuite import sample_by_name
 
         sample = sample_by_name("ReflectAdv0")
-        result = DexLego().reveal(sample.build_apk())
+        result = reveal_apk(sample.build_apk())
         runtime = AndroidRuntime()
         report = AppDriver(runtime, result.revealed_apk).launch()
         assert report.launched, report.crash_reason
@@ -279,7 +279,7 @@ class TestDynamicLoadingMerge:
         from repro.benchsuite import sample_by_name
 
         sample = sample_by_name("DynLoad0")
-        result = DexLego().reveal(sample.build_apk())
+        result = reveal_apk(sample.build_apk())
         descriptors = result.reassembled_dex.class_descriptors()
         assert "Lde/bench/dynload/DynLoad0;" in descriptors
         assert "Lde/bench/dynload/Plugin0;" in descriptors

@@ -6,12 +6,12 @@ from repro.core import (
     ALL_STAGES,
     CollectResult,
     CollectStage,
-    DexLego,
     Pipeline,
     ReassembleStage,
     RevealConfig,
     StageError,
     VerifyStage,
+    reveal_apk,
     reveal_from_archive,
 )
 from repro.dex import assert_valid
@@ -33,8 +33,8 @@ class TestCollectStage:
         assert not hasattr(collected, "revealed_apk")
         assert not hasattr(collected, "reassembled_dex")
 
-    def test_dexlego_collect_returns_collect_result(self):
-        collected = DexLego().collect(build_simple_apk("st.facade"))
+    def test_pipeline_collect_returns_collect_result(self):
+        collected = Pipeline().collect(build_simple_apk("st.facade"))
         assert isinstance(collected, CollectResult)
         assert collected.dump_size_bytes == collected.archive.total_size_bytes()
 
@@ -57,7 +57,8 @@ class TestCollectStage:
 class TestOfflineStages:
     def test_reassemble_then_verify(self):
         collected = CollectStage().run(build_simple_apk("st.offline"))
-        dex = ReassembleStage().run(collected.archive)
+        dex, index_stats = ReassembleStage().run(collected.archive)
+        assert index_stats == {}  # no index, no dedup accounting
         assert VerifyStage().run(dex) is dex
         assert dex.find_class("Lcom/fix/Simple;") is not None
 
@@ -121,7 +122,7 @@ class TestRevealFromArchive:
 
     def test_matches_full_pipeline_output(self, tmp_path):
         apk = build_simple_apk("st.match")
-        full = DexLego().reveal(apk)
+        full = reveal_apk(apk)
         target = str(tmp_path / "dump")
         full.archive.save(target)
         from repro.dex import write_dex
@@ -156,9 +157,8 @@ class TestPipelineOrchestration:
         failed = events[-1]
         assert not failed.ok and "observed failure" in failed.error
 
-    def test_reveal_result_unchanged_for_facade_callers(self):
-        # The paper-shaped entry points still hand back the full result.
-        result = DexLego().reveal(build_simple_apk("st.compat"))
+    def test_reveal_apk_returns_the_full_result(self):
+        result = reveal_apk(build_simple_apk("st.compat"))
         assert result.revealed_apk is not None
         assert result.reassembled_dex.find_class("Lcom/fix/Simple;")
         assert result.collector_stats["classes_collected"] == 1

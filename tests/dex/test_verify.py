@@ -6,6 +6,7 @@ import copy
 import pytest
 
 from repro.benchsuite import droidbench_samples
+from repro.core.config import RevealConfig
 from repro.core.pipeline import reveal_apk
 from repro.dex import DexBuilder, assemble, verify_dex
 from repro.dex.constants import NO_INDEX
@@ -339,8 +340,9 @@ def revealed_droidbench():
     """Every DroidBench sample's revealed DEX, without and with force
     execution."""
     return [(sample.name, force,
-             reveal_apk(sample.build_apk(), device=sample.device,
-                        use_force_execution=force).reassembled_dex)
+             reveal_apk(sample.build_apk(), RevealConfig(
+                 device=sample.device,
+                 use_force_execution=force)).reassembled_dex)
             for sample in droidbench_samples() for force in (False, True)]
 
 

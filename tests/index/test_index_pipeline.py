@@ -17,7 +17,7 @@ from repro.benchsuite.shared_corpus import (
     build_shared_corpus_app,
 )
 from repro.cluster.store import ClusterStore
-from repro.core import DexLego, RevealConfig, resume_exploration
+from repro.core import Pipeline, RevealConfig, resume_exploration
 from repro.dex import write_dex
 from repro.index import CorpusIndex
 from repro.index import corpus as corpus_module
@@ -48,7 +48,8 @@ class TestWarmCorpusDedup:
         cold_apps = build_shared_corpus(_APPS, **_CORPUS_KW)
         assert cold_apps[0].shared_fraction >= 0.7
 
-        cold = BatchRevealService(index_dir=index_dir, workers=1)
+        cold = BatchRevealService(
+            config=RevealConfig(index_dir=index_dir), workers=1)
         cold_report = cold.reveal_batch(_jobs(cold_apps))
         assert cold_report.ok_count == _APPS
 
@@ -57,7 +58,8 @@ class TestWarmCorpusDedup:
         # cache cannot help, the method-level corpus index can.
         warm_apps = build_shared_corpus(
             _APPS, package_prefix="org.other", **_CORPUS_KW)
-        warm = BatchRevealService(index_dir=index_dir, workers=1)
+        warm = BatchRevealService(
+            config=RevealConfig(index_dir=index_dir), workers=1)
         warm_report = warm.reveal_batch(_jobs(warm_apps))
         assert warm_report.ok_count == _APPS
 
@@ -81,7 +83,7 @@ class TestWarmCorpusDedup:
         # the *first* batch replay the library bodies app 1 registered.
         apps = build_shared_corpus(3, **_CORPUS_KW)
         service = BatchRevealService(
-            index_dir=str(tmp_path / "idx"), workers=1)
+            config=RevealConfig(index_dir=str(tmp_path / "idx")), workers=1)
         report = service.reveal_batch(_jobs(apps))
         summary = report.index_summary()
         assert summary["apps_indexed"] == 3
@@ -131,8 +133,7 @@ class TestDigestOnce:
 
         app = build_shared_corpus_app("com.once.app", corpus_seed=3,
                                       app_seed=1)
-        service = BatchRevealService(index_dir=str(tmp_path / "index"),
-                                     cluster_dir=str(tmp_path / "cluster"),
+        service = BatchRevealService(config=_config(str(tmp_path)),
                                      workers=1)
         outcome = service.reveal_one(RevealJob(app.package, app.apk))
         assert outcome.status == "ok" and outcome.degraded == []
@@ -157,8 +158,8 @@ class TestDigestOnce:
             monkeypatch.setattr(module, "document_digest", counted)
         app = build_shared_corpus_app("com.once.collect", corpus_seed=3,
                                       app_seed=1)
-        service = BatchRevealService(index_dir=str(tmp_path / "index"),
-                                     workers=1)
+        service = BatchRevealService(
+            config=RevealConfig(index_dir=str(tmp_path / "index")), workers=1)
         outcome = service.reveal_one(
             RevealJob(app.package, app.apk, collect_only=True))
         assert outcome.status == "ok" and outcome.degraded == []
@@ -176,8 +177,7 @@ class TestDigestOnce:
         walks, fuzzy_calls = _count_digest_work(monkeypatch)
         first, second = (build_shared_corpus_app(
             f"com.once.app{i}", corpus_seed=3, app_seed=i) for i in (1, 2))
-        service = BatchRevealService(index_dir=str(tmp_path / "index"),
-                                     cluster_dir=str(tmp_path / "cluster"),
+        service = BatchRevealService(config=_config(str(tmp_path)),
                                      workers=1)
         index = service.stores.index
 
@@ -217,7 +217,7 @@ class TestProbeCountsTheReassembledArchive:
         config = RevealConfig(use_force_execution=True, max_paths=1,
                               archive_dir=archive,
                               index_dir=str(tmp_path / "index"))
-        DexLego(config=config).reveal(app.apk)
+        Pipeline(config).run(app.apk)
         resumed = resume_exploration(
             archive, app.apk,
             config=config.replace(max_paths=8, archive_dir=None))
@@ -259,9 +259,9 @@ def _store_files(root: str) -> dict:
     return files
 
 
-def _stores(root: str) -> dict:
-    return dict(index_dir=os.path.join(root, "index"),
-                cluster_dir=os.path.join(root, "cluster"))
+def _config(root: str) -> RevealConfig:
+    return RevealConfig(index_dir=os.path.join(root, "index"),
+                        cluster_dir=os.path.join(root, "cluster"))
 
 
 def _close(service: BatchRevealService) -> None:
@@ -280,10 +280,10 @@ class TestServiceLifetime:
         fresh_root, kept_root = str(tmp_path / "fresh"), str(tmp_path / "kept")
         fresh = []
         for job in _jobs(apps):
-            service = BatchRevealService(workers=1, **_stores(fresh_root))
+            service = BatchRevealService(config=_config(fresh_root), workers=1)
             fresh.append(_products(service.reveal_one(job)))
             _close(service)
-        service = BatchRevealService(workers=1, **_stores(kept_root))
+        service = BatchRevealService(config=_config(kept_root), workers=1)
         kept = [_products(service.reveal_one(job)) for job in _jobs(apps)]
         _close(service)
         assert [p[1:3] for p in fresh] == [("ok", [])] * len(apps)
@@ -297,7 +297,7 @@ class TestServiceLifetime:
         fresh_root = str(tmp_path / "fresh")
         fresh = []
         for job in _jobs(apps):
-            service = BatchRevealService(workers=1, **_stores(fresh_root))
+            service = BatchRevealService(config=_config(fresh_root), workers=1)
             fresh.append(_products(service.reveal_one(job)))
             _close(service)
         fresh_files = _store_files(fresh_root)
@@ -305,7 +305,7 @@ class TestServiceLifetime:
         # One job at a time: the two threads take turns, so each reveal
         # sees what the one before it registered, as a fresh service does.
         serial_root = str(tmp_path / "serial")
-        service = BatchRevealService(workers=2, **_stores(serial_root))
+        service = BatchRevealService(config=_config(serial_root), workers=2)
         with RevealServer(service=service, workers=2) as server:
             serial = [_products(server.submit(job).wait(timeout=120))
                       for job in _jobs(apps)]
@@ -316,7 +316,7 @@ class TestServiceLifetime:
         # All at once: which job sees which registrations depends on
         # the threads, so the stats may differ; the bytes may not.
         racing_root = str(tmp_path / "racing")
-        service = BatchRevealService(workers=2, **_stores(racing_root))
+        service = BatchRevealService(config=_config(racing_root), workers=2)
         with RevealServer(service=service, workers=2) as server:
             racing = [_products(outcome) for outcome in server.await_many(
                 server.submit_many(_jobs(apps)), timeout=120)]
@@ -336,7 +336,7 @@ class TestIndexStatsSurfaces:
     def test_server_publishes_index_events(self, tmp_path):
         apps = build_shared_corpus(2, **_CORPUS_KW)
         service = BatchRevealService(
-            index_dir=str(tmp_path / "idx"), workers=1)
+            config=RevealConfig(index_dir=str(tmp_path / "idx")), workers=1)
         with RevealServer(service=service) as server:
             handles = server.submit_many(_jobs(apps))
             outcomes = server.await_many(handles)
@@ -357,7 +357,8 @@ class TestIndexStatsSurfaces:
     def test_parallel_batch_carries_index_stats(self, tmp_path, workers):
         apps = build_shared_corpus(4, **_CORPUS_KW)
         service = BatchRevealService(
-            index_dir=str(tmp_path / "idx"), workers=workers)
+            config=RevealConfig(index_dir=str(tmp_path / "idx")),
+            workers=workers)
         report = service.reveal_batch(_jobs(apps))
         assert report.ok_count == 4
         for outcome in report.outcomes:

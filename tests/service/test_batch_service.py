@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import RevealConfig
 from repro.dex import assemble
 from repro.errors import VerificationError
 from repro.runtime import AndroidRuntime, Apk, AppDriver
@@ -76,16 +77,8 @@ class TestBatchBasics:
         assert [o.dump_size_bytes for o in a.outcomes] == \
             [o.dump_size_bytes for o in b.outcomes]
 
-    def test_rejects_config_plus_kwargs(self):
-        from repro.core import RevealConfig
-
-        with pytest.raises(ValueError, match="run_budget"):
-            BatchRevealService(config=RevealConfig(), run_budget=500)
-
     def test_parallel_jobs_get_private_archive_dirs(self, tmp_path):
         import os
-
-        from repro.core import RevealConfig
 
         root = str(tmp_path / "archives")
         service = BatchRevealService(
@@ -134,8 +127,9 @@ class TestCacheIntegration:
         cache_jobs = [RevealJob("j", apk)]
         shared = BatchRevealService(workers=1)
         shared.reveal_batch(cache_jobs)
-        different = BatchRevealService(workers=1, run_budget=500_000,
-                                       cache=shared.cache)
+        different = BatchRevealService(
+            config=RevealConfig(run_budget=500_000), workers=1,
+            cache=shared.cache)
         outcome = different.reveal_batch(cache_jobs).outcomes[0]
         assert not outcome.cache_hit
 
@@ -243,7 +237,7 @@ class TestCrashIsolation:
         assert service.reveal_one(fixed).status == STATUS_OK
 
     def test_budget_exceeded_status(self):
-        service = BatchRevealService(run_budget=40)
+        service = BatchRevealService(config=RevealConfig(run_budget=40))
         outcome = service.reveal_one(build_simple_apk("svc.budget"))
         assert outcome.status == STATUS_BUDGET_EXCEEDED
         assert outcome.revealed_apk is not None
@@ -293,9 +287,9 @@ class TestExplorationSurface:
     """Force-execution scheduler stats flow outcome → report."""
 
     def test_outcome_carries_exploration_summary(self):
-        service = BatchRevealService(use_force_execution=True,
-                                     exploration_strategy="rarity-first",
-                                     explore_workers=2)
+        service = BatchRevealService(config=RevealConfig(
+            use_force_execution=True, exploration_strategy="rarity-first",
+            explore_workers=2))
         outcome = service.reveal_one(build_simple_apk("svc.explore"))
         assert outcome.status == STATUS_OK
         assert outcome.exploration["strategy"] == "rarity-first"
@@ -305,7 +299,8 @@ class TestExplorationSurface:
         assert outcome.to_summary()["exploration"] == outcome.exploration
 
     def test_report_aggregates_exploration(self):
-        service = BatchRevealService(use_force_execution=True)
+        service = BatchRevealService(
+            config=RevealConfig(use_force_execution=True))
         report = service.reveal_batch(_corpus(2, prefix="svc.explagg"))
         aggregate = report.exploration_summary()
         assert aggregate["apps_explored"] == 2
@@ -324,17 +319,20 @@ class TestExplorationSurface:
         # A warm-cache hit must carry the original run's exploration
         # stats, not silently drop them.
         apk = build_simple_apk("svc.explcache")
-        cold = BatchRevealService(use_force_execution=True,
-                                  cache_dir=str(tmp_path)).reveal_one(apk)
-        warm = BatchRevealService(use_force_execution=True,
-                                  cache_dir=str(tmp_path)).reveal_one(apk)
+        cold = BatchRevealService(
+            config=RevealConfig(use_force_execution=True),
+            cache_dir=str(tmp_path)).reveal_one(apk)
+        warm = BatchRevealService(
+            config=RevealConfig(use_force_execution=True),
+            cache_dir=str(tmp_path)).reveal_one(apk)
         assert warm.cache_hit
         assert warm.exploration == cold.exploration != {}
 
     def test_exploration_knobs_feed_cache_identity(self):
-        base = BatchRevealService(use_force_execution=True)
-        rare = BatchRevealService(use_force_execution=True,
-                                  exploration_strategy="rarity-first")
+        base = BatchRevealService(
+            config=RevealConfig(use_force_execution=True))
+        rare = BatchRevealService(config=RevealConfig(
+            use_force_execution=True, exploration_strategy="rarity-first"))
         apk = build_simple_apk("svc.explkey")
         job = RevealJob("k", apk)
         assert base.job_cache_key(job) != rare.job_cache_key(job)

@@ -123,7 +123,7 @@ def _run_fleet(store: JobStore, *, lease_ttl_s: float = 1.0,
                linger_s: float = 4.0) -> list:
     """Two thread workers draining the store concurrently."""
     workers = [
-        RevealWorker(store, worker_id=f"chaos-w{i}", workers=1,
+        RevealWorker(store, worker_id=f"chaos-w{i}",
                      poll_interval_s=0.05, lease_ttl_s=lease_ttl_s,
                      retry=CHAOS_RETRY)
         for i in range(2)
@@ -201,7 +201,7 @@ def _doomed_worker_main(store_path: str, plan_dict: dict,
     """Child-process entry: arm the kill schedule and work until it
     fires (``os._exit(KILL_EXIT_CODE)`` mid-protocol)."""
     faults.arm(FaultPlan.from_dict(plan_dict))
-    worker = RevealWorker(store_path, worker_id="doomed", workers=1,
+    worker = RevealWorker(store_path, worker_id="doomed",
                           poll_interval_s=0.05, lease_ttl_s=lease_ttl_s,
                           retry=RetryPolicy(attempts=2,
                                             base_delay_s=0.01))
@@ -232,7 +232,7 @@ class TestWorkerKillSchedules:
 
         # A clean survivor reclaims whatever the victim left leased
         # (after its short TTL expires) and finishes the queue.
-        survivor = RevealWorker(store, worker_id="survivor", workers=1,
+        survivor = RevealWorker(store, worker_id="survivor",
                                 poll_interval_s=0.05, lease_ttl_s=1.0)
         survivor.run(max_jobs=len(APPS) + 3, linger_s=4.0)
 

@@ -54,7 +54,8 @@ def _kinds_through_terminal(stream) -> list:
 class TestServiceDegrades:
     def test_foreign_index_degrades_not_fails(self, tmp_path, caplog):
         service = BatchRevealService(
-            index_dir=_foreign_index_dir(tmp_path), workers=1)
+            config=RevealConfig(index_dir=_foreign_index_dir(tmp_path)),
+            workers=1)
         with caplog.at_level("WARNING"):
             outcome = service.reveal_one(
                 RevealJob(app_id="a", apk=build_simple_apk("deg.index")))
@@ -74,7 +75,8 @@ class TestServiceDegrades:
 
     def test_corrupt_cluster_degrades_not_fails(self, tmp_path):
         service = BatchRevealService(
-            cluster_dir=_foreign_cluster_dir(tmp_path), workers=1)
+            config=RevealConfig(cluster_dir=_foreign_cluster_dir(tmp_path)),
+            workers=1)
         outcome = service.reveal_one(
             RevealJob(app_id="a", apk=build_simple_apk("deg.cluster")))
         assert outcome.status == STATUS_OK
@@ -83,8 +85,9 @@ class TestServiceDegrades:
 
     def test_multiple_degradations_are_sorted(self, tmp_path):
         service = BatchRevealService(
-            index_dir=_foreign_index_dir(tmp_path),
-            cluster_dir=_foreign_cluster_dir(tmp_path), workers=1)
+            config=RevealConfig(index_dir=_foreign_index_dir(tmp_path),
+                                cluster_dir=_foreign_cluster_dir(tmp_path)),
+            workers=1)
         outcome = service.reveal_one(
             RevealJob(app_id="a", apk=build_simple_apk("deg.both")))
         assert outcome.status == STATUS_OK
@@ -116,8 +119,9 @@ class TestCacheDegrades:
 
 class TestDegradedEvents:
     def test_server_publishes_degraded_before_terminal(self, tmp_path):
-        config = RevealConfig(index_dir=_foreign_index_dir(tmp_path))
-        with RevealServer(config=config, workers=1) as server:
+        service = BatchRevealService(config=RevealConfig(
+            index_dir=_foreign_index_dir(tmp_path)))
+        with RevealServer(service, workers=1) as server:
             stream = server.bus.subscribe()
             handle = server.submit(build_simple_apk("deg.events"))
             outcome = handle.wait(timeout=120)
@@ -158,8 +162,8 @@ class TestMidRevealWriteFailures:
         assert want.status == STATUS_OK and want.degraded == []
 
         plan = FaultPlan([FaultRule(site, kind)])
-        with faults.armed(plan), \
-                RevealServer(config=config("faulty"), workers=1) as server:
+        faulty = BatchRevealService(config=config("faulty"))
+        with faults.armed(plan), RevealServer(faulty, workers=1) as server:
             stream = server.bus.subscribe()
             outcome = server.submit(app.apk).wait(timeout=120)
             kinds = _kinds_through_terminal(stream)

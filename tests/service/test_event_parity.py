@@ -11,6 +11,7 @@ which has none, emits the same sequence minus the lifecycle kinds.
 import contextlib
 import io
 
+from repro.core import RevealConfig
 from repro.service import (
     EVENT_CLUSTER,
     EVENT_DONE,
@@ -42,9 +43,11 @@ def _job():
     return build_corpus_jobs("aosp", 1)[0]
 
 
-def _stores(tmp_path, name):
-    return {"index_dir": str(tmp_path / name / "index"),
-            "cluster_dir": str(tmp_path / name / "cluster")}
+def _service(tmp_path, name):
+    """A one-worker service over a fresh index and cluster store."""
+    return BatchRevealService(config=RevealConfig(
+        index_dir=str(tmp_path / name / "index"),
+        cluster_dir=str(tmp_path / name / "cluster")), workers=1)
 
 
 def _journal_kinds(store, job_id):
@@ -52,7 +55,7 @@ def _journal_kinds(store, job_id):
 
 
 def _server_kinds(tmp_path):
-    with RevealServer(workers=1, **_stores(tmp_path, "server")) as server:
+    with RevealServer(_service(tmp_path, "server"), workers=1) as server:
         handle = server.submit(_job())
         handle.wait(timeout=120)
     return [e.kind for e in server.bus.events_for(handle.job_id)]
@@ -62,19 +65,17 @@ def _fleet_kinds(tmp_path):
     store = JobStore(str(tmp_path / "fleet" / "queue"))
     with RevealGateway(store) as gateway:
         handle = GatewayClient(gateway.url).submit(_job())
-    RevealWorker(store, worker_id="w1", workers=1,
-                 **_stores(tmp_path, "fleet")).run()
+    RevealWorker(store, _service(tmp_path, "fleet"), worker_id="w1").run()
     return _journal_kinds(store, handle.job_id)
 
 
 def _cli_kinds(tmp_path):
-    stores = _stores(tmp_path, "cli")
     queue = str(tmp_path / "cli" / "queue")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["submit", "--store", queue] + CORPUS) == 0
         assert main(["serve", "--store", queue, "--workers", "1",
-                     "--index-dir", stores["index_dir"],
-                     "--cluster-dir", stores["cluster_dir"],
+                     "--index-dir", str(tmp_path / "cli" / "index"),
+                     "--cluster-dir", str(tmp_path / "cli" / "cluster"),
                      "--json"]) == 0
     store = JobStore(queue)
     job_id, = [r["job_id"] for r in store.load_all()]
@@ -82,7 +83,7 @@ def _cli_kinds(tmp_path):
 
 
 def _library_kinds(tmp_path):
-    service = BatchRevealService(workers=1, **_stores(tmp_path, "library"))
+    service = _service(tmp_path, "library")
     bus = EventBus()
     outcome = service.reveal_one(_job(), job_id="lib", bus=bus)
     assert outcome.status == "ok" and outcome.degraded == []

@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.core import RevealConfig
 from repro.service import (
     ARTIFACT_REVEALED_APK,
     EVENT_DONE,
@@ -35,8 +36,7 @@ def _job(app_id, package=None):
 
 
 def _drain(store, *, worker_id="w1", jobs=8, linger_s=3.0):
-    worker = RevealWorker(store, worker_id=worker_id, workers=1,
-                          poll_interval_s=0.05)
+    worker = RevealWorker(store, worker_id=worker_id, poll_interval_s=0.05)
     return worker.run(max_jobs=jobs, linger_s=linger_s)
 
 
@@ -168,6 +168,33 @@ class TestSubmitGuards:
                 urllib.request.urlopen(request, timeout=10)
             assert err.value.code == 400
 
+    @pytest.mark.parametrize("field, value", [
+        ("meta", [1, 2]),
+        ("meta", "abc"),
+        ("meta", 5),
+        ("collect_only", "false"),
+        ("app_id", [1]),
+        ("app_id", {"k": 1}),
+        ("cache_salt", 7),
+    ])
+    def test_mistyped_envelope_field_rejected_400(self, tmp_path, field,
+                                                  value):
+        store = _store(tmp_path)
+        with RevealGateway(store) as gateway:
+            body = json.dumps({
+                "app_id": "typed",
+                "apk_b64": JobStore.encode_apk(build_simple_apk("gw.typed")),
+                field: value,
+            }).encode()
+            request = urllib.request.Request(
+                gateway.url + "/v1/jobs", data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=10)
+            assert err.value.code == 400
+            assert repr(field) in json.loads(err.value.read())["error"]
+            assert store.load_all() == []
+
     def test_oversize_upload_rejected_413(self, tmp_path):
         store = _store(tmp_path)
         with RevealGateway(store, max_upload_bytes=64) as gateway:
@@ -259,10 +286,11 @@ class TestReadEndpoints:
         with RevealGateway(store) as gateway:
             client = GatewayClient(gateway.url, poll_interval_s=0.05)
             handles = client.submit_many([_job("ix.a"), _job("ix.b")])
-            worker = RevealWorker(store, worker_id="wx",
-                                  workers=1, poll_interval_s=0.05,
-                                  index_dir=str(tmp_path / "idx"),
-                                  cluster_dir=str(tmp_path / "fam"))
+            service = BatchRevealService(config=RevealConfig(
+                index_dir=str(tmp_path / "idx"),
+                cluster_dir=str(tmp_path / "fam")))
+            worker = RevealWorker(store, service, worker_id="wx",
+                                  poll_interval_s=0.05)
             worker.run(max_jobs=2, linger_s=3.0)
             client.await_many(handles, timeout=120)
 

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from repro.core import RevealConfig
 from repro.service import (
     EVENT_CACHE_HIT,
     EVENT_STAGE,
@@ -285,7 +286,8 @@ class TestEventStream:
     goto :next
 .end method
 """)])
-        service = BatchRevealService(workers=1, use_force_execution=True)
+        service = BatchRevealService(
+            config=RevealConfig(use_force_execution=True), workers=1)
         with RevealServer(service=service) as server:
             handle = server.submit(RevealJob("waves", gated))
             outcome = handle.wait(timeout=60)

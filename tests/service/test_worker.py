@@ -40,7 +40,7 @@ class TestDrain:
         store = _store(tmp_path)
         _queue(store, "j1")
         _queue(store, "j2")
-        worker = RevealWorker(store, worker_id="w1", workers=1)
+        worker = RevealWorker(store, worker_id="w1")
         report = worker.run(max_jobs=10)
         assert report.processed == 2
         assert report.done == 2
@@ -56,7 +56,7 @@ class TestDrain:
     def test_artifacts_stored_content_addressed(self, tmp_path):
         store = _store(tmp_path)
         _queue(store, "j1")
-        worker = RevealWorker(store, worker_id="w1", workers=1)
+        worker = RevealWorker(store, worker_id="w1")
         worker.run(max_jobs=1)
         record = store.load("j1")
         artifacts = record["artifacts"]
@@ -75,7 +75,7 @@ class TestDrain:
         apk = build_simple_apk("worker.parity")
         record = store.make_record(job_id="j1", app_id="parity", apk=apk)
         store.save(record)
-        worker = RevealWorker(store, worker_id="w1", workers=1)
+        worker = RevealWorker(store, worker_id="w1")
         worker.run(max_jobs=1)
         digest = store.load("j1")["artifacts"][ARTIFACT_REVEALED_APK]
         remote_bytes = worker.artifacts.get(digest)
@@ -88,7 +88,7 @@ class TestDrain:
         store = _store(tmp_path)
         record = _queue(store, "corrupt")
         store.update("corrupt", apk_b64="!!! not base64 !!!")
-        worker = RevealWorker(store, worker_id="w1", workers=1)
+        worker = RevealWorker(store, worker_id="w1")
         report = worker.run(max_jobs=1)
         assert report.failed == 1
         record = store.load("corrupt")
@@ -98,7 +98,7 @@ class TestDrain:
     def test_events_journalled_with_worker_identity(self, tmp_path):
         store = _store(tmp_path)
         _queue(store, "j1")
-        RevealWorker(store, worker_id="w-events", workers=1).run(max_jobs=1)
+        RevealWorker(store, worker_id="w-events").run(max_jobs=1)
         events, _offset = store.tail_events()
         kinds = [e["kind"] for e in events]
         assert EVENT_STARTED in kinds and EVENT_DONE in kinds
@@ -112,7 +112,7 @@ class TestFleet:
         store = _store(tmp_path)
         for i in range(4):
             _queue(store, f"j{i}")
-        workers = [RevealWorker(store, worker_id=f"w{i}", workers=1)
+        workers = [RevealWorker(store, worker_id=f"w{i}")
                    for i in range(2)]
         reports = [None, None]
 
@@ -137,8 +137,7 @@ class TestFleet:
         store = _store(tmp_path)
         _queue(store, "j1")
         dead = store.claim_next("w-dead", lease_ttl_s=0.15)
-        worker = RevealWorker(store, worker_id="w-live", workers=1,
-                              poll_interval_s=0.05)
+        worker = RevealWorker(store, worker_id="w-live", poll_interval_s=0.05)
         report = worker.run(max_jobs=1, linger_s=5.0)
         assert report.done == 1
         record = store.load("j1")
@@ -157,8 +156,7 @@ class TestFleet:
         store.claim_next("w-dead", lease_ttl_s=0.1)
         assert store.request_cancel("j1") == "requested"
         time.sleep(0.15)
-        worker = RevealWorker(store, worker_id="w-live", workers=1,
-                              poll_interval_s=0.05)
+        worker = RevealWorker(store, worker_id="w-live", poll_interval_s=0.05)
         start = time.monotonic()
         report = worker.run(max_jobs=1, linger_s=2.0)
         assert report.cancelled == 1
@@ -175,8 +173,7 @@ class TestFleet:
 
     def test_stop_ends_linger_early(self, tmp_path):
         store = _store(tmp_path)
-        worker = RevealWorker(store, worker_id="w1", workers=1,
-                              poll_interval_s=0.05)
+        worker = RevealWorker(store, worker_id="w1", poll_interval_s=0.05)
         timer = threading.Timer(0.2, worker.stop)
         timer.start()
         start = time.monotonic()

@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"over HTTP")
 
             workers = [
-                RevealWorker(store, worker_id=f"smoke-w{i}", workers=1,
+                RevealWorker(store, worker_id=f"smoke-w{i}",
                              poll_interval_s=0.05)
                 for i in range(args.fleet)
             ]
